@@ -20,8 +20,8 @@
      e11 (extension) optimizer fast path: verdict caches + branch-and-bound
      serve (extension) serving layer: plan cache hit rate + admission
                      under a multi-session mix, cache-on/off differential
-     exec (extension) the three execution engines (reference, compiled,
-                     vectorized) head to head: speedups + byte-identity
+     exec (extension) the two execution engines (reference, vectorized)
+                     head to head: speedups + byte-identity
                      differential, writes BENCH_exec.json
      replica (extension) replica-aware compliant placement: shipped
                      bytes + failover success rate with vs. without
@@ -1085,8 +1085,7 @@ let feedback_bench () =
   Fmt.pr "wrote %s@." out
 
 (* ------------------------------------------------------------------ *)
-(* exec -- the three engines (reference, compiled, vectorized) head to
-   head *)
+(* exec -- the two engines (reference, vectorized) head to head *)
 
 (* Everything the engines must agree on byte-for-byte: the result
    relation, the SHIP ledger, the row/retry counters, the per-node
@@ -1110,8 +1109,7 @@ let exec_bench () =
   let runs = getenv_int "CGQP_EXEC_RUNS" 5 in
   let n_adhoc = getenv_int "CGQP_EXEC_ADHOC" 12 in
   header
-    (Printf.sprintf
-       "EXEC: reference vs compiled vs vectorized engines (sf %g, %d runs)" sf runs);
+    (Printf.sprintf "EXEC: reference vs vectorized engine (sf %g, %d runs)" sf runs);
   let cat = Tpch.Schema.catalog () in
   let policies = Policy.Pcatalog.of_texts cat Tpch.Policies.unrestricted in
   let db = Tpch.Datagen.load ~cat (Tpch.Datagen.generate ~sf ()) in
@@ -1126,10 +1124,10 @@ let exec_bench () =
   let workload = queries @ adhoc in
   Fmt.pr "%d TPC-H + %d ad-hoc join/agg queries, unrestricted policies, seed %d@."
     (List.length queries) n_adhoc sd;
-  Fmt.pr "%-8s %7s %14s %14s %14s %8s %11s %12s %3s@." "query" "rows" "ref (ms)"
-    "comp (ms)" "vec (ms)" "vec/comp" "kernel(ms)" "vec rows/s" "fp";
+  Fmt.pr "%-8s %7s %14s %14s %8s %11s %12s %3s@." "query" "rows" "ref (ms)"
+    "vec (ms)" "vec/ref" "kernel(ms)" "vec rows/s" "fp";
   let mismatches = ref 0 in
-  let tot_ref = ref 0. and tot_comp = ref 0. and tot_vec = ref 0. in
+  let tot_ref = ref 0. and tot_vec = ref 0. and tot_kernel = ref 0. in
   let tot_rows = ref 0 in
   let per_query =
     List.filter_map
@@ -1141,44 +1139,31 @@ let exec_bench () =
         | Optimizer.Planner.Planned p ->
           let plan = p.Optimizer.Planner.plan in
           let run_ref () = Exec.Interp.run ~network ~db ~table_cols plan in
-          let run_comp () = Exec.Compile.run ~network ~db ~table_cols plan in
           let run_vec () = Exec.Vector.run ~network ~db ~table_cols plan in
-          (* three-way differential check first (doubles as warm-up) *)
+          (* differential check first (doubles as warm-up) *)
           let rref = run_ref () in
-          let rcomp = run_comp () in
-          let rvec = run_vec () in
-          let same =
-            exec_fp rref = exec_fp rcomp && exec_fp rref = exec_fp rvec
-          in
+          let same = exec_fp rref = exec_fp (run_vec ()) in
           if not same then incr mismatches;
           let t_ref, se_ref = timed_stats ~runs (fun () -> ignore (run_ref ())) in
-          let t_comp, se_comp =
-            timed_stats ~runs (fun () -> ignore (run_comp ()))
-          in
           let t_vec, se_vec = timed_stats ~runs (fun () -> ignore (run_vec ())) in
           (* the compile-once / execute-many split the serving layer sees *)
-          let compiled = Exec.Compile.compile ~db ~table_cols plan in
+          let compiled = Exec.Vector.compile ~db ~table_cols plan in
           let t_kernel, _ =
-            timed_stats ~runs (fun () ->
-                ignore (Exec.Compile.execute ~network compiled))
+            timed_stats ~runs (fun () -> ignore (Exec.Vector.execute ~network compiled))
           in
           let processed = rref.Exec.Interp.stats.Exec.Interp.rows_processed in
           let rps t =
             if t <= 0. then 0. else float_of_int processed /. (t /. 1000.)
           in
-          let speedup = t_ref /. Float.max 1e-9 t_comp in
-          let vec_speedup = t_comp /. Float.max 1e-9 t_vec in
+          let speedup = t_ref /. Float.max 1e-9 t_vec in
           tot_ref := !tot_ref +. t_ref;
-          tot_comp := !tot_comp +. t_comp;
           tot_vec := !tot_vec +. t_vec;
+          tot_kernel := !tot_kernel +. t_kernel;
           tot_rows := !tot_rows + processed;
-          Fmt.pr
-            "%-8s %7d %8.2f +-%-4.2f %8.2f +-%-4.2f %8.2f +-%-4.2f %7.2fx %11.2f \
-             %12.0f %3s@."
+          Fmt.pr "%-8s %7d %8.2f +-%-4.2f %8.2f +-%-4.2f %7.2fx %11.2f %12.0f %3s@."
             name
             (Storage.Relation.cardinality rref.Exec.Interp.relation)
-            t_ref se_ref t_comp se_comp t_vec se_vec vec_speedup t_kernel
-            (rps t_vec)
+            t_ref se_ref t_vec se_vec speedup t_kernel (rps t_vec)
             (if same then "=" else "/=");
           Some
             Obs.Json.(
@@ -1189,30 +1174,22 @@ let exec_bench () =
                   ("rows_processed", Num (float_of_int processed));
                   ("ref_ms", Num t_ref);
                   ("ref_se_ms", Num se_ref);
-                  ("compiled_ms", Num t_comp);
-                  ("compiled_se_ms", Num se_comp);
                   ("vector_ms", Num t_vec);
                   ("vector_se_ms", Num se_vec);
                   ("kernel_ms", Num t_kernel);
                   ("speedup", Num speedup);
-                  ("vector_speedup", Num vec_speedup);
                   ("ref_rows_per_sec", Num (rps t_ref));
-                  ("compiled_rows_per_sec", Num (rps t_comp));
                   ("vector_rows_per_sec", Num (rps t_vec));
                   ("identical", Bool same);
                 ]))
       workload
   in
-  let speedup = !tot_ref /. Float.max 1e-9 !tot_comp in
-  let vec_speedup = !tot_comp /. Float.max 1e-9 !tot_vec in
+  let speedup = !tot_ref /. Float.max 1e-9 !tot_vec in
   let rps t = if t <= 0. then 0. else float_of_int !tot_rows /. (t /. 1000.) in
-  Fmt.pr
-    "@.total: reference %.2f ms, compiled %.2f ms (%.2fx), vectorized %.2f ms \
-     (%.2fx over compiled)@."
-    !tot_ref !tot_comp speedup !tot_vec vec_speedup;
-  Fmt.pr "throughput: %.0f rows/s reference, %.0f rows/s compiled, %.0f rows/s \
-          vectorized@."
-    (rps !tot_ref) (rps !tot_comp) (rps !tot_vec);
+  Fmt.pr "@.total: reference %.2f ms, vectorized %.2f ms (%.2fx), kernel %.2f ms@."
+    !tot_ref !tot_vec speedup !tot_kernel;
+  Fmt.pr "throughput: %.0f rows/s reference, %.0f rows/s vectorized@."
+    (rps !tot_ref) (rps !tot_vec);
   Fmt.pr "cross-engine mismatches: %d (over %d queries)@." !mismatches
     (List.length per_query);
   let out =
@@ -1230,12 +1207,10 @@ let exec_bench () =
           ("seed", Num (float_of_int sd));
           ("queries", Arr per_query);
           ("total_ref_ms", Num !tot_ref);
-          ("total_compiled_ms", Num !tot_comp);
           ("total_vector_ms", Num !tot_vec);
+          ("total_kernel_ms", Num !tot_kernel);
           ("speedup", Num speedup);
-          ("vector_speedup", Num vec_speedup);
           ("ref_rows_per_sec", Num (rps !tot_ref));
-          ("compiled_rows_per_sec", Num (rps !tot_comp));
           ("vector_rows_per_sec", Num (rps !tot_vec));
           ("mismatches", Num (float_of_int !mismatches));
         ])
@@ -1246,8 +1221,8 @@ let exec_bench () =
   close_out oc;
   Fmt.pr "wrote %s@." out;
   Fmt.pr "(fp `=` means byte-identical result, SHIP ledger, profile and makespan;@.";
-  Fmt.pr " kernel(ms) re-executes an already-compiled plan — the serving layer's@.";
-  Fmt.pr " compile-once/run-many split)@."
+  Fmt.pr " kernel(ms) re-executes an already-compiled vectorized plan — the@.";
+  Fmt.pr " serving layer's compile-once/run-many split)@."
 
 (* ------------------------------------------------------------------ *)
 (* replica -- (extension) replica-aware compliant placement: shipped

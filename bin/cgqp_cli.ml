@@ -78,7 +78,7 @@ let engine_conv =
   let parse s =
     match Exec.Engine.of_string s with
     | Some e -> Ok e
-    | None -> Error (`Msg "engine must be `reference', `compiled' or `vector'")
+    | None -> Error (`Msg "engine must be `reference' or `vector'")
   in
   Arg.conv (parse, fun ppf e -> Fmt.string ppf (Exec.Engine.to_string e))
 
@@ -88,12 +88,11 @@ let engine_arg =
     & opt (some engine_conv) None
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Executor: $(b,compiled) (one-time schema resolution and compiled \
-           operator kernels, the default), $(b,vector) (batch-at-a-time over \
-           column-major storage with selection vectors) or $(b,reference) \
-           (the tree-walking interpreter). All three produce byte-identical \
-           results and accounting. Defaults to the CGQP_ENGINE environment \
-           variable, else compiled.")
+          "Executor: $(b,vector) (batch-at-a-time over column-major storage \
+           with selection vectors, the default) or $(b,reference) (the \
+           tree-walking interpreter). Both produce byte-identical results \
+           and accounting. Defaults to the CGQP_ENGINE environment variable, \
+           else vector.")
 
 let sf_arg =
   Arg.(

@@ -97,10 +97,10 @@ val set_retry : session -> Exec.Interp.retry_policy -> unit
 val retry : session -> Exec.Interp.retry_policy
 
 val set_engine : session -> Exec.Engine.t -> unit
-(** Choose which executor {!run} uses: the compiling engine (default),
-    the vectorized engine or the tree-walking reference interpreter.
-    All three are byte-identical on results, SHIP accounting and
-    profiles (see [docs/EXECUTOR.md]); sessions start from
+(** Choose which executor {!run} uses: the vectorized engine (default)
+    or the tree-walking reference interpreter. Both are byte-identical
+    on results, SHIP accounting and profiles (see
+    [docs/EXECUTOR.md]); sessions start from
     {!Exec.Engine.default}, which honors the [CGQP_ENGINE] environment
     variable. *)
 

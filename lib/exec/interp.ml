@@ -1,6 +1,6 @@
 (* Reference interpreter for physical plans: a straightforward
-   tree-walker, kept as the semantic baseline the compiling executor
-   ([Compile]) is differentially tested against. Executes bottom-up
+   tree-walker, kept as the semantic baseline the vectorized executor
+   ([Vector]) is differentially tested against. Executes bottom-up
    against a [Storage.Database.t]; SHIP accounting, retry/backoff,
    profiles and observability all go through the shared [Runtime], so
    both engines produce byte-identical results and stats. *)

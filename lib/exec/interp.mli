@@ -1,7 +1,7 @@
 (** Reference interpreter for placed physical plans.
 
     A straightforward tree-walker kept as the semantic baseline: the
-    compiling executor ({!Compile}) is differentially tested against it
+    vectorized executor ({!Vector}) is differentially tested against it
     and must produce byte-identical results, SHIP accounting and
     profiles (see [docs/EXECUTOR.md]). Use {!Engine.run} to select an
     engine; this module re-exports the shared {!Runtime} scaffolding,

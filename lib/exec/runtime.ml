@@ -1,10 +1,10 @@
 (* Shared execution scaffolding for the engines (the reference
-   interpreter in [Interp], the compiling executor in [Compile] and the
-   vectorized executor in [Vector]): SHIP accounting under the message
-   cost model with fault injection and retry/backoff, per-operator
-   profiles for EXPLAIN ANALYZE, scalar/predicate compilation, and the
-   metrics/trace emission. Keeping this in one place is what makes the
-   engines byte-identical on stats, profiles and traces. *)
+   interpreter in [Interp] and the vectorized executor in [Vector]):
+   SHIP accounting under the message cost model with fault injection
+   and retry/backoff, per-operator profiles for EXPLAIN ANALYZE,
+   scalar/predicate compilation, and the metrics/trace emission.
+   Keeping this in one place is what makes the engines byte-identical
+   on stats, profiles and traces. *)
 
 open Relalg
 
@@ -137,12 +137,6 @@ exception Runtime_error of string
 
 let fail fmt = Fmt.kstr (fun m -> raise (Runtime_error m)) fmt
 
-(* Serialized size of a row set — what a SHIP of those rows moves. *)
-let rows_bytes (rows : Value.t array array) =
-  Array.fold_left
-    (fun acc row -> Array.fold_left (fun acc v -> acc + Value.byte_width v) acc row)
-    0 rows
-
 (* --- memory budget ------------------------------------------------
 
    A per-execution byte account over serialized sizes (the same
@@ -258,7 +252,6 @@ let peak_tracked_bytes () = Atomic.get peak_tracked
 let spilled_operators () = Obs.Metrics.value c_spill_ops
 let spill_partitions () = Obs.Metrics.value c_spill_parts
 let spill_run_bytes () = Obs.Metrics.value c_spill_bytes
-let segment_page_reads () = Storage.Segment.page_reads ()
 
 let reset_mem_stats () = Atomic.set peak_tracked 0
 
@@ -295,12 +288,12 @@ let finish (fn : Expr.agg_fn) acc =
 
 (* --- scalar / predicate compilation ---
 
-   Shared by the compiling and vectorized engines: attributes resolve
-   to integer column indices once, Pred/Expr ASTs become closures,
-   constant subterms fold, and null checks specialize away where an
-   operand is a known non-null constant. Having exactly one copy of
-   this logic is what keeps engine semantics identical by
-   construction. *)
+   The folding and comparison primitives the vectorized engine's
+   column binders are built from, plus the row-at-a-time predicate
+   compiler it uses for join residuals: attributes resolve to integer
+   column indices once, Pred/Expr ASTs become closures, constant
+   subterms fold, and null checks specialize away where an operand is
+   a known non-null constant. *)
 
 let binop_fn : Expr.binop -> Value.t -> Value.t -> Value.t = function
   | Expr.Add -> Value.add
@@ -444,20 +437,6 @@ let key_ixs rv attrs : int array =
     (List.map
        (fun a -> match Storage.Relation.resolve rv a with Some i -> i | None -> -1)
        attrs)
-
-let key_val (row : Value.t array) ix =
-  if ix >= 0 && ix < Array.length row then row.(ix) else Value.Null
-
-(* Fill [buf] with the key of [row]; false if any component is NULL
-   (such rows never join). *)
-let fill_key (ixs : int array) (row : Value.t array) (buf : Value.t array) =
-  let ok = ref true in
-  for i = 0 to Array.length ixs - 1 do
-    let v = key_val row ixs.(i) in
-    if Value.is_null v then ok := false;
-    buf.(i) <- v
-  done;
-  !ok
 
 (* --- row utilities --- *)
 

@@ -1,11 +1,10 @@
 (** Execution scaffolding shared by the engines.
 
-    The reference interpreter ({!Interp}), the compiling executor
-    ({!Compile}) and the vectorized executor ({!Vector}) all route
-    SHIPs, retries, per-operator profiles, scalar/predicate compilation
-    and metrics/trace emission through this module, which is what makes
-    their stats, profiles and observability output byte-identical (see
-    [docs/EXECUTOR.md]).
+    The reference interpreter ({!Interp}) and the vectorized executor
+    ({!Vector}) both route SHIPs, retries, per-operator profiles,
+    scalar/predicate compilation and metrics/trace emission through
+    this module, which is what makes their stats, profiles and
+    observability output byte-identical (see [docs/EXECUTOR.md]).
 
     {2 Child-iteration contract}
 
@@ -155,10 +154,6 @@ exception Runtime_error of string
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Runtime_error} with a formatted message. *)
 
-val rows_bytes : Value.t array array -> int
-(** Serialized size of a row set — what a SHIP of those rows moves.
-    Agrees with [Storage.Relation.byte_size] on the same rows. *)
-
 (** {2 Memory budget}
 
     A per-execution byte account over serialized sizes (the same
@@ -219,9 +214,6 @@ val spilled_operators : unit -> int
 val spill_partitions : unit -> int
 val spill_run_bytes : unit -> int
 
-val segment_page_reads : unit -> int
-(** Re-export of {!Storage.Segment.page_reads} for [--stats]. *)
-
 val reset_mem_stats : unit -> unit
 (** Zero the peak gauge (the spill counters live in {!Obs.Metrics} and
     reset with [Obs.Metrics.reset]). *)
@@ -244,22 +236,18 @@ val finish : Expr.agg_fn -> acc -> Value.t
 
 (** {2 Scalar / predicate compilation}
 
-    Shared by the compiling and vectorized engines: attributes resolve
-    to integer column indices once per operator, Pred/Expr ASTs become
-    closures, constant subterms fold, and null checks specialize away
-    where an operand is a known non-null constant. One copy of this
-    logic keeps engine semantics identical by construction. *)
+    The folding and comparison primitives the vectorized engine's
+    column binders are built from, plus a row-at-a-time predicate
+    compiler it uses for join residuals: attributes resolve to integer
+    column indices once per operator, Pred/Expr ASTs become closures,
+    constant subterms fold, and null checks specialize away where an
+    operand is a known non-null constant. *)
 
 val binop_fn : Expr.binop -> Value.t -> Value.t -> Value.t
 
 val fold_scalar : Expr.scalar -> Expr.scalar
 (** Fold constant subterms bottom-up using the same [Value] arithmetic
     evaluation would use, so folding cannot change results. *)
-
-val compile_scalar :
-  Storage.Relation.resolver -> Expr.scalar -> Value.t array -> Value.t
-(** Compile a scalar to an index-addressed closure over a row;
-    unresolvable attributes read as NULL. *)
 
 val cmp_fn : Pred.cmp -> int -> bool
 (** The comparison's test on a [Value.compare] result. *)
@@ -271,19 +259,11 @@ val fold_pred : Pred.t -> Pred.t
 (** Fold column-free subtrees to [True]/[False] and simplify through
     the boolean connectives. *)
 
-val compile_atom : Storage.Relation.resolver -> Pred.atom -> Value.t array -> bool
 val compile_pred : Storage.Relation.resolver -> Pred.t -> Value.t array -> bool
 
 val key_ixs : Storage.Relation.resolver -> Attr.t list -> int array
 (** Column positions of join/group keys; [-1] marks an unresolvable
     attribute, which reads as NULL for every row. *)
-
-val key_val : Value.t array -> int -> Value.t
-(** Read a key column from a row; out-of-range (incl. [-1]) is NULL. *)
-
-val fill_key : int array -> Value.t array -> Value.t array -> bool
-(** Fill the buffer with the row's key; [false] if any component is
-    NULL (such rows never join). *)
 
 (** {2 Row utilities} *)
 

@@ -1,9 +1,9 @@
 (* Vectorized executor for physical plans.
 
-   Where the compiled engine ([Compile]) runs index-addressed closures
-   over one boxed [Value.t array] row at a time, this engine runs over
-   the column-major representation ([Storage.Column]) directly, in
-   1024-row batches:
+   The production engine. Where the reference interpreter ([Interp])
+   walks the plan over one boxed [Value.t array] row at a time, this
+   engine runs over the column-major representation ([Storage.Column])
+   directly, in 1024-row batches:
 
    - a node's output is a {i chunk}: the input columns plus an optional
      selection vector, so filters refine a selvec per batch without
@@ -27,8 +27,8 @@
    documented in runtime.mli (right child first for binary operators,
    unions left-to-right, rows in relation order, probe matches in
    reverse build-insertion order). Results, SHIP accounting, profiles
-   and makespans are byte-identical to the other two engines — enforced
-   by the three-way differential property in test/test_exec.ml. *)
+   and makespans are byte-identical to the reference interpreter —
+   enforced by the differential properties in test/test_exec.ml. *)
 
 open Relalg
 open Runtime
@@ -78,10 +78,10 @@ let iter_logical ch f =
       f (Array.unsafe_get sel j)
     done
 
-(* Serialized size, same per-value widths as [Runtime.rows_bytes]; O(1)
-   per fixed-width column without nulls (and memoized column-side when
-   there is no selvec — scans pay this once per stored relation, not
-   once per execution). *)
+(* Serialized size, the same per-value [Value.byte_width] sum as
+   [Storage.Relation.byte_size]; O(1) per fixed-width column without
+   nulls (and memoized column-side when there is no selvec — scans pay
+   this once per stored relation, not once per execution). *)
 let fixed_width (c : Col.t) =
   match c.Col.data with
   | Col.Ints _ | Col.Floats _ -> 8
@@ -191,7 +191,7 @@ let bind_cmp_col_const (test : int -> bool) ~swap rv (a : Attr.t) (b : Value.t) 
           let v = Col.get c i in
           (not (Value.is_null v)) && test (Value.compare v b))
 
-(* Mirrors [Runtime.compile_atom] case for case; only the column
+(* Mirrors [Runtime.compile_pred]'s atoms case for case; only the column
    fast paths above are new, and they implement the same comparisons. *)
 let bind_atom rv (a : Pred.atom) : chunk -> tester =
   match a with
@@ -334,7 +334,7 @@ module Ivec = struct
 end
 
 (* Key of row [i] into [buf] from key columns; false if any component
-   is NULL (such rows never join). Matches [Runtime.fill_key]. *)
+   is NULL (such rows never join), as in [Interp]'s hash join. *)
 let fill_key_cols (cols : Col.t array) (ixs : int array) i (buf : Value.t array) =
   let ok = ref true in
   for k = 0 to Array.length ixs - 1 do
@@ -651,9 +651,9 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
   (* [rpath] is the node's root-to-node child-index path, reversed. *)
   let rec comp (rpath : int list) (p : Pplan.t) : cnode =
     let label = Pplan.node_label p.Pplan.node and loc = p.Pplan.loc in
-    (* Same bookkeeping and float arithmetic as [Compile]'s [book]:
-       record the node, charge its output bytes, release the children's
-       charges ([release]) now that they are consumed. *)
+    (* Same bookkeeping and float arithmetic as [Interp]'s per-node
+       epilogue: record the node, charge its output bytes, release the
+       children's charges ([release]) now that they are consumed. *)
     let book ctx ~release ch fin =
       let bytes = chunk_bytes ch in
       record_node ~stats:ctx.stats ~profile:ctx.profile ~rpath ~label ~loc ~ship:None

@@ -1,24 +1,25 @@
 (** Vectorized executor for placed physical plans.
 
-    The third engine: where {!Compile} runs index-addressed closures
-    over one boxed row at a time, this engine executes over the
-    column-major storage ({!Storage.Column}) directly in 1024-row
-    batches. Filters refine per-batch selection vectors without
-    materializing, hash joins build and probe over column slices and
-    materialize once with typed gathers, aggregation runs fused
-    accumulator loops bound to the columns per batch, and sort produces
-    a permutation selvec instead of moving rows. Comparisons against
+    The production engine (the {!Engine.run} default): where the
+    reference interpreter {!Interp} walks the plan over one boxed row
+    at a time, this engine executes over the column-major storage
+    ({!Storage.Column}) directly in 1024-row batches. Filters refine
+    per-batch selection vectors without materializing, hash joins build
+    and probe over column slices and materialize once with typed
+    gathers, aggregation runs fused accumulator loops bound to the
+    columns per batch, and sort produces a permutation selvec instead
+    of moving rows. Comparisons against
     constants specialize to primitive loops over the unboxed column
     representation when types match exactly.
 
-    The vectorized engine is {e byte-identical} to the other two: same
+    The vectorized engine is {e byte-identical} to {!Interp}: same
     result rows in the same order, same SHIP records (order, bytes,
     simulated cost, retry fates — ship fates are keyed by ship index,
     so the child-iteration contract in runtime.mli applies), same
     per-operator profiles and bit-equal makespans. Scalar/predicate
     compilation, aggregate accumulators and the SHIP path are shared
-    via {!Runtime}; the invariant is enforced by the three-way
-    differential property and golden tests in [test/test_exec.ml].
+    via {!Runtime}; the invariant is enforced by the differential
+    properties and golden tests in [test/test_exec.ml].
     See [docs/EXECUTOR.md]. *)
 
 open Relalg

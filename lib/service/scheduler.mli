@@ -40,7 +40,7 @@ type env = {
   retry : Exec.Interp.retry_policy;
   engine : Exec.Engine.t;
       (** executor every session runs on (reference interpreter or the
-          compiling engine — byte-identical, see [docs/EXECUTOR.md]) *)
+          vectorized engine — byte-identical, see [docs/EXECUTOR.md]) *)
   resolve_query : string -> string;
       (** maps a submitted name (e.g. [Q3]) to SQL; identity for plain
           SQL *)

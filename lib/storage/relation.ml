@@ -1,12 +1,13 @@
 (* An in-memory materialized relation: a schema of qualified column
    names over column-major storage (one [Column.t] per attribute, see
-   column.ml), with a row-view shim for the row-at-a-time engines.
+   column.ml), with a row-view shim for row-at-a-time consumers (the
+   reference interpreter, [Geodsl], data generation).
 
    A relation can be constructed from rows ([make]) or from columns
    ([of_cols]); the other representation is materialized lazily on
    first access and cached. Relations are immutable, so the caches are
-   safe to share; the row-at-a-time engines ([Interp], [Compile]) pay
-   no conversion cost on intermediates they build and consume as rows,
+   safe to share; the reference interpreter ([Interp]) pays no
+   conversion cost on intermediates it builds and consumes as rows,
    while the vectorized engine reads stored base tables column-major
    (the conversion happens once per stored relation, not per query). *)
 
@@ -66,7 +67,7 @@ type t = {
   mutable cols_v : Column.t array option;  (* column-major cache *)
   mutable index_v : resolver option;
       (* built on first lookup; operators that never resolve names
-         (e.g. the compiled engine's intermediates) pay nothing.
+         (e.g. the vectorized engine's intermediates) pay nothing.
 
          All three memo fields are benign races under domains: the
          cached value is a pure function of the immutable schema/rows,

@@ -14,7 +14,7 @@
    The cursor API yields segments back as the same [Column.t] batches
    the vectorized engine consumes; [relation] wraps a stored directory
    as a paged [Relation.t] whose every access re-reads from disk, so a
-   relation is resident or disk-backed invisibly to all three engines.
+   relation is resident or disk-backed invisibly to both engines.
 
    Round-trips are representation-exact: the per-column tag recorded in
    [meta] (and per segment) is the source column's variant, NULL slots

@@ -14,7 +14,7 @@
     variant-, value- and [byte_size]-identical to what was written —
     and {!relation} wraps a stored directory as a paged
     {!Relation.t} that re-reads from disk on every access, so a
-    relation is resident or disk-backed invisibly to all three
+    relation is resident or disk-backed invisibly to both
     engines. See [docs/STORAGE.md]. *)
 
 open Relalg

@@ -399,12 +399,12 @@ let test_malformed_plan () =
   | exception Exec.Interp.Runtime_error _ -> ()
   | _ -> Alcotest.fail "malformed plan must raise"
 
-(* --- three-engine equivalence -------------------------------------
+(* --- engine equivalence --------------------------------------------
 
-   The compiled and vectorized engines must be byte-identical to the
-   reference interpreter (and hence to each other): same rows in the
-   same order, same SHIP records (order, bytes, cost, retry fates),
-   same per-operator profiles, same makespan. *)
+   The vectorized engine must be byte-identical to the reference
+   interpreter: same rows in the same order, same SHIP records (order,
+   bytes, cost, retry fates), same per-operator profiles, same
+   makespan. *)
 
 let result_fp (r : Exec.Interp.result) =
   ( Storage.Relation.to_csv r.relation,
@@ -415,31 +415,22 @@ let result_fp (r : Exec.Interp.result) =
     r.makespan_ms )
 
 let check_engines_agree ?faults ?(network = network) ~db ~table_cols plan =
-  let reference = Exec.Interp.run ?faults ~network ~db ~table_cols plan
-  and compiled = Exec.Compile.run ?faults ~network ~db ~table_cols plan
-  and vector = Exec.Vector.run ?faults ~network ~db ~table_cols plan in
-  List.iter
-    (fun (na, (a : Exec.Interp.result), nb, (b : Exec.Interp.result)) ->
-      if result_fp a <> result_fp b then
-        Alcotest.failf
-          "%s and %s disagree on plan:@.%a@.%s rows=%d ships=%d \
-           makespan=%.6f@.%s rows=%d ships=%d makespan=%.6f@.%s csv:@.%s@.%s \
-           csv:@.%s"
-          na nb (P.pp ?indent:None) plan na
-          (Storage.Relation.cardinality a.relation)
-          (List.length a.stats.Exec.Interp.ships)
-          a.makespan_ms nb
-          (Storage.Relation.cardinality b.relation)
-          (List.length b.stats.Exec.Interp.ships)
-          b.makespan_ms na
-          (Storage.Relation.to_csv a.relation)
-          nb
-          (Storage.Relation.to_csv b.relation))
-    [
-      ("reference", reference, "compiled", compiled);
-      ("reference", reference, "vector", vector);
-      ("compiled", compiled, "vector", vector);
-    ]
+  let a = Exec.Interp.run ?faults ~network ~db ~table_cols plan
+  and b = Exec.Vector.run ?faults ~network ~db ~table_cols plan in
+  if result_fp a <> result_fp b then
+    Alcotest.failf
+      "reference and vector disagree on plan:@.%a@.reference rows=%d ships=%d \
+       makespan=%.6f@.vector rows=%d ships=%d makespan=%.6f@.reference \
+       csv:@.%s@.vector csv:@.%s"
+      (P.pp ?indent:None) plan
+      (Storage.Relation.cardinality a.relation)
+      (List.length a.stats.Exec.Interp.ships)
+      a.makespan_ms
+      (Storage.Relation.cardinality b.relation)
+      (List.length b.stats.Exec.Interp.ships)
+      b.makespan_ms
+      (Storage.Relation.to_csv a.relation)
+      (Storage.Relation.to_csv b.relation)
 
 (* Random well-formed plans over the r/s tables, tracking each
    subplan's attribute universe so predicates, projections and join
@@ -633,11 +624,11 @@ let test_differential_random_plans () =
     true
   in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:300 ~name:"three engines agree (fault-free)"
+    (QCheck.Test.make ~count:300 ~name:"engines agree (fault-free)"
        Plangen.arbitrary_plan prop)
 
 let test_differential_under_faults () =
-  (* Under transient drops, all engines must see identical drop fates
+  (* Under transient drops, both engines must see identical drop fates
      (ship-index keyed), hence identical retry counts and costs — or
      fail identically. *)
   let db = default_db () in
@@ -655,22 +646,21 @@ let test_differential_under_faults () =
         Error (from_loc, to_loc, attempts, reason)
     in
     let reference = run (fun () -> Exec.Interp.run ~faults ~network ~db ~table_cols plan)
-    and compiled = run (fun () -> Exec.Compile.run ~faults ~network ~db ~table_cols plan)
     and vector = run (fun () -> Exec.Vector.run ~faults ~network ~db ~table_cols plan) in
-    if reference <> compiled || reference <> vector then
+    if reference <> vector then
       Alcotest.failf "engines disagree under faults (seed %d) on plan:@.%a" seed
         (P.pp ?indent:None) plan;
     true
   in
   QCheck.Test.check_exn
-    (QCheck.Test.make ~count:200 ~name:"three engines agree (transient drops)"
+    (QCheck.Test.make ~count:200 ~name:"engines agree (transient drops)"
        (QCheck.pair Plangen.arbitrary_plan QCheck.small_nat)
        prop)
 
 let test_differential_spill () =
   (* Spilling is invisible: the same plan under an unlimited budget and
      under budget 0 (every hash join/agg Grace-partitions to disk) must
-     produce byte-identical reports, on all three engines. *)
+     produce byte-identical reports, on both engines. *)
   let db = default_db () in
   let prop (plan, _) =
     let fps =
@@ -681,7 +671,6 @@ let test_differential_spill () =
             [ Exec.Runtime.unlimited_budget; 0 ])
         [
           ("reference", fun ~budget -> Exec.Interp.run ~budget ~network ~db ~table_cols plan);
-          ("compiled", fun ~budget -> Exec.Compile.run ~budget ~network ~db ~table_cols plan);
           ("vector", fun ~budget -> Exec.Vector.run ~budget ~network ~db ~table_cols plan);
         ]
     in
@@ -703,7 +692,7 @@ let test_differential_spill () =
   in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:220
-       ~name:"spill differential: budget unlimited vs 0, three engines"
+       ~name:"spill differential: budget unlimited vs 0, both engines"
        Plangen.arbitrary_plan prop)
 
 let test_spill_cleanup () =
@@ -749,7 +738,6 @@ let test_spill_cleanup () =
           check_empty (name ^ " after normal run"))
         [
           ("reference", fun ~budget p -> Exec.Interp.run ~budget ~network ~db ~table_cols p);
-          ("compiled", fun ~budget p -> Exec.Compile.run ~budget ~network ~db ~table_cols p);
           ("vector", fun ~budget p -> Exec.Vector.run ~budget ~network ~db ~table_cols p);
         ];
       (* Ship_failed unwind: the SHIP above the spilling join crosses a
@@ -774,15 +762,13 @@ let test_spill_cleanup () =
         [
           ( "reference",
             fun ~budget p -> Exec.Interp.run ~faults ~budget ~network ~db ~table_cols p );
-          ( "compiled",
-            fun ~budget p -> Exec.Compile.run ~faults ~budget ~network ~db ~table_cols p );
           ( "vector",
             fun ~budget p -> Exec.Vector.run ~faults ~budget ~network ~db ~table_cols p );
         ])
 
 let test_tpch_golden_equivalence () =
-  (* The paper's twelve TPC-H queries, optimized then executed on all
-     three engines: results, ships and profiles must be byte-identical. *)
+  (* The paper's twelve TPC-H queries, optimized then executed on both
+     engines: results, ships and profiles must be byte-identical. *)
   let cat = Tpch.Schema.catalog () in
   let db = Tpch.Datagen.load ~cat (Tpch.Datagen.generate ~sf:0.002 ()) in
   let session = Cgqp.create ~catalog:cat () in
@@ -800,8 +786,8 @@ let test_tpch_golden_equivalence () =
 let test_engine_selection () =
   Alcotest.(check bool) "of_string reference" true
     (Exec.Engine.of_string "reference" = Some Exec.Engine.Reference);
-  Alcotest.(check bool) "of_string compiled" true
-    (Exec.Engine.of_string "Compiled" = Some Exec.Engine.Compiled);
+  Alcotest.(check bool) "of_string compiled is gone" true
+    (Exec.Engine.of_string "compiled" = None);
   Alcotest.(check bool) "of_string interp alias" true
     (Exec.Engine.of_string "interp" = Some Exec.Engine.Reference);
   Alcotest.(check bool) "of_string vector" true
@@ -811,6 +797,16 @@ let test_engine_selection () =
   Alcotest.(check bool) "of_string junk" true (Exec.Engine.of_string "jit" = None);
   Alcotest.(check string) "to_string roundtrip" "reference"
     (Exec.Engine.to_string Exec.Engine.Reference);
+  (* with CGQP_ENGINE unset (empty counts as unset) the default is Vector *)
+  let saved = Sys.getenv_opt "CGQP_ENGINE" in
+  Unix.putenv "CGQP_ENGINE" "";
+  let dflt =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "CGQP_ENGINE" (Option.value saved ~default:""))
+      Exec.Engine.default
+  in
+  Alcotest.(check string) "unset CGQP_ENGINE defaults to vector" "vector"
+    (Exec.Engine.to_string dflt);
   (* sessions expose and honor the engine choice *)
   let cat = Tpch.Schema.catalog () in
   let session = Cgqp.create ~catalog:cat () in
@@ -821,24 +817,10 @@ let test_engine_selection () =
   let db = default_db () in
   let plan = node (P.Ship { from_loc = "y"; to_loc = "x" }) [ scan ~loc:"y" "r" ] in
   let a = Exec.Engine.run ~engine:Exec.Engine.Reference ~network ~db ~table_cols plan
-  and b = Exec.Engine.run ~engine:Exec.Engine.Compiled ~network ~db ~table_cols plan
-  and c = Exec.Engine.run ~engine:Exec.Engine.Vector ~network ~db ~table_cols plan in
+  and b = Exec.Engine.run ~engine:Exec.Engine.Vector ~network ~db ~table_cols plan
+  and c = Exec.Engine.run ~network ~db ~table_cols plan in
   Alcotest.(check bool) "dispatch parity" true
     (result_fp a = result_fp b && result_fp a = result_fp c)
-
-let test_compile_reuse () =
-  (* one compiled plan, executed twice: identical results both times *)
-  let db = default_db () in
-  let plan =
-    node
-      (P.Hash_join { keys = [ (attr "r" "a", attr "s" "a") ]; residual = Pred.True })
-      [ scan "r"; node (P.Ship { from_loc = "y"; to_loc = "x" }) [ scan ~loc:"y" "s" ] ]
-  in
-  let compiled = Exec.Compile.compile ~db ~table_cols plan in
-  let r1 = Exec.Compile.execute ~network compiled
-  and r2 = Exec.Compile.execute ~network compiled in
-  Alcotest.(check bool) "re-execution identical" true (result_fp r1 = result_fp r2);
-  Alcotest.(check int) "schema exposed" 4 (List.length (Exec.Compile.schema compiled))
 
 let test_ship_order_contract () =
   (* The child-iteration contract (runtime.mli): binary operators
@@ -870,7 +852,6 @@ let test_ship_order_contract () =
         (List.rev (ship_rows (run union))))
     [
       ("reference", fun p -> Exec.Interp.run ~network ~db ~table_cols p);
-      ("compiled", fun p -> Exec.Compile.run ~network ~db ~table_cols p);
       ("vector", fun p -> Exec.Vector.run ~network ~db ~table_cols p);
     ]
 
@@ -971,7 +952,7 @@ let test_vector_reuse () =
   and r2 = Exec.Vector.execute ~network compiled in
   Alcotest.(check bool) "re-execution identical" true (result_fp r1 = result_fp r2);
   Alcotest.(check int) "schema exposed" 4 (List.length (Exec.Vector.schema compiled));
-  (* and it matches the other engines' execution of the same plan *)
+  (* and it matches the reference engine's execution of the same plan *)
   let i = Exec.Interp.run ~network ~db ~table_cols plan in
   Alcotest.(check bool) "matches reference" true (result_fp i = result_fp r1)
 
@@ -1036,7 +1017,6 @@ let () =
           Alcotest.test_case "TPC-H golden equivalence" `Slow
             test_tpch_golden_equivalence;
           Alcotest.test_case "engine selection" `Quick test_engine_selection;
-          Alcotest.test_case "compiled plan reuse" `Quick test_compile_reuse;
           Alcotest.test_case "vector plan reuse" `Quick test_vector_reuse;
           Alcotest.test_case "ship order contract" `Quick test_ship_order_contract;
         ] );

@@ -318,7 +318,7 @@ let test_all_null_sniffed_is_null () =
    Round trips must be representation-exact: same column variant (the
    meta file stores the tag), same values, same null bitmap, same
    byte_size — so a paged relation is indistinguishable from the
-   resident one to all three engines. *)
+   resident one to both engines. *)
 
 let fresh_dir () =
   let f = Filename.temp_file "cgqp-segtest-" "" in
