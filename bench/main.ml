@@ -702,22 +702,7 @@ let serve_script ~sessions ~statements =
      CGQP_SERVE_SESSIONS    sessions in the mix           (default 8)
      CGQP_SERVE_STATEMENTS  statements per session        (default 12)
      CGQP_SERVE_SF          TPC-H scale factor            (default 0.005)
-     CGQP_SERVE_DOMAINS     comma-separated pool widths   (default 1,2,4)
      CGQP_SERVE_OUT         output JSON path              (default BENCH_serve.json) *)
-let serve_domain_widths () =
-  match Sys.getenv_opt "CGQP_SERVE_DOMAINS" with
-  | None | Some "" -> [ 1; 2; 4 ]
-  | Some s ->
-    List.map
-      (fun t ->
-        match int_of_string_opt (String.trim t) with
-        | Some d when d >= 1 -> d
-        | _ ->
-          invalid_arg
-            (Printf.sprintf
-               "CGQP_SERVE_DOMAINS=%S: expected comma-separated positive integers" s))
-      (String.split_on_char ',' s)
-
 let serve_bench ?sessions ?statements () =
   let sessions =
     match sessions with Some s -> s | None -> getenv_int "CGQP_SERVE_SESSIONS" 8
@@ -728,18 +713,17 @@ let serve_bench ?sessions ?statements () =
     | None -> getenv_int "CGQP_SERVE_STATEMENTS" 12
   in
   let sf = getenv_float "CGQP_SERVE_SF" 0.005 in
-  let widths = serve_domain_widths () in
   header "SERVE: plan cache + admission control under a TPC-H session mix";
   let cat = Tpch.Schema.catalog () in
   let db = Tpch.Datagen.load ~cat (Tpch.Datagen.generate ~sf ()) in
   let sd = seed ~default:2027 in
   let script = serve_script ~sessions ~statements in
-  let run_with ?(domains = 1) cache =
+  let run_with cache =
     let env =
       Service.Scheduler.env ~catalog:cat ~database:db ?cache ~resolve_query
         ~resolve_policy_set ()
     in
-    Service.Scheduler.run ~env ~seed:sd ~domains script
+    Service.Scheduler.run ~env ~seed:sd script
   in
   let cached, wall_cached =
     time_ms (fun () -> run_with (Some (Cgqp.Plan_cache.create ())))
@@ -788,70 +772,7 @@ let serve_bench ?sessions ?statements () =
   Fmt.pr "differential mismatches: %d (over %d statements)@." mismatches total;
   Fmt.pr "(the cache stores optimizer outcomes, never results: a nonzero mismatch@.";
   Fmt.pr " count means a stale plan escaped the policy-epoch invalidation)@.";
-  (* --- multicore scaling: same script, same seed, wider pools ------- *)
-  (* The contract (docs/PARALLELISM.md): the report is byte-identical at
-     every width; only real wall-clock changes. We compare the FULL
-     rendered report + its JSON, not just per-statement digests. *)
   let host_cores = Domain.recommended_domain_count () in
-  Fmt.pr "@.multicore scaling (host has %d core%s; identity is the full report):@."
-    host_cores
-    (if host_cores = 1 then "" else "s");
-  let report_fp (r : Service.Scheduler.report) =
-    Fmt.str "%a" Service.Scheduler.pp_report r
-    ^ "\n"
-    ^ Obs.Json.to_string (Service.Scheduler.report_to_json r)
-  in
-  let scaling =
-    List.map
-      (fun d ->
-        let r, wall =
-          time_ms (fun () ->
-              run_with ~domains:d (Some (Cgqp.Plan_cache.create ())))
-        in
-        (d, r, wall))
-      widths
-  in
-  let base_fp, base_wall =
-    match scaling with
-    | (1, r, w) :: _ -> (report_fp r, w)
-    | (d, r, w) :: _ ->
-      Fmt.pr "  (note: first width is %d, not 1; speedups are relative to it)@." d;
-      (report_fp r, w)
-    | [] -> ("", 1.)
-  in
-  Fmt.pr "  %-8s %12s %12s %9s %10s@." "domains" "wall (ms)" "stmts/s" "speedup"
-    "identical";
-  let parallel_mismatches = ref 0 in
-  let scaling_json =
-    List.map
-      (fun (d, r, wall) ->
-        let identical = String.equal (report_fp r) base_fp in
-        if not identical then incr parallel_mismatches;
-        let stmts_s =
-          if wall <= 0. then 0.
-          else float_of_int (List.length r.Service.Scheduler.statements)
-               /. (wall /. 1000.)
-        in
-        let speedup = base_wall /. Float.max 1e-9 wall in
-        Fmt.pr "  %-8d %12.1f %12.0f %8.2fx %10s@." d wall stmts_s speedup
-          (if identical then "=" else "/=");
-        Obs.Json.(
-          Obj
-            [
-              ("domains", Num (float_of_int d));
-              ("wall_ms", Num wall);
-              ("stmts_per_sec", Num stmts_s);
-              ("speedup", Num speedup);
-              ("identical", Bool identical);
-            ]))
-      scaling
-  in
-  Fmt.pr "parallel report mismatches: %d (over %d widths)@." !parallel_mismatches
-    (List.length scaling);
-  if host_cores = 1 then
-    Fmt.pr "(single-core host: speedup cannot materialize here; the column shows@.\
-           \ scheduling overhead only. Re-run on a multicore host for Fig.-style@.\
-           \ scaling -- the identity column is the part that must always hold.)@.";
   let out =
     match Sys.getenv_opt "CGQP_SERVE_OUT" with
     | Some f when f <> "" -> f
@@ -872,8 +793,8 @@ let serve_bench ?sessions ?statements () =
           ("p50_ms", Num cached.Service.Scheduler.p50_ms);
           ("p95_ms", Num cached.Service.Scheduler.p95_ms);
           ("cache_differential_mismatches", Num (float_of_int mismatches));
-          ("parallel_report_mismatches", Num (float_of_int !parallel_mismatches));
-          ("scaling", Arr scaling_json);
+          ("wall_ms_cache_off", Num wall_uncached);
+          ("wall_ms_cache_on", Num wall_cached);
         ])
   in
   let oc = open_out out in

@@ -805,8 +805,7 @@ let feedback_arg =
           "Fold observed scan cardinalities back into the catalog statistics \
            (cardinality feedback): when the estimated-vs-actual gap crosses the \
            threshold, a corrected catalog is installed, the plan cache epoch is \
-           bumped once, and subsequent submissions re-optimize. Forces \
-           $(b,--domains=1).")
+           bumped once, and subsequent submissions re-optimize.")
 
 let strict_arg =
   Arg.(
@@ -822,19 +821,6 @@ let json_arg =
     value & flag
     & info [ "json" ] ~doc:"Print the report as JSON instead of the text summary.")
 
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Width of the execution pool (OCaml domains). Default: \
-           $(b,CGQP_DOMAINS), else 1. With N > 1 the scheduler records \
-           sessions in parallel and replays them on the deterministic \
-           simulated clock: the report is byte-identical to \
-           $(b,--domains=1); only wall-clock time changes (see \
-           docs/PARALLELISM.md).")
-
 let resolve_policy_set name =
   match String.lowercase_ascii name with
   | "t" -> Some (Tpch.Policies.texts Tpch.Policies.T)
@@ -845,7 +831,7 @@ let resolve_policy_set name =
 
 let serve_cmd =
   let action engine sf seed faults no_cache capacity template feedback strict
-      json domains trace metrics script =
+      json trace metrics script =
     with_obs ~trace ~metrics @@ fun () ->
     match Service.Script.parse_file script with
     | Error m -> `Error (false, Printf.sprintf "%s: %s" script m)
@@ -867,7 +853,7 @@ let serve_cmd =
             ?feedback:fb ?faults ?engine ~resolve_query ~resolve_policy_set ()
         in
         let t0 = Unix.gettimeofday () in
-        match Service.Scheduler.run ~env ?seed ?domains wl with
+        match Service.Scheduler.run ~env ?seed wl with
         | exception Invalid_argument m ->
           `Error (false, Printf.sprintf "%s: %s" script m)
         | report ->
@@ -879,10 +865,7 @@ let serve_cmd =
           (* wall-clock is outside the report: it is the one
              nondeterministic quantity, kept out of the byte-identical
              surface *)
-          Fmt.pr "  wall-clock %.3f s at %d domain(s)@." wall_s
-            (match domains with
-            | Some d -> d
-            | None -> Service.Pool.default_domains ());
+          Fmt.pr "  wall-clock %.3f s@." wall_s;
           (* only under --feedback: keeps default output byte-stable *)
           Option.iter
             (fun fb ->
@@ -930,7 +913,7 @@ let serve_cmd =
       ret
         (const action $ engine_arg $ sf_arg $ seed_arg $ faults_arg $ no_cache_arg
        $ cache_capacity_arg $ template_cache_arg $ feedback_arg $ strict_arg
-       $ json_arg $ domains_arg $ trace_arg $ metrics_arg $ script_arg))
+       $ json_arg $ trace_arg $ metrics_arg $ script_arg))
 
 (* Default term: lets the common one-shot forms work without naming a
    subcommand — [cgqp --explain Q3] is EXPLAIN ANALYZE, [cgqp Q3] is

@@ -46,7 +46,7 @@ type t = {
 (* Catalogs are immutable after [make], so a construction-time stamp
    identifies one soundly for the lifetime of the process. Atomic so
    racing domains can never issue duplicate stamps into the stamp-keyed
-   caches. *)
+   caches (docs/ARCHITECTURE.md, "Domain safety"). *)
 let next_stamp = Atomic.make 0
 
 let make ~network tables =

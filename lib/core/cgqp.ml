@@ -83,8 +83,8 @@ let c_failovers = Obs.Metrics.counter "cgqp_exec_ship_failovers_total"
 
 (* Runs that needed at least one failover (or aborted as unsatisfiable
    after one) — exposed as a sampled gauge so dashboards can alert on
-   "the system is currently degrading queries". Atomic: runs execute on
-   pool domains in the serving layer's parallel phase. *)
+   "the system is currently degrading queries". Atomic, like the other
+   process-wide counters (docs/ARCHITECTURE.md, "Domain safety"). *)
 let degraded_runs = Atomic.make 0
 
 let () =
@@ -216,16 +216,14 @@ let sensitive_cols session =
 
 (* The session's whole cache conversation for one optimizer step, as
    one function: template lookup (when enabled and the statement
-   normalizes), then the exact key, then [compute] + inserts. Both
-   [cached_optimize] and [run_replay] go through here, so the replay
-   pass re-enacts exactly the finds/adds — and counter movements — the
-   sequential run performs. The key is (normalized SQL, policy
-   fingerprint, catalog stamp, [mask_fp], mode): [mask_fp] is 0 for
-   the healthy network and the fingerprint of the accumulated failover
-   masks during degraded re-planning, so a plan certified against one
-   topology is never served for another. Only optimizer outcomes
-   (including rejections) are cached, and execution always runs,
-   keeping cache-on results byte-identical to cache-off. *)
+   normalizes), then the exact key, then [compute] + inserts. The key
+   is (normalized SQL, policy fingerprint, catalog stamp, [mask_fp],
+   mode): [mask_fp] is 0 for the healthy network and the fingerprint
+   of the accumulated failover masks during degraded re-planning, so a
+   plan certified against one topology is never served for another.
+   Only optimizer outcomes (including rejections) are cached, and
+   execution always runs, keeping cache-on results byte-identical to
+   cache-off. *)
 let consult_cache session ~mask_fp ~sql compute =
   match session.cache with
   | None -> compute ()
@@ -384,7 +382,7 @@ let masked_catalog session (recovery : recovery) =
    compliant, never on a merely-cheap one. If no compliant plan
    survives, the run aborts with [`Unsatisfiable]: degraded execution
    must not become an exfiltration channel (see docs/FAULTS.md). *)
-let run_hooked ~record_step session sql : (run_result, error) result =
+let run session sql : (run_result, error) result =
   match parse_and_bind session sql with
   | Error e -> Error e
   | Ok (lplan, order_by, limit) -> (
@@ -398,9 +396,7 @@ let run_hooked ~record_step session sql : (run_result, error) result =
         Plan_cache.mask_fingerprint ~replicas:recovery.masked_replicas
           ~links:recovery.masked_links ~sites:recovery.masked_sites ()
       in
-      let outcome = cached_optimize session ~cat ~mask_fp ~order_by ~sql lplan in
-      record_step mask_fp outcome;
-      outcome
+      cached_optimize session ~cat ~mask_fp ~order_by ~sql lplan
     in
     match optimize_against session.catalog with
     | Optimizer.Planner.Rejected reason -> Error (`Rejected reason)
@@ -504,94 +500,6 @@ let run_hooked ~record_step session sql : (run_result, error) result =
               interp;
               recovery;
             })))
-
-let run session sql : (run_result, error) result =
-  run_hooked ~record_step:(fun _ _ -> ()) session sql
-
-(* -- Record/replay ------------------------------------------------
-
-   The serving layer's parallel pipeline (docs/PARALLELISM.md) executes
-   each tenant's statements speculatively on a pool domain
-   ([run_recorded], pass 1) and then replays the memoized outcomes from
-   the deterministic discrete-event loop ([run_replay], pass 2). A run's
-   outcome is a pure function of session-local state — catalog, data,
-   policies, mode, engine, faults, retry — and the plan cache is
-   outcome-transparent, so the recording pass may use a private cache
-   (or none) and still compute exactly what the sequential run would.
-
-   What the memo must preserve beyond the result is the session's
-   *cache conversation*: the (mask fingerprint, optimizer outcome) of
-   every [cached_optimize] step, healthy plan and failover re-plans
-   alike, in order. Replay performs the identical find/add sequence
-   against the live shared cache, so hit/miss flags, LRU ticks,
-   evictions and epoch checks — everything the serving reports derive
-   from — are byte-identical to the sequential run. *)
-
-type memo = {
-  m_sql : string;
-  m_steps : (int * Optimizer.Planner.outcome) list;
-      (* (mask_fp, outcome) per optimizer invocation, in order *)
-  m_result : (run_result, error) result;
-  (* state fingerprint at record time; replay validates against it *)
-  m_policy_fp : int;
-  m_catalog_stamp : int;
-  m_mode : Optimizer.Memo.mode;
-  m_engine : Exec.Engine.t;
-  m_faults : Catalog.Network.Fault.schedule;
-  m_retry : Exec.Interp.retry_policy;
-}
-
-(* Replays that found the recording session's state out of sync with
-   the replaying session and had to re-run for real. Always 0 when the
-   serving scheduler drives both passes; nonzero means a pipeline bug
-   (or a caller replaying against the wrong session). *)
-let c_replay_fallbacks =
-  Obs.Metrics.counter "cgqp_session_replay_fallbacks_total"
-
-let run_recorded session sql : (run_result, error) result * memo =
-  let steps = ref [] in
-  let record_step mask_fp outcome = steps := (mask_fp, outcome) :: !steps in
-  let result = run_hooked ~record_step session sql in
-  ( result,
-    {
-      m_sql = sql;
-      m_steps = List.rev !steps;
-      m_result = result;
-      m_policy_fp = Policy.Pcatalog.fingerprint session.policies;
-      m_catalog_stamp = Catalog.stamp session.catalog;
-      m_mode = session.mode;
-      m_engine = session.engine;
-      m_faults = session.faults;
-      m_retry = session.retry;
-    } )
-
-let memo_matches session (m : memo) =
-  Policy.Pcatalog.fingerprint session.policies = m.m_policy_fp
-  && Catalog.stamp session.catalog = m.m_catalog_stamp
-  && session.mode = m.m_mode
-  && session.engine = m.m_engine
-  && session.faults = m.m_faults
-  && session.retry = m.m_retry
-
-let run_replay session (m : memo) : (run_result, error) result =
-  if not (memo_matches session m) then begin
-    Obs.Metrics.inc c_replay_fallbacks;
-    run session m.m_sql
-  end
-  else begin
-    (* re-enact the recorded cache conversation through the same
-       [consult_cache] the sequential run uses: template lookups,
-       exact lookups and inserts all happen in the identical order, so
-       hit/miss flags, template counters, LRU ticks and epoch checks
-       on the live shared cache move exactly as they would have. On a
-       hit the cached outcome equals the recorded one (same key means
-       same optimizer inputs, and the optimizer is deterministic). *)
-    List.iter
-      (fun (mask_fp, outcome) ->
-        ignore (consult_cache session ~mask_fp ~sql:m.m_sql (fun () -> outcome)))
-      m.m_steps;
-    m.m_result
-  end
 
 (* EXPLAIN: optimize only, render the annotated plan tree. The session
    catalog enables the replica-read annotations (a no-op for catalogs

@@ -191,35 +191,6 @@ val run : session -> string -> (run_result, error) result
     [run_result.recovery]; if no compliant alternative exists the run
     returns [`Unsatisfiable] rather than ship data a policy forbids. *)
 
-(** {2 Record/replay}
-
-    The serving layer's parallel pipeline (see [docs/PARALLELISM.md])
-    executes statements speculatively on pool domains and then replays
-    the memoized outcomes from the deterministic discrete-event loop.
-    A run's outcome is a pure function of session-local state and the
-    plan cache is outcome-transparent, so recording on an equal-state
-    session replica computes exactly what the sequential run would. *)
-
-type memo
-(** Everything one {!run} did: its result, plus the ordered
-    (failover-mask fingerprint, optimizer outcome) of every optimizer
-    invocation — the session's plan-cache conversation — and a
-    fingerprint of the session state it was recorded under. *)
-
-val run_recorded : session -> string -> (run_result, error) result * memo
-(** [run_recorded session sql] is {!run} plus a {!memo} of what it did.
-    Byte-identical to {!run} on the same session state. *)
-
-val run_replay : session -> memo -> (run_result, error) result
-(** Replay a recorded run without executing: performs the identical
-    plan-cache find/add sequence (healthy plan and failover re-plans
-    alike) against [session]'s attached cache — so cache statistics,
-    LRU order, evictions and epochs advance exactly as a live {!run}
-    would — and returns the memoized result. If [session]'s state no
-    longer matches the memo's recording-time fingerprint (policies,
-    catalog, mode, engine, faults, retry), falls back to a real {!run}
-    and increments [cgqp_session_replay_fallbacks_total]. *)
-
 val explain : session -> string -> (string, error) result
 (** Optimize only and render the {!Optimizer.Explain} plan tree —
     execution sites, estimated rows, SHIP sizes and compliance

@@ -14,8 +14,8 @@
    terms alias one id and poison every id-keyed cache), and the memo
    tables that key on these ids rely on pointer equality of the
    canonical nodes across domains. Interning only happens on the
-   optimizer path — execution never interns — so the lock is uncontended
-   in the serving layer's parallel phase (see docs/PARALLELISM.md). *)
+   optimizer path — execution never interns — so the lock stays cheap
+   (docs/ARCHITECTURE.md, "Domain safety"). *)
 
 type stats = { mutable hits : int; mutable misses : int }
 

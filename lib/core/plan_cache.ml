@@ -66,8 +66,8 @@ let c_template_misses =
   Obs.Metrics.counter "cgqp_plancache_template_misses_total"
 
 (* Entries live across all instances, sampled by one gauge. Atomic:
-   instances may be touched from different domains (one cache per
-   worker in the serving pipeline's recording pass). *)
+   instances may be touched from different domains
+   (docs/ARCHITECTURE.md, "Domain safety"). *)
 let live_entries = Atomic.make 0
 let live_add n = ignore (Atomic.fetch_and_add live_entries n)
 

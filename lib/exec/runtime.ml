@@ -220,8 +220,8 @@ let budget_from_env () =
            "CGQP_MEM_BUDGET=%S: expected bytes, optionally suffixed k/m/g" s))
 
 (* Process-wide spill/paging observability (executions may run
-   concurrently on domains; the per-execution [mem] folds in at the
-   end). *)
+   concurrently on domains, docs/ARCHITECTURE.md, "Domain safety"; the per-execution
+   [mem] folds in at the end). *)
 let c_spill_ops = Obs.Metrics.counter "cgqp_exec_spilled_operators_total"
 let c_spill_parts = Obs.Metrics.counter "cgqp_exec_spill_partitions_total"
 let c_spill_bytes = Obs.Metrics.counter "cgqp_exec_spill_bytes_total"

@@ -10,12 +10,12 @@
    increment is one atomic fetch-and-add behind a hashtable-free
    pointer.
 
-   Domain-safety (docs/PARALLELISM.md): counters are atomics;
+   Domain-safety (docs/ARCHITECTURE.md, "Domain safety"): counters are atomics;
    histograms are sharded per domain and merged on read, so totals are
    order-independent; trace events land in per-domain ring buffers and
    [Trace.events] merges them by (domain tag, per-domain sequence) —
    deterministic as long as work is assigned to domains
-   deterministically, which the serving pool guarantees. *)
+   deterministically. *)
 
 (* --- JSON ---------------------------------------------------------- *)
 
@@ -298,7 +298,7 @@ module Trace = struct
      invalidates every buffer wholesale on enable/clear without
      reaching into other domains' local storage. *)
   type buf_state = {
-    mutable tag : int;  (* merge rank (0 = main; the pool tags workers 1..N) *)
+    mutable tag : int;  (* merge rank (0 = main, else set_domain_tag's) *)
     bgen : int;
     buf : event option array;
     mutable head : int;  (* next write slot *)
@@ -348,8 +348,7 @@ module Trace = struct
   let enabled () = !on
 
   (* Enable/clear/disable/events are main-domain operations: call them
-     with no worker domain emitting (the serving pool joins its workers
-     before the scheduler reads anything). *)
+     with no worker domain emitting. *)
   let clear () =
     incr gen;
     Mutex.protect reg_lock (fun () -> registry := [])

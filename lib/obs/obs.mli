@@ -24,9 +24,9 @@
     Both {!Trace} and {!Metrics} are domain-safe: counters are atomics,
     histograms are sharded per domain and merged on read, and each
     domain traces into its own ring buffer, merged deterministically by
-    (domain tag, per-domain sequence). The contract is spelled out in
-    [docs/PARALLELISM.md]; the event schema and metric naming
-    convention in [docs/TRACING.md]. *)
+    (domain tag, per-domain sequence); [docs/ARCHITECTURE.md] ("Domain
+    safety") lists the shared state. The event schema and metric naming
+    convention are in [docs/TRACING.md]. *)
 
 (** Minimal JSON values, printer and parser. *)
 module Json : sig
@@ -68,8 +68,7 @@ module Trace : sig
     depth : int;  (** span-nesting depth at emission (per domain) *)
     dom : int;
         (** domain tag the event was emitted from: 0 for the main
-            domain, whatever {!set_domain_tag} installed elsewhere (the
-            serving pool tags its workers 1..N) *)
+            domain, whatever {!set_domain_tag} installed elsewhere *)
     attrs : (string * Json.t) list;  (** event attributes *)
   }
 
@@ -96,9 +95,8 @@ module Trace : sig
   (** Set the calling domain's tag, stamped into {!event.dom} and used
       as the major key when {!events} merges the per-domain buffers.
       The main domain defaults to [0]; a worker pool should tag its
-      workers with distinct, deterministically assigned values (the
-      serving pool uses 1..N by worker index) so merged traces are
-      reproducible. *)
+      workers with distinct, deterministically assigned values (e.g.
+      1..N by worker index) so merged traces are reproducible. *)
 
   val set_clock : (unit -> float) -> unit
   (** Replace the timestamp source (milliseconds, monotone). The

@@ -257,7 +257,7 @@ let replay stats ~d_eta ~d_tests =
    key both compute the same verdict (Algorithm 1 is pure in the key)
    and the second insert is dropped, so replayed η/test increments stay
    exact either way; only the hit/miss diagnostic counters are
-   timing-dependent (excluded from the docs/PARALLELISM.md contract). *)
+   timing-dependent (docs/ARCHITECTURE.md, "Domain safety"). *)
 let locations_for ?stats ?(include_home = true) ~(catalog : Catalog.t)
     ~(policies : Pcatalog.t) (s : Summary.t) : Locset.t =
   if not !enabled then locations_for_uncached ?stats ~include_home ~catalog ~policies s

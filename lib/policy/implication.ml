@@ -290,8 +290,8 @@ let reset_cache () =
    the implication test itself runs outside it, so a cold pair may be
    computed by two domains at once — both arrive at the same verdict
    (the test is pure) and the second insert is a no-op. Hit/miss counts
-   are therefore timing-dependent under parallelism, which is why the
-   determinism contract (docs/PARALLELISM.md) excludes them. *)
+   are therefore timing-dependent when domains share the cache
+   (docs/ARCHITECTURE.md, "Domain safety"). *)
 let implies (pq : Pred.t) (pe : Pred.t) : bool =
   if not !enabled then implies_uncached pq pe
   else

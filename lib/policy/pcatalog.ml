@@ -13,7 +13,7 @@ type t = {
 (* Policy catalogs are immutable after [make]; a construction-time
    stamp identifies one soundly in process-wide cache keys. Atomic:
    duplicate stamps issued by racing domains would alias distinct
-   catalogs in the evaluator's verdict cache. *)
+   catalogs in the evaluator's verdict cache (docs/ARCHITECTURE.md, "Domain safety"). *)
 let next_stamp = Atomic.make 0
 let fresh_stamp () = Atomic.fetch_and_add next_stamp 1 + 1
 

@@ -84,7 +84,6 @@ let h_latency = Obs.Metrics.histogram "cgqp_service_latency_ms"
 
 (* Live session state of the event loop. *)
 type live = {
-  idx : int;  (* position in the script's session list *)
   spec : Script.session_spec;
   cg : Cgqp.session;
   mutable actions : Script.action list;
@@ -118,58 +117,9 @@ let template_hit_rate r =
     float_of_int th /. float_of_int (th + tm)
   | _ -> 0.
 
-(* The recording pass of the parallel pipeline: replay one session's
-   script in isolation, on a private session replica, executing every
-   Submit with {!Cgqp.run_recorded} and collecting the memos in submit
-   order. Sound because a run's outcome is a pure function of
-   session-local state — which this replica reconstructs exactly, since
-   the script's non-Submit actions (policy churn, mode switches) are
-   positional within the session — and because the plan cache is
-   outcome-transparent, so the replica's private cache (intra-session
-   reuse only; the shared cache belongs to the sequential pass) changes
-   nothing observable. Admission is ignored here: statements the event
-   loop later denies are executed speculatively and their memos simply
-   never consumed ([Cgqp.run] has no session-state effects, so the
-   speculation is invisible to everything but wall-clock and executor
-   work counters — see docs/PARALLELISM.md). *)
-let record_session ~env (spec : Script.session_spec) : Cgqp.memo array =
-  let cg = Cgqp.create ~catalog:env.catalog () in
-  Option.iter (Cgqp.attach_database cg) env.database;
-  Cgqp.set_faults cg env.faults;
-  Cgqp.set_retry cg env.retry;
-  Cgqp.set_engine cg env.engine;
-  Option.iter (Cgqp.set_template_cache cg) env.template;
-  if Option.is_some env.cache then
-    Cgqp.set_plan_cache cg (Some (Cgqp.Plan_cache.create ()));
-  let memos = ref [] in
-  List.iter
-    (fun action ->
-      match action with
-      | Script.Submit raw ->
-        let sql = env.resolve_query raw in
-        let _result, memo = Cgqp.run_recorded cg sql in
-        memos := memo :: !memos
-      | Script.Add_policy text -> Cgqp.add_policies cg [ text ]
-      | Script.Set_policy_set name -> (
-        match env.resolve_policy_set name with
-        | Some texts ->
-          Cgqp.set_policy_catalog cg (Policy.Pcatalog.of_texts env.catalog texts)
-        | None -> invalid_arg (Printf.sprintf "unknown policy set %S" name))
-      | Script.Clear_policies -> Cgqp.clear_policies cg
-      | Script.Set_mode m -> Cgqp.set_mode cg m
-      | Script.Wait _ -> ())
-    spec.Script.actions;
-  Array.of_list (List.rev !memos)
-
-let run ~env ?seed ?domains (script : Script.t) : report =
-  let domains =
-    match domains with Some d -> d | None -> Pool.default_domains ()
-  in
-  if domains < 1 then invalid_arg "Scheduler.run: domains must be positive";
-  (* Cardinality feedback replaces every session's catalog mid-run (new
-     stamp), which would invalidate pass-1 memos wholesale — so a
-     feedback-driven run always executes inline. *)
-  let domains = if Option.is_some env.feedback then 1 else domains in
+let run ~env ?seed ?(domains = 1) (script : Script.t) : report =
+  if domains <> 1 then
+    invalid_arg "Scheduler.run: domains must be 1 (multicore serving was removed)";
   let seed =
     match seed with
     | Some s -> s
@@ -178,40 +128,12 @@ let run ~env ?seed ?domains (script : Script.t) : report =
       | Some s -> s
       | None -> Storage.Seed.resolve ())
   in
-  (* With more than one domain, run the two-pass pipeline: pass 1
-     records every session in parallel on the pool (each task is one
-     whole session, statically assigned to worker idx mod domains);
-     pass 2 is the unchanged discrete-event loop below, with each
-     admitted Submit served by {!Cgqp.run_replay} from its session's
-     memo at index [s.seq] instead of a live run. Replay re-enacts the
-     exact shared-plan-cache conversation, so records, digests, cache
-     flags and report are byte-identical to [domains = 1] (the qcheck
-     property in test/service locks this in). *)
-  let memos =
-    if domains = 1 then [||]
-    else
-      Pool.map ~domains
-        (Array.of_list
-           (List.map
-              (fun spec () -> record_session ~env spec)
-              script.Script.sessions))
-  in
-  let submit_exec (s : live) sql =
-    if domains = 1 then Cgqp.run s.cg sql
-    else
-      let session_memos = memos.(s.idx) in
-      if s.seq < Array.length session_memos then
-        Cgqp.run_replay s.cg session_memos.(s.seq)
-      else
-        (* unreachable: pass 1 recorded every Submit of the script *)
-        Cgqp.run s.cg sql
-  in
   let prng = Storage.Prng.create ~seed in
   let adm = Admission.create () in
   List.iter
     (fun (tenant, quota) -> Admission.set_quota adm ~tenant quota)
     script.Script.tenants;
-  let mk_live idx spec =
+  let mk_live spec =
     let cg = Cgqp.create ~catalog:env.catalog () in
     Option.iter (Cgqp.attach_database cg) env.database;
     Cgqp.set_faults cg env.faults;
@@ -220,7 +142,6 @@ let run ~env ?seed ?domains (script : Script.t) : report =
     Option.iter (Cgqp.set_template_cache cg) env.template;
     Cgqp.set_plan_cache cg env.cache;
     {
-      idx;
       spec;
       cg;
       actions = spec.Script.actions;
@@ -230,7 +151,7 @@ let run ~env ?seed ?domains (script : Script.t) : report =
       submitted_at = None;
     }
   in
-  let sessions = List.mapi mk_live script.Script.sessions in
+  let sessions = List.map mk_live script.Script.sessions in
   let cache_before = Option.map Cgqp.Plan_cache.stats env.cache in
   let records = ref [] (* reversed *) in
   let makespan = ref 0. in
@@ -294,7 +215,7 @@ let run ~env ?seed ?domains (script : Script.t) : report =
         s.ready <- t
       | _ -> finish_stmt (Denied { reason; retries = s.retries }) ~finished:now)
     | Admission.Admit -> (
-      let result, cache = with_cache_flag (fun () -> submit_exec s sql) in
+      let result, cache = with_cache_flag (fun () -> Cgqp.run s.cg sql) in
       match result with
       | Error e ->
         (* optimizer-time failures cost no simulated time: the plan

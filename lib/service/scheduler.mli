@@ -33,9 +33,7 @@ type env = {
       (** shared cardinality-feedback store: every [Done] statement's
           scans are observed, and a fold installs the corrected catalog
           into {e all} sessions (stamp lockstep for the shared cache)
-          and bumps the shared cache's epoch exactly once. Forces
-          [domains = 1]: catalog stamps change mid-run, which would
-          invalidate pass-1 memos wholesale. *)
+          and bumps the shared cache's epoch exactly once. *)
   faults : Catalog.Network.Fault.schedule;
   retry : Exec.Interp.retry_policy;
   engine : Exec.Engine.t;
@@ -121,19 +119,13 @@ val run : env:env -> ?seed:int -> ?domains:int -> Script.t -> report
     sets or malformed policy texts (script bugs, not workload
     outcomes).
 
-    [domains] (default {!Pool.default_domains}, i.e. [CGQP_DOMAINS] or
-    1) sets the width of the execution pool. With [domains = 1] the
-    loop runs statements inline, exactly as before multicore. With
-    [domains > 1] the scheduler runs the two-pass pipeline of
-    [docs/PARALLELISM.md]: sessions are first replayed in parallel on a
-    {!Pool} of domains, recording each statement's outcome with
-    {!Cgqp.run_recorded}; then the discrete-event loop runs unchanged —
-    same simulated clock, same splitmix64 tie-breaks, same admission
-    decisions — serving each admitted statement from its memo with
-    {!Cgqp.run_replay}. The report, every statement record (digests,
-    latencies, cache flags) and the shared plan cache's statistics are
-    byte-identical for every [domains] value and seed; only real
-    wall-clock time changes. *)
+    Statements run inline, one at a time, on the calling domain: each
+    admitted [Submit] is one {!Cgqp.run} on its session.
+
+    [domains] stays only for source compatibility with callers that
+    pass [~domains:1] (the benchmark suite in [bench/suite] does): the
+    scheduler has one width. Raises [Invalid_argument] for any other
+    value. *)
 
 val hit_rate : report -> float
 (** [hits / (hits + misses)] of the run's cache deltas (0 with no cache

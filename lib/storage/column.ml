@@ -33,7 +33,8 @@ type t = {
   mutable bytes : int;
       (* memoized serialized size; -1 = not computed. Benign race under
          domains: a pure function of the immutable data, and a single
-         word-sized write, so concurrent fills store the same value. *)
+         word-sized write, so concurrent fills store the same value
+         (docs/ARCHITECTURE.md, "Domain safety"). *)
 }
 
 let no_nulls = Bytes.empty

@@ -74,7 +74,8 @@ type t = {
          so concurrent fills compute equal content and a torn winner is
          impossible (option-pointer writes are atomic in the OCaml
          memory model). Deliberately NOT Lazy.t — forcing a Lazy from
-         two domains at once raises Lazy.Undefined. *)
+         two domains at once raises Lazy.Undefined
+         (docs/ARCHITECTURE.md, "Domain safety"). *)
   pager : (unit -> Column.t array) option;
       (* [Some load] = disk-backed (segment store): [load ()] pages the
          full column set in from disk. Paged relations never cache a

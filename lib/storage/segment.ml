@@ -29,8 +29,8 @@ let magic_byte = '\xC5'
 let meta_magic = "cgqp-segments 1"
 
 (* Page-in accounting (one "page read" = one segment of one column
-   decoded from disk). Atomics: executions run concurrently on OCaml 5
-   domains in the serving layer. *)
+   decoded from disk). Atomics: executions may run concurrently on
+   domains (docs/ARCHITECTURE.md, "Domain safety"). *)
 let reads = Atomic.make 0
 let read_bytes = Atomic.make 0
 let page_reads () = Atomic.get reads

@@ -423,15 +423,17 @@ let test_scheduler_deterministic () =
   let again = show (Sd.run ~env:(mix_env ()) ~seed:9 mix_script) in
   Alcotest.(check string) "same seed, same report" once again
 
+(* a statement's outcome without its cache flag: what cache-on and
+   cache-off runs must agree on *)
+let observed (s : Sd.stmt_record) =
+  match s.Sd.outcome with
+  | Sd.Done { plan_sig; result_sig; rows; shipped_bytes; _ } ->
+    Printf.sprintf "done %s %s %d %d" plan_sig result_sig rows shipped_bytes
+  | Sd.Failed e -> "failed " ^ Cgqp.error_to_string e
+  | Sd.Denied { reason; _ } -> "denied " ^ A.reason_to_string reason
+
 let test_scheduler_differential () =
   let key (s : Sd.stmt_record) = (s.Sd.sid, s.Sd.seq) in
-  let observed (s : Sd.stmt_record) =
-    match s.Sd.outcome with
-    | Sd.Done { plan_sig; result_sig; rows; shipped_bytes; _ } ->
-      Printf.sprintf "done %s %s %d %d" plan_sig result_sig rows shipped_bytes
-    | Sd.Failed e -> "failed " ^ Cgqp.error_to_string e
-    | Sd.Denied { reason; _ } -> "denied " ^ A.reason_to_string reason
-  in
   let cached =
     Sd.run ~env:(mix_env ~cache:(PC.create ()) ()) ~seed:(service_seed) mix_script
   in
@@ -458,74 +460,18 @@ let test_scheduler_differential () =
     Alcotest.(check bool) "hits happened" true (st.PC.hits > 0);
     Alcotest.(check bool) "churn invalidated" true (st.PC.invalidations > 0)
 
-(* ---------------- multicore pipeline ---------------- *)
+(* one width is left: any other is a caller bug, not a silent fallback *)
+let test_scheduler_single_width () =
+  Alcotest.check_raises "domains:2 rejected"
+    (Invalid_argument
+       "Scheduler.run: domains must be 1 (multicore serving was removed)")
+    (fun () -> ignore (Sd.run ~env:(mix_env ()) ~seed:9 ~domains:2 mix_script))
 
-module Pl = Service.Pool
-
-let test_pool_map () =
-  List.iter
-    (fun domains ->
-      let tasks = Array.init 13 (fun i () -> i * i) in
-      Alcotest.(check (array int))
-        (Printf.sprintf "results in task order at %d domains" domains)
-        (Array.init 13 (fun i -> i * i))
-        (Pl.map ~domains tasks))
-    [ 1; 2; 4; 32 ]
-
-exception Boom of int
-
-let test_pool_exception () =
-  (* several tasks fail; the lowest-indexed failure must win, however
-     the domains raced *)
-  let tasks =
-    Array.init 8 (fun i () -> if i mod 3 = 1 then raise (Boom i) else i)
-  in
-  match Pl.map ~domains:4 tasks with
-  | _ -> Alcotest.fail "expected an exception"
-  | exception Boom i -> Alcotest.(check int) "lowest failing task wins" 1 i
-
-(* The replay half of the pipeline in isolation: a memo replayed on an
-   equal-state session returns the recorded result without executing;
-   on a diverged session it falls back to a live run and counts it. *)
-let test_replay_fallback () =
-  let c_fallbacks = Obs.Metrics.counter "cgqp_session_replay_fallbacks_total" in
-  let cat = Fixture.catalog () in
-  let db = Fixture.data cat in
-  let mk () =
-    let s = Cgqp.create ~catalog:cat () in
-    Cgqp.add_policies s Fixture.open_policies;
-    Cgqp.attach_database s db;
-    s
-  in
-  let obs = function
-    | Ok (r : Cgqp.run_result) ->
-      Printf.sprintf "ok plan=%s bytes=%d rows=%d"
-        (Digest.to_hex (Digest.string (Exec.Pplan.to_string r.Cgqp.plan)))
-        r.Cgqp.shipped_bytes
-        (Storage.Relation.cardinality r.Cgqp.relation)
-    | Error e -> "error " ^ Cgqp.error_to_string e
-  in
-  let recorder = mk () in
-  let live, memo = Cgqp.run_recorded recorder Fixture.q in
-  let twin = mk () in
-  let f0 = Obs.Metrics.value c_fallbacks in
-  Alcotest.(check string) "replay returns the recorded outcome" (obs live)
-    (obs (Cgqp.run_replay twin memo));
-  Alcotest.(check int) "no fallback on an equal-state session" f0
-    (Obs.Metrics.value c_fallbacks);
-  (* diverge the twin: the memo's policy fingerprint no longer holds *)
-  Cgqp.clear_policies twin;
-  let replayed = Cgqp.run_replay twin memo in
-  Alcotest.(check int) "state mismatch counted as fallback" (f0 + 1)
-    (Obs.Metrics.value c_fallbacks);
-  Alcotest.(check string) "fallback equals a live run on the diverged state"
-    (obs (Cgqp.run twin Fixture.q))
-    (obs replayed)
-
-(* The signature invariant of docs/PARALLELISM.md: for every seed,
-   domain count, cache setting, fault schedule and admission policy,
-   the parallel pipeline's report is byte-identical to the sequential
-   run — statement records, digests, latencies, cache flags, stats. *)
+(* Random scripts through the whole scheduler: sessions interleaving
+   submits with policy churn and waits, under a fault schedule and each
+   admission policy. Two properties at once: a same-seed rerun renders
+   a byte-identical report, and the shared plan cache changes no
+   statement's timing, plan, result or verdict. *)
 
 type pstep = P_submit of int | P_pool of int | P_clear | P_wait of int
 
@@ -538,8 +484,6 @@ let pp_pstep = function
 type pcase = {
   steps : pstep list list;  (* one list per session *)
   case_seed : int;
-  domains : int;
-  with_cache : bool;
   with_faults : bool;
   adm : int;  (* 0 unlimited, 1 in-flight 1 + queue, 2 in-flight 1 + reject *)
 }
@@ -556,16 +500,15 @@ let gen_pcase =
         ]
     in
     map
-      (fun (steps, case_seed, domains, (with_cache, with_faults, adm)) ->
-        { steps; case_seed; domains; with_cache; with_faults; adm })
+      (fun (steps, case_seed, with_faults, adm) ->
+        { steps; case_seed; with_faults; adm })
       (quad
          (list_size (int_range 2 3) (list_size (int_range 1 6) step))
-         (int_bound 9999) (int_range 2 4)
-         (triple bool bool (int_bound 2))))
+         (int_bound 9999) bool (int_bound 2)))
 
 let pp_pcase c =
-  Printf.sprintf "seed=%d domains=%d cache=%b faults=%b adm=%d [%s]" c.case_seed
-    c.domains c.with_cache c.with_faults c.adm
+  Printf.sprintf "seed=%d faults=%b adm=%d [%s]" c.case_seed c.with_faults
+    c.adm
     (String.concat " | "
        (List.map (fun s -> String.concat "; " (List.map pp_pstep s)) c.steps))
 
@@ -602,11 +545,11 @@ let pscript c =
         c.steps;
   }
 
-let run_pcase c ~domains =
+let run_pcase c ~cache =
   let cat = Fixture.catalog () in
   let env =
     Sd.env ~catalog:cat ~database:(Fixture.data cat)
-      ?cache:(if c.with_cache then Some (PC.create ~capacity:8 ()) else None)
+      ?cache:(if cache then Some (PC.create ~capacity:8 ()) else None)
       ~faults:
         (if c.with_faults then
            Catalog.Network.Fault.make ~seed:5
@@ -614,106 +557,33 @@ let run_pcase c ~domains =
          else Catalog.Network.Fault.empty)
       ~resolve_policy_set:presolve ()
   in
-  Sd.run ~env ~seed:c.case_seed ~domains (pscript c)
+  Sd.run ~env ~seed:c.case_seed (pscript c)
 
 let show_report r =
   Fmt.str "%a" Sd.pp_report r ^ "\n" ^ Obs.Json.to_string (Sd.report_to_json r)
 
-let prop_parallel =
-  QCheck.Test.make ~count:200
-    ~name:"parallel run fingerprints == sequential run fingerprints" arb_pcase
-    (fun c ->
-      let seq = show_report (run_pcase c ~domains:1) in
-      let par = show_report (run_pcase c ~domains:c.domains) in
-      if seq <> par then
-        QCheck.Test.fail_reportf
-          "domains=%d diverged from the sequential run:\n%s\n=== sequential ===\n%s"
-          c.domains par seq
-      else true)
+(* everything a statement record says except its cache flag *)
+let stmt_sig (s : Sd.stmt_record) =
+  Printf.sprintf "%s#%d [%h %h %h] %s" s.Sd.sid s.Sd.seq s.Sd.submitted_ms
+    s.Sd.started_ms s.Sd.finished_ms (observed s)
 
-(* Semantic metric totals are part of the determinism contract: the
-   same workload moves the executor/policy/service counters by the same
-   amount at every domain count (cache off and no admission denials, so
-   no statement is executed speculatively-then-denied and no private
-   recording cache changes the optimizer count — the contract's
-   excluded diagnostics are exactly the cache-internal hit/miss
-   counters, docs/PARALLELISM.md). *)
-let test_parallel_metric_totals () =
-  let sems =
-    [
-      "cgqp_service_statements_total";
-      "cgqp_exec_rows_processed_total";
-      "cgqp_exec_ships_total";
-      "cgqp_exec_ship_bytes_total";
-      "cgqp_policy_eta_total";
-      "cgqp_policy_implication_tests_total";
-    ]
-  in
-  let h_lat = Obs.Metrics.histogram "cgqp_service_latency_ms" in
-  let snapshot () =
-    ( List.map (fun n -> Obs.Metrics.value (Obs.Metrics.counter n)) sems,
-      Obs.Metrics.hist_count h_lat,
-      Obs.Metrics.hist_sum h_lat )
-  in
-  let script =
-    {
-      Sc.seed = None;
-      tenants = [];
-      sessions =
-        [
-          {
-            Sc.sid = "s0";
-            tenant = "t";
-            actions =
-              [
-                Sc.Set_policy_set "p0";
-                Sc.Submit (List.nth Fixture.query_pool 0);
-                Sc.Submit (List.nth Fixture.query_pool 1);
-                Sc.Set_policy_set "p1";
-                Sc.Submit (List.nth Fixture.query_pool 0);
-              ];
-          };
-          {
-            Sc.sid = "s1";
-            tenant = "u";
-            actions =
-              [
-                Sc.Set_policy_set "p0";
-                Sc.Submit (List.nth Fixture.query_pool 2);
-                Sc.Submit (List.nth Fixture.query_pool 3);
-              ];
-          };
-        ];
-    }
-  in
-  let deltas domains =
-    let cat = Fixture.catalog () in
-    let env =
-      Sd.env ~catalog:cat ~database:(Fixture.data cat)
-        ~resolve_policy_set:presolve ()
-    in
-    let c0, n0, s0 = snapshot () in
-    ignore (Sd.run ~env ~seed:11 ~domains script);
-    let c1, n1, s1 = snapshot () in
-    (List.map2 (fun a b -> a - b) c1 c0, n1 - n0, s1 -. s0)
-  in
-  let c1, n1, s1 = deltas 1 in
-  List.iter
-    (fun domains ->
-      let c, n, s = deltas domains in
-      List.iteri
-        (fun i name ->
-          Alcotest.(check int)
-            (Printf.sprintf "%s moves identically at %d domains" name domains)
-            (List.nth c1 i) (List.nth c i))
-        sems;
-      Alcotest.(check int)
-        (Printf.sprintf "latency count identical at %d domains" domains)
-        n1 n;
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "latency sum identical at %d domains" domains)
-        s1 s)
-    [ 2; 4 ]
+let prop_random_scripts =
+  QCheck.Test.make ~count:200
+    ~name:"random scripts: same-seed rerun identical, cache-on sigs = cache-off"
+    arb_pcase (fun c ->
+      let cached = run_pcase c ~cache:true in
+      let again = show_report (run_pcase c ~cache:true) in
+      let plain = run_pcase c ~cache:false in
+      let sigs r = String.concat "\n" (List.map stmt_sig r.Sd.statements) in
+      if show_report cached <> again then
+        QCheck.Test.fail_reportf
+          "same-seed rerun diverged:\n%s\n=== first run ===\n%s" again
+          (show_report cached)
+      else if sigs cached <> sigs plain then
+        QCheck.Test.fail_reportf
+          "cache-on diverged from cache-off:\n%s\n=== cache-off ===\n%s"
+          (sigs cached) (sigs plain)
+      else true)
 
 (* ---------------- script grammar ---------------- *)
 
@@ -842,17 +712,8 @@ let () =
         [
           Alcotest.test_case "deterministic replay" `Quick test_scheduler_deterministic;
           Alcotest.test_case "cache-on/off differential" `Quick test_scheduler_differential;
-        ] );
-      ( "parallel",
-        [
-          Alcotest.test_case "pool maps in task order" `Quick test_pool_map;
-          Alcotest.test_case "pool exception is deterministic" `Quick
-            test_pool_exception;
-          Alcotest.test_case "replay falls back on state mismatch" `Quick
-            test_replay_fallback;
-          QCheck_alcotest.to_alcotest ~rand prop_parallel;
-          Alcotest.test_case "metric totals are width-independent" `Quick
-            test_parallel_metric_totals;
+          Alcotest.test_case "one width only" `Quick test_scheduler_single_width;
+          QCheck_alcotest.to_alcotest ~rand prop_random_scripts;
         ] );
       ( "script",
         [
