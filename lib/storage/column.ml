@@ -143,6 +143,11 @@ let of_values_typed (ty : Value.ty) (vals : Value.t array) : t =
   in
   { data; nulls = (if !seen_null then nulls else no_nulls); bytes = -1 }
 
+(* Wrap a decoded payload without copying (the segment reader's typed
+   decode): [data] already holds the NULL dummies and [nulls] is the
+   stored bitmap, so the result is what [of_values_typed] would build. *)
+let of_decoded (data : data) (nulls : Bytes.t) : t = { data; nulls; bytes = -1 }
+
 let of_values (vals : Value.t array) : t =
   match uniform_ty vals with
   | Some ty -> of_values_typed ty vals

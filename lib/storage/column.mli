@@ -53,6 +53,15 @@ val of_values_typed : Value.ty -> Value.t array -> t
 (** Typed build for a column declared as [ty] (e.g. from a CSV schema):
     values of another type are stored as NULL. *)
 
+val of_decoded : data -> Bytes.t -> t
+(** [of_decoded data nulls] wraps a decoded payload and its null
+    bitmap as-is, retaining both. Internal to the segment reader: the
+    caller guarantees what {!of_values_typed} would build — NULL slots
+    of [data] hold its dummies (0 / 0. / "" / false), [nulls] is
+    [Bytes.empty] when no row is NULL and otherwise
+    [(length + 7) / 8] bytes marking exactly the NULL rows, and a
+    [Values] payload carries no bitmap. *)
+
 val to_values : t -> Value.t array
 (** Materialize the boxed row view of this column. *)
 

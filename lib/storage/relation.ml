@@ -76,12 +76,18 @@ type t = {
          memory model). Deliberately NOT Lazy.t — forcing a Lazy from
          two domains at once raises Lazy.Undefined
          (docs/ARCHITECTURE.md, "Domain safety"). *)
-  pager : (unit -> Column.t array) option;
-      (* [Some load] = disk-backed (segment store): [load ()] pages the
-         full column set in from disk. Paged relations never cache a
-         materialized view — every [rows]/[cols] access re-reads, which
-         is the out-of-core contract (resident working set stays the
-         operator's output, not the base table). *)
+  pager : pager option;
+      (* [Some _] = disk-backed (segment store). Paged relations never
+         cache a materialized view — every [rows]/[cols] access
+         re-reads, which is the out-of-core contract (resident working
+         set stays the operator's output, not the base table). *)
+}
+
+and pager = {
+  load : bool array -> Column.t array;
+      (* page in the columns whose mask bit is set; the others come
+         back as zero-length placeholders *)
+  bytes : unit -> int;  (* [byte_size] without paging anything in *)
 }
 
 let make ~schema ~rows =
@@ -104,9 +110,9 @@ let of_cols ~schema ~card cols =
   { schema; width = n; card; rows_v = None; cols_v = Some cols; index_v = None;
     pager = None }
 
-let paged ~schema ~card ~load =
+let paged ~schema ~card ~load ~byte_size =
   { schema; width = List.length schema; card; rows_v = None; cols_v = None;
-    index_v = None; pager = Some load }
+    index_v = None; pager = Some { load; bytes = byte_size } }
 
 let is_paged t = t.pager <> None
 
@@ -125,7 +131,7 @@ let rows t =
   | Some rows -> rows
   | None -> (
     match t.pager with
-    | Some load -> rows_of_cols t (load ()) (* paged: never cached *)
+    | Some p -> rows_of_cols t (p.load (Array.make t.width true)) (* never cached *)
     | None ->
       let cols = match t.cols_v with Some c -> c | None -> assert false in
       let rows = rows_of_cols t cols in
@@ -141,7 +147,7 @@ let cols t =
   | Some cols -> cols
   | None -> (
     match t.pager with
-    | Some load -> load ()
+    | Some p -> p.load (Array.make t.width true)
     | None ->
       let rows = match t.rows_v with Some r -> r | None -> assert false in
       let cols =
@@ -150,6 +156,14 @@ let cols t =
       in
       t.cols_v <- Some cols;
       cols)
+
+let read_cols t ~needed =
+  match t.pager with
+  | Some p ->
+    if Array.length needed <> t.width then
+      invalid_arg "Relation.read_cols: mask width differs from the schema's";
+    p.load needed
+  | None -> cols t
 
 let columnarize t = if t.pager = None then ignore (cols t)
 
@@ -174,13 +188,13 @@ let lookup_fn t : Attr.t -> Value.t array -> Value.t =
 
 (* Total serialized size in bytes (what a SHIP of this relation moves).
    Computed on whichever representation is materialized — both sum
-   [Value.byte_width] over every cell, so they agree. *)
+   [Value.byte_width] over every cell, so they agree; a paged relation
+   asks its pager, which sums the segment footers. *)
 let byte_size t =
-  match t.cols_v with
-  | Some cols -> Array.fold_left (fun acc c -> acc + Column.byte_size c) 0 cols
-  | None when t.pager <> None ->
-    Array.fold_left (fun acc c -> acc + Column.byte_size c) 0 (cols t)
-  | None ->
+  match t.cols_v, t.pager with
+  | Some cols, _ -> Array.fold_left (fun acc c -> acc + Column.byte_size c) 0 cols
+  | None, Some p -> p.bytes ()
+  | None, None ->
     Array.fold_left
       (fun acc row -> Array.fold_left (fun acc v -> acc + Value.byte_width v) acc row)
       0 (rows t)

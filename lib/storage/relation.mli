@@ -33,10 +33,18 @@ val of_cols : schema:Attr.t list -> card:int -> Column.t array -> t
     width-0 relations). Raises [Invalid_argument] on arity or
     cardinality mismatch. *)
 
-val paged : schema:Attr.t list -> card:int -> load:(unit -> Column.t array) -> t
-(** A disk-backed relation: [load ()] pages the full column set in (in
-    schema order, each of length [card]). Paged relations never cache a
-    materialized view — every {!rows}/{!cols} access re-reads through
+val paged :
+  schema:Attr.t list ->
+  card:int ->
+  load:(bool array -> Column.t array) ->
+  byte_size:(unit -> int) ->
+  t
+(** A disk-backed relation. [load needed] pages in, in schema order,
+    the columns whose [needed] bit is set (each of length [card]);
+    every other column comes back as a zero-length placeholder.
+    [byte_size ()] is the relation's {!byte_size}, obtained without
+    paging anything in. Paged relations never cache a materialized
+    view — every {!rows}/{!cols}/{!read_cols} access re-reads through
     [load], so the resident working set is only what operators
     materialize, not the base table. See {!Segment.relation}. *)
 
@@ -53,6 +61,14 @@ val cols : t -> Column.t array
 (** Column-major view: materialized from the rows on first access and
     cached. Stored base tables are columnarized up front by
     {!Database.add}. *)
+
+val read_cols : t -> needed:bool array -> Column.t array
+(** Column-major view restricted to a mask, one bit per schema
+    column: a paged relation pages in only the columns whose bit is
+    set and returns zero-length placeholders for the rest; a resident
+    relation returns {!cols} (the mask costs nothing to honour there).
+    Raises [Invalid_argument] on a paged relation if the mask's length
+    is not the schema's width. *)
 
 val columnarize : t -> unit
 (** Force the column-major view to be materialized now. No-op on paged
@@ -76,7 +92,9 @@ val take : t -> int -> t
 (** First [n] rows. *)
 
 val byte_size : t -> int
-(** Total serialized size — what a SHIP of this relation moves. *)
+(** Total serialized size — what a SHIP of this relation moves. For a
+    paged relation it comes from the pager (the segment footers) and
+    pages nothing in. *)
 
 val pp : ?max_rows:int -> Format.formatter -> t -> unit
 val to_csv : t -> string

@@ -657,22 +657,47 @@ let test_differential_under_faults () =
        (QCheck.pair Plangen.arbitrary_plan QCheck.small_nat)
        prop)
 
+(* A fresh directory for segment files, removed with everything in it
+   once [f] returns or raises. *)
+let with_segment_dir f =
+  let dir = Filename.temp_file "cgqp-pagedtest-" "" in
+  Sys.remove dir;
+  let dir = dir ^ ".d" in
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
+
 let test_differential_spill () =
-  (* Spilling is invisible: the same plan under an unlimited budget and
-     under budget 0 (every hash join/agg Grace-partitions to disk) must
-     produce byte-identical reports, on both engines. *)
-  let db = default_db () in
+  (* Out-of-core execution is invisible: the same plan over resident and
+     paged (segment-backed) data, under an unlimited budget and under
+     budget 0 (every hash join/agg Grace-partitions to disk), must
+     produce byte-identical reports on both engines. The profile is part
+     of the fingerprint, so a paged scan that decodes only its parent
+     Project's columns must still record the whole relation's bytes. *)
+  let resident = default_db () in
+  with_segment_dir @@ fun dir ->
+  let paged = Storage.Database.paged resident ~dir in
   let prop (plan, _) =
     let fps =
       List.concat_map
-        (fun (name, exec) ->
-          List.map
-            (fun budget -> (name, budget, result_fp (exec ~budget)))
-            [ Exec.Runtime.unlimited_budget; 0 ])
-        [
-          ("reference", fun ~budget -> Exec.Interp.run ~budget ~network ~db ~table_cols plan);
-          ("vector", fun ~budget -> Exec.Vector.run ~budget ~network ~db ~table_cols plan);
-        ]
+        (fun (store, db) ->
+          List.concat_map
+            (fun (engine, exec) ->
+              List.map
+                (fun budget -> (store ^ " " ^ engine, budget, result_fp (exec ~db ~budget)))
+                [ Exec.Runtime.unlimited_budget; 0 ])
+            [
+              ( "reference",
+                fun ~db ~budget -> Exec.Interp.run ~budget ~network ~db ~table_cols plan );
+              ( "vector",
+                fun ~db ~budget -> Exec.Vector.run ~budget ~network ~db ~table_cols plan );
+            ])
+        [ ("resident", resident); ("paged", paged) ]
     in
     let name_of, budget_of, fp_of =
       ( (fun (n, _, _) -> n),
@@ -692,8 +717,41 @@ let test_differential_spill () =
   in
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:220
-       ~name:"spill differential: budget unlimited vs 0, both engines"
+       ~name:"spill differential: resident vs paged, budget unlimited vs 0, both engines"
        Plangen.arbitrary_plan prop)
+
+let test_paged_scan_pruning () =
+  (* A paged scan under a Project decodes only the columns the Project
+     reads: [Project [r.a] (Scan r)] over a two-segment table with a
+     string column pages in one column per segment on Vector, while the
+     reference engine's row view pages in both; results and profiles
+     agree. *)
+  let n = Storage.Segment.segment_rows + 1 in
+  let resident =
+    db_with
+      [
+        ( "r",
+          [ "a"; "b" ],
+          List.init n (fun i -> [| Value.Int i; Value.Str (Printf.sprintf "s%d" (i mod 97)) |])
+        );
+      ]
+  in
+  with_segment_dir @@ fun dir ->
+  let db = Storage.Database.paged resident ~dir in
+  let segments = (n + Storage.Segment.segment_rows - 1) / Storage.Segment.segment_rows in
+  let plan = node (P.Project [ (col "r" "a", attr "r" "a") ]) [ scan "r" ] in
+  let reads f =
+    Storage.Segment.reset_page_reads ();
+    let r = f () in
+    (r, Storage.Segment.page_reads ())
+  in
+  let v, v_reads = reads (fun () -> Exec.Vector.run ~network ~db ~table_cols plan) in
+  let i, i_reads = reads (fun () -> Exec.Interp.run ~network ~db ~table_cols plan) in
+  Alcotest.(check int) "vector: one column per segment" segments v_reads;
+  Alcotest.(check int) "reference: every column per segment" (2 * segments) i_reads;
+  Alcotest.(check bool) "same report as reference" true (result_fp v = result_fp i);
+  Alcotest.(check bool) "same report as resident" true
+    (result_fp v = result_fp (Exec.Vector.run ~network ~db:resident ~table_cols plan))
 
 let test_spill_cleanup () =
   (* Spill run files must vanish on every exit path: normal completion
@@ -1014,6 +1072,8 @@ let () =
             test_differential_spill;
           Alcotest.test_case "spill dir cleanup on all exit paths" `Quick
             test_spill_cleanup;
+          Alcotest.test_case "paged scan decodes only projected columns" `Quick
+            test_paged_scan_pruning;
           Alcotest.test_case "TPC-H golden equivalence" `Slow
             test_tpch_golden_equivalence;
           Alcotest.test_case "engine selection" `Quick test_engine_selection;
