@@ -1,10 +1,11 @@
 (* Shared execution scaffolding for the engines (the reference
-   interpreter in [Interp] and the vectorized executor in [Vector]):
-   SHIP accounting under the message cost model with fault injection
-   and retry/backoff, per-operator profiles for EXPLAIN ANALYZE,
-   scalar/predicate compilation, and the metrics/trace emission.
-   Keeping this in one place is what makes the engines byte-identical
-   on stats, profiles and traces. *)
+   interpreter in [Interp] and the vectorized executor in [Vector]) and
+   the Grace spill path ([Spill]): SHIP accounting under the message
+   cost model with fault injection and retry/backoff, per-operator
+   profiles for EXPLAIN ANALYZE, the memory budget, aggregate
+   accumulators, row keys, and the metrics/trace emission. Keeping
+   this in one place is what makes the engines byte-identical on
+   stats, profiles and traces. *)
 
 open Relalg
 
@@ -285,158 +286,6 @@ let finish (fn : Expr.agg_fn) acc =
   | Expr.Avg ->
     if acc.count = 0 then Value.Null
     else Value.div acc.sum (Value.Int acc.count)
-
-(* --- scalar / predicate compilation ---
-
-   The folding and comparison primitives the vectorized engine's
-   column binders are built from, plus the row-at-a-time predicate
-   compiler it uses for join residuals: attributes resolve to integer
-   column indices once, Pred/Expr ASTs become closures, constant
-   subterms fold, and null checks specialize away where an operand is
-   a known non-null constant. *)
-
-let binop_fn : Expr.binop -> Value.t -> Value.t -> Value.t = function
-  | Expr.Add -> Value.add
-  | Expr.Sub -> Value.sub
-  | Expr.Mul -> Value.mul
-  | Expr.Div -> Value.div
-
-(* Fold constant subterms bottom-up: a Binop over two Consts becomes a
-   Const. Arithmetic here is [Value.add] etc., exactly what evaluation
-   would do, so folding cannot change results. *)
-let rec fold_scalar (e : Expr.scalar) : Expr.scalar =
-  match e with
-  | Expr.Col _ | Expr.Const _ -> e
-  | Expr.Binop (op, l, r) -> (
-    let l = fold_scalar l and r = fold_scalar r in
-    match l, r with
-    | Expr.Const a, Expr.Const b -> Expr.Const (binop_fn op a b)
-    | _ -> Expr.Binop (op, l, r))
-
-let compile_scalar (rv : Storage.Relation.resolver) (e : Expr.scalar) :
-    Value.t array -> Value.t =
-  let rec go e =
-    match e with
-    | Expr.Const v -> fun _ -> v
-    | Expr.Col a -> (
-      match Storage.Relation.resolve rv a with
-      | Some ix -> fun row -> if ix < Array.length row then row.(ix) else Value.Null
-      | None -> fun _ -> Value.Null)
-    | Expr.Binop (op, l, r) ->
-      let fl = go l and fr = go r in
-      let f = binop_fn op in
-      fun row -> f (fl row) (fr row)
-  in
-  go (fold_scalar e)
-
-let cmp_fn : Pred.cmp -> int -> bool = function
-  | Pred.Eq -> fun k -> k = 0
-  | Pred.Ne -> fun k -> k <> 0
-  | Pred.Lt -> fun k -> k < 0
-  | Pred.Le -> fun k -> k <= 0
-  | Pred.Gt -> fun k -> k > 0
-  | Pred.Ge -> fun k -> k >= 0
-
-let const_true = fun (_ : Value.t array) -> true
-let const_false = fun (_ : Value.t array) -> false
-
-(* LIKE patterns without wildcards are plain string equality. *)
-let has_wildcard pat = String.exists (fun c -> c = '%' || c = '_') pat
-
-let compile_atom rv (a : Pred.atom) : Value.t array -> bool =
-  match a with
-  | Pred.Cmp (c, l, r) -> (
-    let test = cmp_fn c in
-    match fold_scalar l, fold_scalar r with
-    | Expr.Const a, Expr.Const b ->
-      if Pred.eval_cmp c a b then const_true else const_false
-    | Expr.Const a, r ->
-      (* NULL cmp anything is false, so a null constant kills the atom;
-         a non-null constant needs no per-row null check on its side *)
-      if Value.is_null a then const_false
-      else
-        let fr = compile_scalar rv r in
-        fun row ->
-          let b = fr row in
-          (not (Value.is_null b)) && test (Value.compare a b)
-    | l, Expr.Const b ->
-      if Value.is_null b then const_false
-      else
-        let fl = compile_scalar rv l in
-        fun row ->
-          let a = fl row in
-          (not (Value.is_null a)) && test (Value.compare a b)
-    | l, r ->
-      let fl = compile_scalar rv l and fr = compile_scalar rv r in
-      fun row ->
-        let a = fl row in
-        (not (Value.is_null a))
-        &&
-        let b = fr row in
-        (not (Value.is_null b)) && test (Value.compare a b))
-  | Pred.Like (e, pat) ->
-    let fe = compile_scalar rv e in
-    if has_wildcard pat then fun row ->
-      (match fe row with Value.Str s -> Pred.like_match ~pattern:pat s | _ -> false)
-    else fun row ->
-      (match fe row with Value.Str s -> String.equal s pat | _ -> false)
-  | Pred.In (e, vs) ->
-    let fe = compile_scalar rv e in
-    fun row ->
-      let v = fe row in
-      (not (Value.is_null v)) && List.exists (Value.equal v) vs
-  | Pred.Is_null e ->
-    let fe = compile_scalar rv e in
-    fun row -> Value.is_null (fe row)
-  | Pred.Not_null e ->
-    let fe = compile_scalar rv e in
-    fun row -> not (Value.is_null (fe row))
-
-(* Fold column-free subtrees to True/False (their value cannot depend
-   on the row; evaluate once with a never-called lookup) and simplify
-   through the boolean connectives. *)
-let rec fold_pred (p : Pred.t) : Pred.t =
-  match p with
-  | Pred.True | Pred.False -> p
-  | Pred.Atom a ->
-    if Attr.Set.is_empty (Pred.atom_cols a) then
-      if Pred.eval_atom (fun _ -> Value.Null) a then Pred.True else Pred.False
-    else p
-  | Pred.And (l, r) -> Pred.conj (fold_pred l) (fold_pred r)
-  | Pred.Or (l, r) -> Pred.disj (fold_pred l) (fold_pred r)
-  | Pred.Not q -> (
-    match fold_pred q with
-    | Pred.True -> Pred.False
-    | Pred.False -> Pred.True
-    | q -> Pred.Not q)
-
-let compile_pred rv (p : Pred.t) : Value.t array -> bool =
-  let rec go = function
-    | Pred.True -> const_true
-    | Pred.False -> const_false
-    | Pred.Atom a -> compile_atom rv a
-    | Pred.And (l, r) ->
-      let fl = go l and fr = go r in
-      fun row -> fl row && fr row
-    | Pred.Or (l, r) ->
-      let fl = go l and fr = go r in
-      fun row -> fl row || fr row
-    | Pred.Not q ->
-      let f = go q in
-      fun row -> not (f row)
-  in
-  go (fold_pred p)
-
-(* --- key index vectors --- *)
-
-(* Column positions of join/group keys; [-1] marks an unresolvable
-   attribute, which reads as NULL for every row (same as the
-   interpreter's lookup). *)
-let key_ixs rv attrs : int array =
-  Array.of_list
-    (List.map
-       (fun a -> match Storage.Relation.resolve rv a with Some i -> i | None -> -1)
-       attrs)
 
 (* --- row utilities --- *)
 

@@ -1,10 +1,14 @@
 (** Execution scaffolding shared by the engines.
 
     The reference interpreter ({!Interp}) and the vectorized executor
-    ({!Vector}) both route SHIPs, retries, per-operator profiles,
-    scalar/predicate compilation and metrics/trace emission through
-    this module, which is what makes their stats, profiles and
-    observability output byte-identical (see [docs/EXECUTOR.md]).
+    ({!Vector}) both route SHIPs, retries, per-operator profiles, the
+    memory budget, aggregate accumulation and metrics/trace emission
+    through this module, which is what makes their stats, profiles and
+    observability output byte-identical (see [docs/EXECUTOR.md]). The
+    Grace spill path ({!Spill}) shares the budget, accumulators and row
+    keys. Predicate and scalar evaluation is per engine: {!Interp}
+    evaluates the AST row by row, {!Vector} binds it to typed
+    columns.
 
     {2 Child-iteration contract}
 
@@ -233,37 +237,6 @@ val feed : acc -> Value.t -> unit
 (** Fold one value into the accumulator; [Null] is skipped. *)
 
 val finish : Expr.agg_fn -> acc -> Value.t
-
-(** {2 Scalar / predicate compilation}
-
-    The folding and comparison primitives the vectorized engine's
-    column binders are built from, plus a row-at-a-time predicate
-    compiler it uses for join residuals: attributes resolve to integer
-    column indices once per operator, Pred/Expr ASTs become closures,
-    constant subterms fold, and null checks specialize away where an
-    operand is a known non-null constant. *)
-
-val binop_fn : Expr.binop -> Value.t -> Value.t -> Value.t
-
-val fold_scalar : Expr.scalar -> Expr.scalar
-(** Fold constant subterms bottom-up using the same [Value] arithmetic
-    evaluation would use, so folding cannot change results. *)
-
-val cmp_fn : Pred.cmp -> int -> bool
-(** The comparison's test on a [Value.compare] result. *)
-
-val has_wildcard : string -> bool
-(** A LIKE pattern without [%]/[_] is plain string equality. *)
-
-val fold_pred : Pred.t -> Pred.t
-(** Fold column-free subtrees to [True]/[False] and simplify through
-    the boolean connectives. *)
-
-val compile_pred : Storage.Relation.resolver -> Pred.t -> Value.t array -> bool
-
-val key_ixs : Storage.Relation.resolver -> Attr.t list -> int array
-(** Column positions of join/group keys; [-1] marks an unresolvable
-    attribute, which reads as NULL for every row. *)
 
 (** {2 Row utilities} *)
 

@@ -14,17 +14,17 @@
      null bitmap checked only when the column has nulls;
    - hash joins build and probe over column slices (an int-keyed table
      when both key columns are int-backed), collect matching row-index
-     pairs, and materialize the output once with [Column.gather];
+     pairs, and materialize the output once with [Column.gather]; a
+     join residual tests candidate pairs a batch at a time with the
+     same column binders filters use;
    - aggregation binds its getters to the columns once and runs fused
      accumulator loops batch by batch;
    - sort produces a permutation selvec over the input columns instead
      of moving rows.
 
-   Semantics are inherited rather than re-implemented: scalar and
-   predicate compilation, constant folding, null-check specialization,
-   aggregate accumulators and the SHIP path all come from the shared
-   [Runtime], and the engine follows the child-iteration contract
-   documented in runtime.mli (right child first for binary operators,
+   Aggregate accumulators, row keys, the memory budget and the SHIP path
+   come from the shared [Runtime], and the engine follows the
+   child-iteration contract documented in runtime.mli (right child first for binary operators,
    unions left-to-right, rows in relation order, probe matches in
    reverse build-insertion order). Results, SHIP accounting, profiles
    and makespans are byte-identical to the reference interpreter —
@@ -34,7 +34,7 @@ open Relalg
 open Runtime
 module Col = Storage.Column
 
-(* Rows per batch in filter/aggregation loops. *)
+(* Rows per batch in filter, aggregation and join-residual loops. *)
 let batch_rows = 1024
 
 type ctx = {
@@ -103,13 +103,74 @@ let chunk_bytes ch =
 (* --- scalar / predicate binding ---
 
    Compilation is two-stage: plan-compile time resolves attributes to
-   column indices (via the shared [Runtime] helpers), and execution
-   binds the result to a concrete chunk's columns, specializing on the
-   column representation. The bound closures take {e physical} row
-   indices. *)
+   column indices and folds constants, and execution binds the result
+   to a concrete chunk's columns, specializing on the column
+   representation. The bound closures take {e physical} row indices and
+   evaluate exactly as [Expr.eval] / [Pred.eval] do in [Interp]. *)
 
 type getter = int -> Value.t
 type tester = int -> bool
+
+let binop_fn : Expr.binop -> Value.t -> Value.t -> Value.t = function
+  | Expr.Add -> Value.add
+  | Expr.Sub -> Value.sub
+  | Expr.Mul -> Value.mul
+  | Expr.Div -> Value.div
+
+(* Fold constant subterms bottom-up: a Binop over two Consts becomes a
+   Const. Arithmetic here is [Value.add] etc., exactly what evaluation
+   would do, so folding cannot change results. *)
+let rec fold_scalar (e : Expr.scalar) : Expr.scalar =
+  match e with
+  | Expr.Col _ | Expr.Const _ -> e
+  | Expr.Binop (op, l, r) -> (
+    let l = fold_scalar l and r = fold_scalar r in
+    match l, r with
+    | Expr.Const a, Expr.Const b -> Expr.Const (binop_fn op a b)
+    | _ -> Expr.Binop (op, l, r))
+
+(* Fold column-free subtrees to True/False (their value cannot depend
+   on the row; evaluate once with a never-called lookup) and simplify
+   through the boolean connectives. *)
+let rec fold_pred (p : Pred.t) : Pred.t =
+  match p with
+  | Pred.True | Pred.False -> p
+  | Pred.Atom a ->
+    if Attr.Set.is_empty (Pred.atom_cols a) then
+      if Pred.eval_atom (fun _ -> Value.Null) a then Pred.True else Pred.False
+    else p
+  | Pred.And (l, r) -> Pred.conj (fold_pred l) (fold_pred r)
+  | Pred.Or (l, r) -> Pred.disj (fold_pred l) (fold_pred r)
+  | Pred.Not q -> (
+    match fold_pred q with
+    | Pred.True -> Pred.False
+    | Pred.False -> Pred.True
+    | q -> Pred.Not q)
+
+let cmp_fn : Pred.cmp -> int -> bool = function
+  | Pred.Eq -> fun k -> k = 0
+  | Pred.Ne -> fun k -> k <> 0
+  | Pred.Lt -> fun k -> k < 0
+  | Pred.Le -> fun k -> k <= 0
+  | Pred.Gt -> fun k -> k > 0
+  | Pred.Ge -> fun k -> k >= 0
+
+(* LIKE patterns without wildcards are plain string equality. *)
+let has_wildcard pat = String.exists (fun c -> c = '%' || c = '_') pat
+
+(* Column position of a join/group/sort key; [-1] marks an unresolvable
+   attribute, which reads as NULL for every row (same as the
+   interpreter's lookup). *)
+let key_ix rv a = match Storage.Relation.resolve rv a with Some i -> i | None -> -1
+let key_ixs rv attrs = Array.of_list (List.map (key_ix rv) attrs)
+
+(* The positions of [attrs] in a [width]-column schema, as a mask. *)
+let read_mask rv width (attrs : Attr.Set.t) =
+  let mask = Array.make width false in
+  Attr.Set.iter
+    (fun a -> Option.iter (fun ix -> mask.(ix) <- true) (Storage.Relation.resolve rv a))
+    attrs;
+  mask
 
 let rec bind_scalar_tree rv (e : Expr.scalar) : chunk -> getter =
   match e with
@@ -191,8 +252,10 @@ let bind_cmp_col_const (test : int -> bool) ~swap rv (a : Attr.t) (b : Value.t) 
           let v = Col.get c i in
           (not (Value.is_null v)) && test (Value.compare v b))
 
-(* Mirrors [Runtime.compile_pred]'s atoms case for case; only the column
-   fast paths above are new, and they implement the same comparisons. *)
+(* [Pred.eval_atom]'s semantics: NULL compares false, a null constant
+   kills the atom, and a non-null constant needs no per-row null check
+   on its side. The column fast paths above implement the same
+   comparisons. *)
 let bind_atom rv (a : Pred.atom) : chunk -> tester =
   match a with
   | Pred.Cmp (c, l, r) -> (
@@ -381,30 +444,63 @@ let srow_phys (row : Value.t array) =
   | Value.Int i -> i
   | _ -> assert false
 
-(* Residual test over a candidate (left physical, right physical) pair:
-   the joined row is assembled into a reused boxed buffer and tested
-   with the shared row predicate — only candidates are ever boxed, and
-   only when there is a residual at all. *)
-let pair_keeper ~(residual : Pred.t) ~(cschema : Attr.t list) ~lw ~rw :
-    (chunk -> chunk -> int -> int -> bool) option =
-  match fold_pred residual with
-  | Pred.True -> None
-  | residual ->
-    let keep = compile_pred (Storage.Relation.resolver cschema) residual in
-    let buf = Array.make (lw + rw) Value.Null in
-    Some
-      (fun lch rch lp rp ->
-        for k = 0 to lw - 1 do
-          buf.(k) <- Col.get lch.cols.(k) lp
-        done;
-        for k = 0 to rw - 1 do
-          buf.(lw + k) <- Col.get rch.cols.(k) rp
-        done;
-        keep buf)
+(* A join residual bound against the joined schema (left columns, then
+   right): the positions it reads and its column binder. [None] when it
+   folds to [True]. *)
+type residual = { reads : bool array; test : chunk -> tester }
 
-(* Gather both sides through their matched index vectors: the single
-   materialization point of a join. *)
-let joined_chunk lch rch (lidx : int array) (ridx : int array) =
+let bind_residual (cschema : Attr.t list) (p : Pred.t) : residual option =
+  match fold_pred p with
+  | Pred.True -> None
+  | p ->
+    let rv = Storage.Relation.resolver cschema in
+    Some
+      { reads = read_mask rv (List.length cschema) (Pred.cols p); test = bind_pred_tree rv p }
+
+(* What a column the residual does not read holds in its batch chunk. *)
+let unread = Col.of_value_array [||]
+
+(* Run a join kernel, collecting the (left physical, right physical)
+   pairs it emits in emission order, then gather both sides once: the
+   single materialization point of a join. With a residual, candidates
+   queue [batch_rows] at a time; each batch gathers only the columns
+   the residual reads into a chunk, tests it with the bound residual,
+   and keeps the survivors in order. *)
+let collect_pairs ?residual lch rch (kernel : (int -> int -> unit) -> unit) : chunk =
+  let lidx = Ivec.create () and ridx = Ivec.create () in
+  let keep lp rp =
+    Ivec.push lidx lp;
+    Ivec.push ridx rp
+  in
+  (match residual with
+  | None -> kernel keep
+  | Some { reads; test } ->
+    let lw = Array.length lch.cols in
+    let ql = Array.make batch_rows 0 and qr = Array.make batch_rows 0 in
+    let n = ref 0 in
+    let flush () =
+      let sl = Array.sub ql 0 !n and sr = Array.sub qr 0 !n in
+      let cols =
+        Array.mapi
+          (fun k r ->
+            if not r then unread
+            else if k < lw then Col.gather lch.cols.(k) sl
+            else Col.gather rch.cols.(k - lw) sr)
+          reads
+      in
+      let t = test { cols; card = !n; sel = None } in
+      for j = 0 to !n - 1 do
+        if t j then keep (Array.unsafe_get sl j) (Array.unsafe_get sr j)
+      done;
+      n := 0
+    in
+    kernel (fun lp rp ->
+        Array.unsafe_set ql !n lp;
+        Array.unsafe_set qr !n rp;
+        incr n;
+        if !n = batch_rows then flush ());
+    if !n > 0 then flush ());
+  let lidx = Ivec.to_array lidx and ridx = Ivec.to_array ridx in
   let gl = Array.map (fun c -> Col.gather c lidx) lch.cols in
   let gr = Array.map (fun c -> Col.gather c ridx) rch.cols in
   { cols = Array.append gl gr; card = Array.length lidx; sel = None }
@@ -412,21 +508,7 @@ let joined_chunk lch rch (lidx : int array) (ridx : int array) =
 (* Build on the right, probe from the left over column slices. Matches
    are emitted per probe row in the build side's reverse-insertion
    order ([Hashtbl.find_all]), as the contract requires. *)
-let hash_join_chunk ~(lixs : int array) ~(rixs : int array) ~keeper lch rch =
-  let lidx = Ivec.create () and ridx = Ivec.create () in
-  let emit =
-    match keeper with
-    | None ->
-      fun lp rp ->
-        Ivec.push lidx lp;
-        Ivec.push ridx rp
-    | Some kp ->
-      fun lp rp ->
-        if kp lch rch lp rp then begin
-          Ivec.push lidx lp;
-          Ivec.push ridx rp
-        end
-  in
+let hash_join_pairs ~(lixs : int array) ~(rixs : int array) lch rch emit =
   let int_backed =
     (* single-key fast path only when both columns are the same
        int-backed variant: Int-vs-Date never compares equal, and
@@ -438,7 +520,7 @@ let hash_join_chunk ~(lixs : int array) ~(rixs : int array) ~keeper lch rch =
       | _ -> None
     else None
   in
-  (match int_backed with
+  match int_backed with
   | Some (la, ra) ->
     let lc = lch.cols.(lixs.(0)) and rc = rch.cols.(rixs.(0)) in
     let tbl : (int, int) Hashtbl.t = Hashtbl.create (max 16 rch.card) in
@@ -458,44 +540,11 @@ let hash_join_chunk ~(lixs : int array) ~(rixs : int array) ~keeper lch rch =
           Row_tbl.add tbl (Array.copy kbuf) rp);
     iter_logical lch (fun lp ->
         if fill_key_cols lch.cols lixs lp kbuf then
-          List.iter (fun rp -> emit lp rp) (Row_tbl.find_all tbl kbuf)));
-  joined_chunk lch rch (Ivec.to_array lidx) (Ivec.to_array ridx)
+          List.iter (fun rp -> emit lp rp) (Row_tbl.find_all tbl kbuf))
 
-let nl_join_chunk ~keeper lch rch =
-  let lidx = Ivec.create () and ridx = Ivec.create () in
-  let emit =
-    match keeper with
-    | None ->
-      fun lp rp ->
-        Ivec.push lidx lp;
-        Ivec.push ridx rp
-    | Some kp ->
-      fun lp rp ->
-        if kp lch rch lp rp then begin
-          Ivec.push lidx lp;
-          Ivec.push ridx rp
-        end
-  in
-  iter_logical lch (fun lp -> iter_logical rch (fun rp -> emit lp rp));
-  joined_chunk lch rch (Ivec.to_array lidx) (Ivec.to_array ridx)
-
-let merge_join_chunk ~(lixs : int array) ~(rixs : int array) ~keeper lch rch =
+let merge_join_pairs ~(lixs : int array) ~(rixs : int array) lch rch emit =
   (* inputs arrive sorted ascending on their key columns; same run
      logic and emit order as the row engines' merge kernels *)
-  let lidx = Ivec.create () and ridx = Ivec.create () in
-  let emit =
-    match keeper with
-    | None ->
-      fun lp rp ->
-        Ivec.push lidx lp;
-        Ivec.push ridx rp
-    | Some kp ->
-      fun lp rp ->
-        if kp lch rch lp rp then begin
-          Ivec.push lidx lp;
-          Ivec.push ridx rp
-        end
-  in
   let lpos =
     match lch.sel with Some s -> s | None -> Array.init lch.card (fun i -> i)
   and rpos =
@@ -555,15 +604,29 @@ let merge_join_chunk ~(lixs : int array) ~(rixs : int array) ~keeper lch rch =
         j := !j2
       end
     end
-  done;
-  joined_chunk lch rch (Ivec.to_array lidx) (Ivec.to_array ridx)
+  done
 
 (* --- aggregation: fused accumulators per batch --- *)
+
+(* One output row per (key, accumulators) group, in list order: the key
+   columns, then the finished aggregates. Both the in-memory kernel and
+   the spill path materialize through here. *)
+let groups_chunk ~nk ~(agg_fns : Expr.agg_fn array) (groups : (Value.t array * acc array) list) =
+  let groups = Array.of_list groups in
+  let cols =
+    Array.init (nk + Array.length agg_fns) (fun c ->
+        Col.of_values
+          (Array.map
+             (fun (k, accs) -> if c < nk then k.(c) else finish agg_fns.(c - nk) accs.(c - nk))
+             groups))
+  in
+  { cols; card = Array.length groups; sel = None }
 
 let hash_agg_chunk ~(kixs : int array) ~(agg_fns : Expr.agg_fn array)
     ~(agg_binds : (chunk -> getter) array) ch =
   let nk = Array.length kixs and na = Array.length agg_fns in
-  let groups : (Value.t array * acc array) Row_tbl.t = Row_tbl.create 64 in
+  let groups : acc array Row_tbl.t = Row_tbl.create 64 in
+  (* groups in reverse first-seen order *)
   let order = ref [] in
   let kbuf = Array.make nk Value.Null in
   (* getters bound to the columns once; the batch loops below touch
@@ -577,12 +640,12 @@ let hash_agg_chunk ~(kixs : int array) ~(agg_fns : Expr.agg_fn array)
     done;
     let accs =
       match Row_tbl.find_opt groups kbuf with
-      | Some (_, accs) -> accs
+      | Some accs -> accs
       | None ->
         let k = Array.copy kbuf in
         let accs = Array.init na (fun _ -> fresh_acc ()) in
-        Row_tbl.add groups k (k, accs);
-        order := k :: !order;
+        Row_tbl.add groups k accs;
+        order := (k, accs) :: !order;
         accs
     in
     for a = 0 to na - 1 do
@@ -603,23 +666,8 @@ let hash_agg_chunk ~(kixs : int array) ~(agg_fns : Expr.agg_fn array)
     b := hi
   done;
   (* a global aggregate over an empty input still yields one row *)
-  if nk = 0 && Row_tbl.length groups = 0 then begin
-    let accs = Array.init na (fun _ -> fresh_acc ()) in
-    Row_tbl.add groups [||] ([||], accs);
-    order := [||] :: !order
-  end;
-  let ks = Array.of_list (List.rev !order) in
-  let ngroups = Array.length ks in
-  let accs_of = Array.map (fun k -> snd (Row_tbl.find groups k)) ks in
-  let cols =
-    Array.init (nk + na) (fun c ->
-        if c < nk then Col.of_values (Array.init ngroups (fun g -> ks.(g).(c)))
-        else
-          let a = c - nk in
-          Col.of_values
-            (Array.init ngroups (fun g -> finish agg_fns.(a) accs_of.(g).(a))))
-  in
-  { cols; card = ngroups; sel = None }
+  if nk = 0 && !order = [] then order := [ ([||], Array.init na (fun _ -> fresh_acc ())) ];
+  groups_chunk ~nk ~agg_fns (List.rev !order)
 
 (* --- sort: a permutation selvec, no row movement --- *)
 
@@ -695,15 +743,8 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
       let needed =
         match project with
         | Some items when Storage.Relation.is_paged r ->
-          let rv = Storage.Relation.resolver cschema in
-          let mask = Array.make (List.length cschema) false in
-          List.iter
-            (fun (e, _) ->
-              Attr.Set.iter
-                (fun a -> Option.iter (fun ix -> mask.(ix) <- true) (Storage.Relation.resolve rv a))
-                (Expr.cols e))
-            items;
-          mask
+          read_mask (Storage.Relation.resolver cschema) (List.length cschema)
+            (List.fold_left (fun s (e, _) -> Attr.Set.union s (Expr.cols e)) Attr.Set.empty items)
         | _ -> Array.make (List.length cschema) true
       in
       {
@@ -784,8 +825,7 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
       let lixs = key_ixs lrv (List.map fst keys)
       and rixs = key_ixs rrv (List.map snd keys) in
       let cschema = cl.cschema @ cr.cschema in
-      let lw = List.length cl.cschema and rw = List.length cr.cschema in
-      let keeper = pair_keeper ~residual ~cschema ~lw ~rw in
+      let residual = bind_residual cschema residual in
       let nk = Array.length lixs in
       {
         cschema;
@@ -796,30 +836,15 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
               (* [rb] is the build side's serialized size — the same
                  number the row engines see, so the spill decision is
                  engine-independent *)
-              if should_spill ctx.mem rb then begin
-                let lidx = Ivec.create () and ridx = Ivec.create () in
-                let push =
-                  match keeper with
-                  | None ->
-                    fun lp rp ->
-                      Ivec.push lidx lp;
-                      Ivec.push ridx rp
-                  | Some kp ->
-                    fun lp rp ->
-                      if kp lch rch lp rp then begin
-                        Ivec.push lidx lp;
-                        Ivec.push ridx rp
-                      end
-                in
-                Spill.join ctx.spill ~build_bytes:rb
-                  ~lkey:(srow_join_key nk) ~rkey:(srow_join_key nk)
-                  ~emit:(fun lrow rrow -> push (srow_phys lrow) (srow_phys rrow))
-                  (key_rows lch lixs) (key_rows rch rixs);
-                joined_chunk lch rch (Ivec.to_array lidx) (Ivec.to_array ridx)
-              end
+              if should_spill ctx.mem rb then
+                collect_pairs ?residual lch rch (fun emit ->
+                    Spill.join ctx.spill ~build_bytes:rb
+                      ~lkey:(srow_join_key nk) ~rkey:(srow_join_key nk)
+                      ~emit:(fun lrow rrow -> emit (srow_phys lrow) (srow_phys rrow))
+                      (key_rows lch lixs) (key_rows rch rixs))
               else begin
                 mem_charge ctx.mem rb;
-                let o = hash_join_chunk ~lixs ~rixs ~keeper lch rch in
+                let o = collect_pairs ?residual lch rch (hash_join_pairs ~lixs ~rixs lch rch) in
                 mem_release ctx.mem rb;
                 o
               end
@@ -829,14 +854,17 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
     | Pplan.Nl_join pred, [ l; r ] ->
       let cl, cr, exec2 = comp2 l r in
       let cschema = cl.cschema @ cr.cschema in
-      let lw = List.length cl.cschema and rw = List.length cr.cschema in
-      let keeper = pair_keeper ~residual:pred ~cschema ~lw ~rw in
+      let residual = bind_residual cschema pred in
       {
         cschema;
         exec =
           (fun ctx ->
             let lch, lb, rch, rb, fin = exec2 ctx in
-            book ctx ~release:[ lb; rb ] (nl_join_chunk ~keeper lch rch) fin);
+            let out =
+              collect_pairs ?residual lch rch (fun emit ->
+                  iter_logical lch (fun lp -> iter_logical rch (fun rp -> emit lp rp)))
+            in
+            book ctx ~release:[ lb; rb ] out fin);
       }
     | Pplan.Hash_agg { keys; aggs }, [ c ] ->
       let cc = comp (0 :: rpath) c in
@@ -869,22 +897,7 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
                     done)
                   ~emit_group:(fun k accs -> acc := (k, accs) :: !acc)
                   (key_rows ch kixs);
-                let groups = Array.of_list (List.rev !acc) in
-                let ngroups = Array.length groups in
-                let cols =
-                  (* same [Col.of_values] materialization as the
-                     in-memory kernel's tail *)
-                  Array.init (nk + na) (fun c ->
-                      if c < nk then
-                        Col.of_values
-                          (Array.init ngroups (fun g -> (fst groups.(g)).(c)))
-                      else
-                        let a = c - nk in
-                        Col.of_values
-                          (Array.init ngroups (fun g ->
-                               finish agg_fns.(a) (snd groups.(g)).(a))))
-                in
-                { cols; card = ngroups; sel = None }
+                groups_chunk ~nk ~agg_fns (List.rev !acc)
               end
               else begin
                 mem_charge ctx.mem cb;
@@ -898,12 +911,7 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
     | Pplan.Sort keys, [ c ] ->
       let cc = comp (0 :: rpath) c in
       let rv = Storage.Relation.resolver cc.cschema in
-      let kix =
-        List.map
-          (fun (a, desc) ->
-            ((match Storage.Relation.resolve rv a with Some i -> i | None -> -1), desc))
-          keys
-      in
+      let kix = List.map (fun (a, desc) -> (key_ix rv a, desc)) keys in
       {
         cschema = cc.cschema;
         exec =
@@ -918,15 +926,14 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
       let lixs = key_ixs lrv (List.map fst keys)
       and rixs = key_ixs rrv (List.map snd keys) in
       let cschema = cl.cschema @ cr.cschema in
-      let lw = List.length cl.cschema and rw = List.length cr.cschema in
-      let keeper = pair_keeper ~residual ~cschema ~lw ~rw in
+      let residual = bind_residual cschema residual in
       {
         cschema;
         exec =
           (fun ctx ->
             let lch, lb, rch, rb, fin = exec2 ctx in
             book ctx ~release:[ lb; rb ]
-              (merge_join_chunk ~lixs ~rixs ~keeper lch rch)
+              (collect_pairs ?residual lch rch (merge_join_pairs ~lixs ~rixs lch rch))
               fin);
       }
     | Pplan.Union_all, (_ :: _ as children) ->

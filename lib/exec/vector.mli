@@ -6,9 +6,10 @@
     ({!Storage.Column}) directly in 1024-row batches. Filters refine
     per-batch selection vectors without materializing, hash joins build
     and probe over column slices and materialize once with typed
-    gathers, aggregation runs fused accumulator loops bound to the
-    columns per batch, and sort produces a permutation selvec instead
-    of moving rows. Comparisons against
+    gathers, join residuals test candidate pairs a batch at a time
+    with the same column binders filters use, aggregation runs fused
+    accumulator loops bound to the columns per batch, and sort produces
+    a permutation selvec instead of moving rows. Comparisons against
     constants specialize to primitive loops over the unboxed column
     representation when types match exactly.
 
@@ -16,9 +17,9 @@
     result rows in the same order, same SHIP records (order, bytes,
     simulated cost, retry fates — ship fates are keyed by ship index,
     so the child-iteration contract in runtime.mli applies), same
-    per-operator profiles and bit-equal makespans. Scalar/predicate
-    compilation, aggregate accumulators and the SHIP path are shared
-    via {!Runtime}; the invariant is enforced by the differential
+    per-operator profiles and bit-equal makespans. Aggregate
+    accumulators, the memory budget and the SHIP path are shared via
+    {!Runtime}; the invariant is enforced by the differential
     properties and golden tests in [test/test_exec.ml].
     See [docs/EXECUTOR.md]. *)
 

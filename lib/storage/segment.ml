@@ -13,12 +13,12 @@
 
    Reads decode payloads straight into the typed arrays (only the boxed
    fallback goes value by value). Whole-relation reads take a
-   per-column [needed] mask: a masked-out column file is never opened.
-   The cursor API yields one segment at a time as [Column.t] batches,
-   closing its files if a segment is corrupt; [relation] wraps a stored
-   directory as a paged [Relation.t] whose every access re-reads from
-   disk and whose [byte_size] sums the footers, so a relation is
-   resident or disk-backed invisibly to both engines.
+   per-column [needed] mask: a masked-out column file is never opened,
+   and a corrupt segment closes the column file before [Failure]
+   propagates. [relation] wraps a stored directory as a paged
+   [Relation.t] whose every access re-reads from disk and whose
+   [byte_size] sums the footers, so a relation is resident or
+   disk-backed invisibly to both engines.
 
    Round-trips are representation-exact: the per-column tag recorded in
    [meta] (and per segment) is the source column's variant, NULL slots
@@ -251,7 +251,7 @@ let write ~dir rel =
     schema;
   Array.iteri (fun j c -> write_col (Filename.concat dir (col_file j)) c) cols
 
-(* --- handles and cursors --- *)
+(* --- handles and reads --- *)
 
 type handle = {
   dir : string;
@@ -431,50 +431,6 @@ let check_mask h = function
     if Array.length needed <> width h then
       invalid_arg "Segment: mask width differs from the schema's";
     needed
-
-type cursor = {
-  h : handle;
-  sc : readbuf;
-  mutable ics : in_channel array option;  (* None once closed *)
-  mutable seg : int;
-}
-
-let cursor h =
-  let ics =
-    if num_segments h = 0 then None
-    else
-      Some
-        (Array.init (width h) (fun j -> open_in_bin (Filename.concat h.dir (col_file j))))
-  in
-  { h; sc = readbuf (); ics; seg = 0 }
-
-let close cur =
-  (match cur.ics with
-  | Some ics -> Array.iter close_in ics
-  | None -> ());
-  cur.ics <- None
-
-let next cur =
-  match cur.ics with
-  | None -> None
-  | Some ics -> (
-    let h = cur.h in
-    let rows = min segment_rows (h.card - (cur.seg * segment_rows)) in
-    let read j ic =
-      let data = alloc h h.tags.(j) rows and nulls = ref Bytes.empty in
-      guard h (fun () -> read_block h cur.sc ic j ~data ~nulls ~rows ~off:0);
-      column data !nulls
-    in
-    match Array.mapi read ics with
-    | batch ->
-      cur.seg <- cur.seg + 1;
-      if cur.seg >= num_segments cur.h then close cur;
-      Some batch
-    | exception e ->
-      (* a corrupt segment must not leak the other columns' channels *)
-      let bt = Printexc.get_raw_backtrace () in
-      close cur;
-      Printexc.raise_with_backtrace e bt)
 
 (* Page column [j] in whole: every segment decodes straight into one
    full-length array, with no per-segment arrays and no concatenation

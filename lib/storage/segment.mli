@@ -41,32 +41,16 @@ val cardinality : handle -> int
 val num_segments : handle -> int
 (** Segments per column: [ceil (cardinality / segment_rows)]. *)
 
-type cursor
-(** A sequential scan over the stored segments, yielding one
-    [Column.t] batch per column per segment. *)
-
-val cursor : handle -> cursor
-(** A cursor over every column of the stored relation. *)
-
-val next : cursor -> Column.t array option
-(** The next segment across all columns (each [<= segment_rows] rows,
-    all the same length), or [None] when exhausted.
-    Fixed-width, string and bool payloads decode straight into their
-    typed arrays; only the boxed fallback decodes value by value. The
-    cursor closes its file handles automatically after the last
-    segment; on corrupt or truncated segment data it closes them too,
-    then raises [Failure]. *)
-
-val close : cursor -> unit
-(** Release the cursor's file handles early (idempotent; abandoning a
-    cursor without closing leaks descriptors until GC). *)
-
 val read_all : ?needed:bool array -> handle -> Column.t array
 (** Page the relation in: per-column concatenation of all segments of
     the [needed] columns (default: all; one bit per schema column,
     [Invalid_argument] otherwise), representation-identical to the
     columns that were written. A masked-out column's file is never
-    opened or read; it reads as a shared zero-length placeholder. *)
+    opened or read; it reads as a shared zero-length placeholder.
+    Fixed-width, string and bool payloads decode straight into their
+    typed arrays; only the boxed fallback decodes value by value. On
+    corrupt or truncated segment data the column file is closed, then
+    [Failure] is raised. *)
 
 val byte_size : handle -> int
 (** The stored relation's serialized size, summed from the segment

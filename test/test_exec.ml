@@ -997,6 +997,62 @@ let test_vector_all_null_column () =
   in
   List.iter (fun plan -> check_engines_agree ~db ~table_cols plan) [ filter; join; agg ]
 
+let test_residual_batch_boundaries () =
+  (* Join residuals are tested [batch_rows] (1024) candidate pairs at a
+     time. Each join kind here sees several thousand candidates, so the
+     residual batch fills and flushes repeatedly and ends on a partial
+     batch; the residual reads both sides, two nullable columns and a
+     constant, and keeps some but not all candidates. The left input is
+     filtered, so candidates carry selection-vector indices. Budget 0
+     sends the hash join through the Grace spill path. *)
+  let nullable n i m = if i mod n = 0 then Value.Null else Value.Int (i mod m) in
+  let db =
+    db_with
+      [
+        ("r", [ "a"; "b" ], List.init 300 (fun i -> [| Value.Int (i mod 5); nullable 11 i 37 |]));
+        ("s", [ "a"; "c" ], List.init 200 (fun i -> [| Value.Int (i mod 5); nullable 13 i 41 |]));
+      ]
+  in
+  let residual =
+    Pred.Or
+      ( Pred.And
+          ( Pred.Atom (Pred.Cmp (Pred.Lt, col "r" "b", col "s" "c")),
+            Pred.Atom (Pred.Cmp (Pred.Ge, col "s" "c", Expr.Const (Value.Int 3))) ),
+        Pred.Atom (Pred.Is_null (col "r" "b")) )
+  in
+  let left =
+    node
+      (P.Filter (Pred.Atom (Pred.Cmp (Pred.Ne, col "r" "a", Expr.Const (Value.Int 4)))))
+      [ scan "r" ]
+  in
+  let sorted rel child = node (P.Sort [ (attr rel "a", false) ]) [ child ] in
+  let keys = [ (attr "r" "a", attr "s" "a") ] in
+  let joins residual =
+    [
+      ("hash", node (P.Hash_join { keys; residual }) [ left; scan "s" ]);
+      ( "merge",
+        node (P.Merge_join { keys; residual }) [ sorted "r" left; sorted "s" (scan "s") ] );
+      ("nested-loop", node (P.Nl_join residual) [ left; scan "s" ]);
+    ]
+  in
+  List.iter2
+    (fun (kind, plan) (_, unfiltered) ->
+      let card p = Storage.Relation.cardinality (run ~db p).relation in
+      let candidates = card unfiltered and kept = card plan in
+      if candidates <= 2 * 1024 then
+        Alcotest.failf "%s join: %d candidates do not cross two batches" kind candidates;
+      if kept = 0 || kept = candidates then
+        Alcotest.failf "%s join: the residual keeps %d of %d candidates" kind kept candidates;
+      List.iter
+        (fun budget ->
+          let i = Exec.Interp.run ~budget ~network ~db ~table_cols plan
+          and v = Exec.Vector.run ~budget ~network ~db ~table_cols plan in
+          if result_fp i <> result_fp v then
+            Alcotest.failf "%s join, budget %s: reference and vector disagree" kind
+              (if budget = 0 then "0" else "unlimited"))
+        [ Exec.Runtime.unlimited_budget; 0 ])
+    (joins residual) (joins Pred.True)
+
 let test_vector_reuse () =
   (* one compiled vectorized plan, executed twice: identical both times *)
   let db = default_db () in
@@ -1085,5 +1141,7 @@ let () =
           Alcotest.test_case "batch boundaries 0/1/1023/1024/1025" `Quick
             test_vector_batch_boundaries;
           Alcotest.test_case "all-NULL column" `Quick test_vector_all_null_column;
+          Alcotest.test_case "join residual batch boundaries" `Quick
+            test_residual_batch_boundaries;
         ] );
     ]
