@@ -2,10 +2,11 @@
    interpreter in [Interp] and the vectorized executor in [Vector]) and
    the Grace spill path ([Spill]): SHIP accounting under the message
    cost model with fault injection and retry/backoff, per-operator
-   profiles for EXPLAIN ANALYZE, the memory budget, aggregate
-   accumulators, row keys, and the metrics/trace emission. Keeping
-   this in one place is what makes the engines byte-identical on
-   stats, profiles and traces. *)
+   profiles for EXPLAIN ANALYZE, the memory budget, the boxed aggregate
+   accumulators and row keys ([Interp] and [Spill] use them; [Vector]'s
+   in-memory kernels have unboxed ones), and the metrics/trace
+   emission. Keeping this in one place is what makes the engines
+   byte-identical on stats, profiles and traces. *)
 
 open Relalg
 

@@ -2,13 +2,17 @@
 
     The reference interpreter ({!Interp}) and the vectorized executor
     ({!Vector}) both route SHIPs, retries, per-operator profiles, the
-    memory budget, aggregate accumulation and metrics/trace emission
-    through this module, which is what makes their stats, profiles and
-    observability output byte-identical (see [docs/EXECUTOR.md]). The
-    Grace spill path ({!Spill}) shares the budget, accumulators and row
-    keys. Predicate and scalar evaluation is per engine: {!Interp}
-    evaluates the AST row by row, {!Vector} binds it to typed
-    columns.
+    memory budget and metrics/trace emission through this module,
+    which is what makes their stats, profiles and observability output
+    byte-identical (see [docs/EXECUTOR.md]). The boxed aggregate
+    accumulators ({!acc}, {!feed}, {!finish}) and the row-key table
+    ({!Row_tbl}) serve {!Interp} and the Grace spill path ({!Spill});
+    {!Vector}'s in-memory kernels use their own unboxed key table and
+    typed accumulators, which fold in the same order and finish as
+    {!finish} does, and take {!acc} only for a non-numeric aggregate
+    argument. Predicate and scalar evaluation is per engine:
+    {!Interp} evaluates the AST row by row, {!Vector} binds it to
+    typed columns.
 
     {2 Child-iteration contract}
 

@@ -12,23 +12,28 @@
      a comparison against a constant over an [int array]/[float array]/
      [string array] column becomes a primitive compare loop with the
      null bitmap checked only when the column has nulls;
-   - hash joins build and probe over column slices (an int-keyed table
-     when both key columns are int-backed), collect matching row-index
+   - hash joins and aggregations share one unboxed key table: each key
+     component becomes an int code (the value itself, or a string or
+     boxed-value dictionary code) and the code tuple maps to a dense
+     id by open addressing over flat int arrays;
+   - hash joins chain build rows per id, collect matching row-index
      pairs, and materialize the output once with [Column.gather]; a
      join residual tests candidate pairs a batch at a time with the
      same column binders filters use;
-   - aggregation binds its getters to the columns once and runs fused
-     accumulator loops batch by batch;
+   - aggregation evaluates numeric arguments a batch at a time into
+     unboxed buffers and folds them into typed per-group arrays; other
+     arguments feed a boxed [Runtime.acc] per group;
    - sort produces a permutation selvec over the input columns instead
      of moving rows.
 
-   Aggregate accumulators, row keys, the memory budget and the SHIP path
-   come from the shared [Runtime], and the engine follows the
-   child-iteration contract documented in runtime.mli (right child first for binary operators,
-   unions left-to-right, rows in relation order, probe matches in
-   reverse build-insertion order). Results, SHIP accounting, profiles
-   and makespans are byte-identical to the reference interpreter —
-   enforced by the differential properties in test/test_exec.ml. *)
+   The memory budget, the spill path, the SHIP path and the boxed
+   accumulators come from the shared [Runtime], and the engine follows
+   the child-iteration contract documented in runtime.mli (right child
+   first for binary operators, unions left-to-right, rows in relation
+   order, probe matches in reverse build-insertion order). Results,
+   SHIP accounting, profiles and makespans are byte-identical to the
+   reference interpreter — enforced by the differential properties in
+   test/test_exec.ml. *)
 
 open Relalg
 open Runtime
@@ -82,23 +87,10 @@ let iter_logical ch f =
    [Storage.Relation.byte_size]; O(1) per fixed-width column without
    nulls (and memoized column-side when there is no selvec — scans pay
    this once per stored relation, not once per execution). *)
-let fixed_width (c : Col.t) =
-  match c.Col.data with
-  | Col.Ints _ | Col.Floats _ -> 8
-  | Col.Dates _ -> 4
-  | Col.Bools _ -> 1
-  | Col.Strs _ | Col.Values _ -> 0
-
-let col_sel_bytes (c : Col.t) (sel : int array) =
-  let w = fixed_width c in
-  if w > 0 && not (Col.has_nulls c) then w * Array.length sel
-  else
-    Array.fold_left (fun acc i -> acc + Value.byte_width (Col.get c i)) 0 sel
-
 let chunk_bytes ch =
   match ch.sel with
   | None -> Array.fold_left (fun acc c -> acc + Col.byte_size c) 0 ch.cols
-  | Some sel -> Array.fold_left (fun acc c -> acc + col_sel_bytes c sel) 0 ch.cols
+  | Some sel -> Array.fold_left (fun acc c -> acc + Col.sel_byte_size c sel) 0 ch.cols
 
 (* --- scalar / predicate binding ---
 
@@ -396,18 +388,6 @@ module Ivec = struct
   let to_array v = Array.sub v.a 0 v.n
 end
 
-(* Key of row [i] into [buf] from key columns; false if any component
-   is NULL (such rows never join), as in [Interp]'s hash join. *)
-let fill_key_cols (cols : Col.t array) (ixs : int array) i (buf : Value.t array) =
-  let ok = ref true in
-  for k = 0 to Array.length ixs - 1 do
-    let ix = Array.unsafe_get ixs k in
-    let v = if ix >= 0 then Col.get cols.(ix) i else Value.Null in
-    if Value.is_null v then ok := false;
-    buf.(k) <- v
-  done;
-  !ok
-
 (* Spill-side row view of a chunk: one synthetic row per logical
    position carrying the boxed key components plus the physical row
    index as a trailing [Int]. The spill kernels only ever look at the
@@ -505,42 +485,225 @@ let collect_pairs ?residual lch rch (kernel : (int -> int -> unit) -> unit) : ch
   let gr = Array.map (fun c -> Col.gather c ridx) rch.cols in
   { cols = Array.append gl gr; card = Array.length lidx; sel = None }
 
-(* Build on the right, probe from the left over column slices. Matches
-   are emitted per probe row in the build side's reverse-insertion
-   order ([Hashtbl.find_all]), as the contract requires. *)
+(* --- the key table: int-code tuples -> dense ids ---
+
+   Hash joins and aggregations encode each key component of a row as
+   an int code (see the codecs below) and map the [nk]-tuple of codes
+   to a dense id, 0, 1, 2, ... in first-insertion order. Open
+   addressing with linear probing over flat int arrays: nothing is
+   boxed, and only growth allocates. *)
+module Keytab = struct
+  type t = {
+    nk : int;
+    mutable slots : int array;  (* an id, or -1 = empty; power-of-two length *)
+    mutable keys : int array;  (* id's codes at [id * nk], ..., [id * nk + nk - 1] *)
+    mutable n : int;  (* ids assigned *)
+  }
+
+  let rec pow2_above c n = if c > n then c else pow2_above (2 * c) n
+
+  (* Room for [size] ids before the first growth. *)
+  let create ~nk size =
+    let size = max 8 size in
+    {
+      nk;
+      slots = Array.make (pow2_above 16 (2 * size)) (-1);
+      keys = Array.make (size * nk) 0;
+      n = 0;
+    }
+
+  let length t = t.n
+
+  (* The hash of the [nk] codes at [codes.(base)]: multiplicative
+     mixing per component, high bits folded down so strided codes
+     spread over the low (slot) bits. *)
+  let hash nk (codes : int array) base =
+    let h = ref nk in
+    for k = base to base + nk - 1 do
+      h := (!h lxor Array.unsafe_get codes k) * 0x2545F4914F6CDD1D
+    done;
+    !h lxor (!h lsr 29)
+
+  let rec same keys base (codes : int array) nk k =
+    k = nk
+    || Array.unsafe_get keys (base + k) = Array.unsafe_get codes k
+       && same keys base codes nk (k + 1)
+
+  (* Assign the next id to [codes], which probed to the empty slot [s];
+     past half load, double the slots and re-place every id. *)
+  let add t (codes : int array) s =
+    let id = t.n and nk = t.nk in
+    let base = id * nk in
+    if base + nk > Array.length t.keys then begin
+      let keys = Array.make (2 * Array.length t.keys) 0 in
+      Array.blit t.keys 0 keys 0 base;
+      t.keys <- keys
+    end;
+    for k = 0 to nk - 1 do
+      Array.unsafe_set t.keys (base + k) (Array.unsafe_get codes k)
+    done;
+    t.n <- id + 1;
+    if 2 * t.n <= Array.length t.slots then Array.unsafe_set t.slots s id
+    else begin
+      let slots = Array.make (2 * Array.length t.slots) (-1) in
+      let mask = Array.length slots - 1 in
+      for i = 0 to id do
+        let s = ref (hash nk t.keys (i * nk) land mask) in
+        while Array.unsafe_get slots !s >= 0 do
+          s := (!s + 1) land mask
+        done;
+        Array.unsafe_set slots !s i
+      done;
+      t.slots <- slots
+    end;
+    id
+
+  (* The id of [codes]: -1 when absent, unless [insert], which assigns
+     the next id. *)
+  let lookup t (codes : int array) ~insert =
+    let slots = t.slots in
+    let mask = Array.length slots - 1 in
+    let s = ref (hash t.nk codes 0 land mask) and found = ref (-2) in
+    while !found = -2 do
+      let id = Array.unsafe_get slots !s in
+      if id < 0 then found := if insert then add t codes !s else -1
+      else if same t.keys (id * t.nk) codes t.nk 0 then found := id
+      else s := (!s + 1) land mask
+    done;
+    !found
+end
+
+(* Dense codes for strings and for boxed values, in first-insertion
+   order. [Vdict] groups by [Value.equal]/[Value.hash], exactly as
+   [Interp]'s row keys do: [0.0] and [-0.0] share a code, and so do
+   [Int 1] and [Float 1.0]. *)
+module Dict (K : Hashtbl.HashedType) = struct
+  include Hashtbl.Make (K)
+
+  (* The code of [x], assigned on first sight. *)
+  let code d x =
+    match find_opt d x with
+    | Some c -> c
+    | None ->
+      let c = length d in
+      add d x c;
+      c
+end
+
+module Sdict = Dict (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+module Vdict = Dict (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
+(* A group-key component's encoder for non-NULL row [i]: two rows get
+   the same code iff their values are [Value.equal]. [Ints]/[Dates]
+   values are their own codes, strings go through a string dictionary,
+   everything else through a boxed-value dictionary. *)
+let group_encoder (c : Col.t) : int -> int =
+  match c.Col.data with
+  | Col.Ints a | Col.Dates a -> fun i -> Array.unsafe_get a i
+  | Col.Strs a ->
+    (* group keys repeat: remember the last string's code *)
+    let d = Sdict.create 64 in
+    let last = ref "" and last_code = ref (Sdict.code d "") in
+    fun i ->
+      let x = Array.unsafe_get a i in
+      if x == !last || String.equal x !last then !last_code
+      else begin
+        let c = Sdict.code d x in
+        last := x;
+        last_code := c;
+        c
+      end
+  | Col.Floats _ | Col.Bools _ | Col.Values _ ->
+    let d = Vdict.create 64 in
+    fun i -> Vdict.code d (Col.get c i)
+
+(* A join-key component's encoders for non-NULL rows: [build] assigns
+   the build side's codes, and [probe] maps a probe row to the code of
+   the build value it equals, or to -1 (never a dictionary code) when
+   it equals none. Raw values serve as codes only when both sides are
+   the same int-backed variant: Int-vs-Date never compares equal, and
+   Int-vs-Float compares numerically, so mixed pairs take the boxed
+   dictionary and [Value] semantics. *)
+type join_codec = { build : int -> int; probe : int -> int }
+
+let join_codec (lc : Col.t) (rc : Col.t) ~build_rows : join_codec =
+  match lc.Col.data, rc.Col.data with
+  | Col.Ints la, Col.Ints ra | Col.Dates la, Col.Dates ra ->
+    { build = (fun i -> Array.unsafe_get ra i); probe = (fun i -> Array.unsafe_get la i) }
+  | Col.Strs la, Col.Strs ra ->
+    let d = Sdict.create (max 16 build_rows) in
+    {
+      build = (fun i -> Sdict.code d (Array.unsafe_get ra i));
+      probe =
+        (fun i ->
+          match Sdict.find_opt d (Array.unsafe_get la i) with Some c -> c | None -> -1);
+    }
+  | _ ->
+    let d = Vdict.create (max 16 build_rows) in
+    {
+      build = (fun i -> Vdict.code d (Col.get rc i));
+      probe = (fun i -> match Vdict.find_opt d (Col.get lc i) with Some c -> c | None -> -1);
+    }
+
+let rec any_null (cols : Col.t array) i k =
+  k < Array.length cols && (Col.is_null cols.(k) i || any_null cols i (k + 1))
+
+(* Build on the right, probe from the left over column slices, through
+   one key table. The build side chains its logical positions per key
+   id, newest first, so each probe row emits its matches in the build
+   side's reverse-insertion order, as the contract requires. Every
+   array is sized by the build side's logical [card]. Rows with a NULL
+   key component never join, and an unresolvable key reads NULL on
+   every row. *)
 let hash_join_pairs ~(lixs : int array) ~(rixs : int array) lch rch emit =
-  let int_backed =
-    (* single-key fast path only when both columns are the same
-       int-backed variant: Int-vs-Date never compares equal, and
-       Int-vs-Float compares numerically, so mixed variants must go
-       through [Value] semantics *)
-    if Array.length lixs = 1 && lixs.(0) >= 0 && rixs.(0) >= 0 then
-      match lch.cols.(lixs.(0)).Col.data, rch.cols.(rixs.(0)).Col.data with
-      | Col.Ints la, Col.Ints ra | Col.Dates la, Col.Dates ra -> Some (la, ra)
-      | _ -> None
-    else None
-  in
-  match int_backed with
-  | Some (la, ra) ->
-    let lc = lch.cols.(lixs.(0)) and rc = rch.cols.(rixs.(0)) in
-    let tbl : (int, int) Hashtbl.t = Hashtbl.create (max 16 rch.card) in
-    iter_logical rch (fun rp ->
-        if not (Col.is_null rc rp) then
-          Hashtbl.add tbl (Array.unsafe_get ra rp) rp);
+  let n = rch.card in
+  let resolved ixs = Array.for_all (fun ix -> ix >= 0) ixs in
+  if n > 0 && resolved lixs && resolved rixs then begin
+    let nk = Array.length lixs in
+    let lcols = Array.map (fun ix -> lch.cols.(ix)) lixs
+    and rcols = Array.map (fun ix -> rch.cols.(ix)) rixs in
+    let codecs = Array.init nk (fun k -> join_codec lcols.(k) rcols.(k) ~build_rows:n) in
+    let tab = Keytab.create ~nk n in
+    let codes = Array.make nk 0 in
+    (* [head.(id)]: the newest build position with key [id];
+       [next.(j)]: the next older one after position [j]; -1 ends *)
+    let head = Array.make n (-1) and next = Array.make n (-1) in
+    let rphys j = match rch.sel with Some s -> Array.unsafe_get s j | None -> j in
+    for j = 0 to n - 1 do
+      let rp = rphys j in
+      if not (any_null rcols rp 0) then begin
+        for k = 0 to nk - 1 do
+          Array.unsafe_set codes k ((Array.unsafe_get codecs k).build rp)
+        done;
+        let id = Keytab.lookup tab codes ~insert:true in
+        next.(j) <- head.(id);
+        head.(id) <- j
+      end
+    done;
     iter_logical lch (fun lp ->
-        if not (Col.is_null lc lp) then
-          List.iter (fun rp -> emit lp rp)
-            (Hashtbl.find_all tbl (Array.unsafe_get la lp)))
-  | None ->
-    let nk = Array.length rixs in
-    let tbl : int Row_tbl.t = Row_tbl.create (max 16 rch.card) in
-    let kbuf = Array.make nk Value.Null in
-    iter_logical rch (fun rp ->
-        if fill_key_cols rch.cols rixs rp kbuf then
-          Row_tbl.add tbl (Array.copy kbuf) rp);
-    iter_logical lch (fun lp ->
-        if fill_key_cols lch.cols lixs lp kbuf then
-          List.iter (fun rp -> emit lp rp) (Row_tbl.find_all tbl kbuf))
+        if not (any_null lcols lp 0) then begin
+          for k = 0 to nk - 1 do
+            Array.unsafe_set codes k ((Array.unsafe_get codecs k).probe lp)
+          done;
+          let id = Keytab.lookup tab codes ~insert:false in
+          let j = ref (if id < 0 then -1 else head.(id)) in
+          while !j >= 0 do
+            emit lp (rphys !j);
+            j := next.(!j)
+          done
+        end)
+  end
 
 let merge_join_pairs ~(lixs : int array) ~(rixs : int array) lch rch emit =
   (* inputs arrive sorted ascending on their key columns; same run
@@ -606,68 +769,322 @@ let merge_join_pairs ~(lixs : int array) ~(rixs : int array) lch rch emit =
     end
   done
 
-(* --- aggregation: fused accumulators per batch --- *)
+(* --- aggregation: the key table and typed accumulators ---
 
-(* One output row per (key, accumulators) group, in list order: the key
-   columns, then the finished aggregates. Both the in-memory kernel and
-   the spill path materialize through here. *)
-let groups_chunk ~nk ~(agg_fns : Expr.agg_fn array) (groups : (Value.t array * acc array) list) =
-  let groups = Array.of_list groups in
-  let cols =
-    Array.init (nk + Array.length agg_fns) (fun c ->
-        Col.of_values
-          (Array.map
-             (fun (k, accs) -> if c < nk then k.(c) else finish agg_fns.(c - nk) accs.(c - nk))
-             groups))
-  in
-  { cols; card = Array.length groups; sel = None }
+   Group ids come from the key table joins use. Each aggregate picks
+   its accumulator once per execution, from how its argument binds to
+   the chunk: a numeric argument (an [Ints]/[Floats] column, a numeric
+   constant, or [+ - *] over them) is evaluated a batch at a time into
+   an unboxed buffer and folded into per-group arrays; any other
+   argument feeds a boxed [Runtime.acc] per group. Either way a group's
+   values fold in row order and a sum is seeded with its first value,
+   as [Runtime.feed] does, so results stay byte-identical to [Interp]
+   (a float sum of a lone [-0.0] stays [-0.0]). *)
 
-let hash_agg_chunk ~(kixs : int array) ~(agg_fns : Expr.agg_fn array)
-    ~(agg_binds : (chunk -> getter) array) ch =
-  let nk = Array.length kixs and na = Array.length agg_fns in
-  let groups : acc array Row_tbl.t = Row_tbl.create 64 in
-  (* groups in reverse first-seen order *)
-  let order = ref [] in
-  let kbuf = Array.make nk Value.Null in
-  (* getters bound to the columns once; the batch loops below touch
-     only unboxed indices and the bound closures *)
-  let gets = Array.map (fun b -> b ch) agg_binds in
-  let accumulate i =
-    (* NULLs are legal in group keys (unlike join keys) *)
-    for k = 0 to nk - 1 do
-      let ix = Array.unsafe_get kixs k in
-      kbuf.(k) <- (if ix >= 0 then Col.get ch.cols.(ix) i else Value.Null)
-    done;
-    let accs =
-      match Row_tbl.find_opt groups kbuf with
-      | Some accs -> accs
-      | None ->
-        let k = Array.copy kbuf in
-        let accs = Array.init na (fun _ -> fresh_acc ()) in
-        Row_tbl.add groups k accs;
-        order := (k, accs) :: !order;
-        accs
+(* A numeric argument bound to a chunk: [fill phys m] evaluates the
+   physical rows [phys.(0)], ..., [phys.(m - 1)] into the buffer. A
+   NULL row leaves junk there, which [null] masks ([None]: the argument
+   is never NULL). *)
+type nums =
+  | Ivals of int array * (int array -> int -> unit)
+  | Fvals of float array * (int array -> int -> unit)
+
+type num_arg = { vals : nums; null : (int -> bool) option }
+
+(* [Value]'s Int -> Float promotion, a batch at a time. *)
+let as_floats = function
+  | Fvals (b, fill) -> (b, fill)
+  | Ivals (a, fill) ->
+    let b = Array.make batch_rows 0. in
+    ( b,
+      fun phys m ->
+        fill phys m;
+        for j = 0 to m - 1 do
+          Array.unsafe_set b j (float_of_int (Array.unsafe_get a j))
+        done )
+
+(* [Value.add]/[sub]/[mul]: Int op Int stays Int, a Float on either
+   side makes it Float. [bind_num] never passes [Div]. *)
+let num_binop (op : Expr.binop) l r =
+  match l, r with
+  | Ivals (a, fa), Ivals (b, fb) ->
+    let f : int -> int -> int =
+      match op with Expr.Add -> ( + ) | Expr.Sub -> ( - ) | Expr.Mul | Expr.Div -> ( * )
     in
-    for a = 0 to na - 1 do
-      feed accs.(a) ((Array.unsafe_get gets a) i)
-    done
+    let out = Array.make batch_rows 0 in
+    Ivals
+      ( out,
+        fun phys m ->
+          fa phys m;
+          fb phys m;
+          for j = 0 to m - 1 do
+            Array.unsafe_set out j (f (Array.unsafe_get a j) (Array.unsafe_get b j))
+          done )
+  | _ ->
+    let a, fa = as_floats l and b, fb = as_floats r in
+    let out = Array.make batch_rows 0. in
+    Fvals
+      ( out,
+        fun phys m ->
+          fa phys m;
+          fb phys m;
+          match op with
+          | Expr.Add ->
+            for j = 0 to m - 1 do
+              Array.unsafe_set out j (Array.unsafe_get a j +. Array.unsafe_get b j)
+            done
+          | Expr.Sub ->
+            for j = 0 to m - 1 do
+              Array.unsafe_set out j (Array.unsafe_get a j -. Array.unsafe_get b j)
+            done
+          | Expr.Mul | Expr.Div ->
+            for j = 0 to m - 1 do
+              Array.unsafe_set out j (Array.unsafe_get a j *. Array.unsafe_get b j)
+            done )
+
+(* Bind a folded aggregate argument as a numeric batch evaluator, or
+   [None] when it is not numeric on this chunk. Buffers are allocated
+   per execution, except a constant's, which nothing writes. *)
+let rec bind_num rv (e : Expr.scalar) : chunk -> num_arg option =
+  match e with
+  | Expr.Const (Value.Int k) ->
+    let b = Array.make batch_rows k in
+    fun _ -> Some { vals = Ivals (b, fun _ _ -> ()); null = None }
+  | Expr.Const (Value.Float x) ->
+    let b = Array.make batch_rows x in
+    fun _ -> Some { vals = Fvals (b, fun _ _ -> ()); null = None }
+  | Expr.Const _ | Expr.Binop (Expr.Div, _, _) -> fun _ -> None
+  | Expr.Col a -> (
+    match Storage.Relation.resolve rv a with
+    | None -> fun _ -> None
+    | Some ix -> (
+      fun ch ->
+        let c = ch.cols.(ix) in
+        let null = if Col.has_nulls c then Some (Col.is_null c) else None in
+        match c.Col.data with
+        | Col.Ints a ->
+          let b = Array.make batch_rows 0 in
+          let fill phys m =
+            for j = 0 to m - 1 do
+              Array.unsafe_set b j (Array.unsafe_get a (Array.unsafe_get phys j))
+            done
+          in
+          Some { vals = Ivals (b, fill); null }
+        | Col.Floats a ->
+          let b = Array.make batch_rows 0. in
+          let fill phys m =
+            for j = 0 to m - 1 do
+              Array.unsafe_set b j (Array.unsafe_get a (Array.unsafe_get phys j))
+            done
+          in
+          Some { vals = Fvals (b, fill); null }
+        | Col.Strs _ | Col.Dates _ | Col.Bools _ | Col.Values _ -> None))
+  | Expr.Binop (op, l, r) -> (
+    let bl = bind_num rv l and br = bind_num rv r in
+    fun ch ->
+      match bl ch, br ch with
+      | Some l, Some r ->
+        let null =
+          match l.null, r.null with
+          | None, n | n, None -> n
+          | Some f, Some g -> Some (fun i -> f i || g i)
+        in
+        Some { vals = num_binop op l.vals r.vals; null }
+      | _ -> None)
+
+(* One aggregate's per-group state. [grow n] makes room for groups
+   [0 .. n - 1]; [fold gids phys m] folds in a batch whose position [j]
+   is physical row [phys.(j)] of group [gids.(j)]; [value g] finishes
+   group [g] as [Runtime.finish] would. *)
+type aggregator = {
+  grow : int -> unit;
+  fold : int array -> int array -> int -> unit;
+  value : int -> Value.t;
+}
+
+let grown a n (x : 'a) : 'a array =
+  let len = Array.length a in
+  if n <= len then a
+  else begin
+    let b = Array.make (max n (2 * len)) x in
+    Array.blit a 0 b 0 len;
+    b
+  end
+
+let never_null (_ : int) = false
+
+(* Per group: the non-NULL count, and the running sum, min or max. *)
+let int_agg (fn : Expr.agg_fn) (b : int array) fill null =
+  let cnt = ref [||] and acc = ref [||] in
+  let is_null = Option.value null ~default:never_null in
+  {
+    grow =
+      (fun n ->
+        cnt := grown !cnt n 0;
+        acc := grown !acc n 0);
+    fold =
+      (fun gids phys m ->
+        fill phys m;
+        let cnt = !cnt and acc = !acc in
+        for j = 0 to m - 1 do
+          if not (is_null (Array.unsafe_get phys j)) then begin
+            let g = Array.unsafe_get gids j and x = Array.unsafe_get b j in
+            let c = cnt.(g) in
+            (match fn with
+            | Expr.Sum | Expr.Avg -> acc.(g) <- (if c = 0 then x else acc.(g) + x)
+            | Expr.Min -> if c = 0 || x < acc.(g) then acc.(g) <- x
+            | Expr.Max -> if c = 0 || x > acc.(g) then acc.(g) <- x
+            | Expr.Count -> ());
+            cnt.(g) <- c + 1
+          end
+        done);
+    value =
+      (fun g ->
+        let c = !cnt.(g) in
+        match fn with
+        | Expr.Count -> Value.Int c
+        | _ when c = 0 -> Value.Null
+        | Expr.Avg -> Value.Float (float_of_int !acc.(g) /. float_of_int c)
+        | Expr.Sum | Expr.Min | Expr.Max -> Value.Int !acc.(g));
+  }
+
+(* As [int_agg]; min and max order by [Float.compare], as
+   [Value.compare] does. *)
+let float_agg (fn : Expr.agg_fn) (b : float array) fill null =
+  let cnt = ref [||] and acc = ref [||] in
+  let is_null = Option.value null ~default:never_null in
+  {
+    grow =
+      (fun n ->
+        cnt := grown !cnt n 0;
+        acc := grown !acc n 0.);
+    fold =
+      (fun gids phys m ->
+        fill phys m;
+        let cnt = !cnt and acc = !acc in
+        for j = 0 to m - 1 do
+          if not (is_null (Array.unsafe_get phys j)) then begin
+            let g = Array.unsafe_get gids j and x = Array.unsafe_get b j in
+            let c = cnt.(g) in
+            (match fn with
+            | Expr.Sum | Expr.Avg -> acc.(g) <- (if c = 0 then x else acc.(g) +. x)
+            | Expr.Min -> if c = 0 || Float.compare x acc.(g) < 0 then acc.(g) <- x
+            | Expr.Max -> if c = 0 || Float.compare x acc.(g) > 0 then acc.(g) <- x
+            | Expr.Count -> ());
+            cnt.(g) <- c + 1
+          end
+        done);
+    value =
+      (fun g ->
+        let c = !cnt.(g) in
+        match fn with
+        | Expr.Count -> Value.Int c
+        | _ when c = 0 -> Value.Null
+        | Expr.Avg -> Value.Float (!acc.(g) /. float_of_int c)
+        | Expr.Sum | Expr.Min | Expr.Max -> Value.Float !acc.(g));
+  }
+
+let boxed_agg (fn : Expr.agg_fn) (get : getter) =
+  let accs = ref [||] in
+  {
+    grow =
+      (fun n ->
+        let old = !accs in
+        let len = Array.length old in
+        if n > len then
+          accs := Array.init (max n (2 * len)) (fun g -> if g < len then old.(g) else fresh_acc ()));
+    fold =
+      (fun gids phys m ->
+        let accs = !accs in
+        for j = 0 to m - 1 do
+          feed accs.(Array.unsafe_get gids j) (get (Array.unsafe_get phys j))
+        done);
+    value = (fun g -> finish fn !accs.(g));
+  }
+
+let bind_agg rv (a : Expr.agg) : chunk -> aggregator =
+  let num = bind_num rv (fold_scalar a.arg) and boxed = bind_scalar rv a.arg in
+  fun ch ->
+    match num ch with
+    | Some { vals = Ivals (b, fill); null } -> int_agg a.fn b fill null
+    | Some { vals = Fvals (b, fill); null } -> float_agg a.fn b fill null
+    | None -> boxed_agg a.fn (boxed ch)
+
+(* [ngroups] output rows: the [nk] key columns ([key k g]), then the
+   [na] finished aggregates ([agg a g]). Both the in-memory kernel and
+   the spill path materialize through here. *)
+let groups_chunk ~nk ~na ngroups ~(key : int -> int -> Value.t) ~(agg : int -> int -> Value.t) =
+  let cols =
+    Array.init (nk + na) (fun c ->
+        Col.of_values
+          (Array.init ngroups (fun g -> if c < nk then key c g else agg (c - nk) g)))
   in
-  let phys =
-    match ch.sel with
-    | Some sel -> fun j -> Array.unsafe_get sel j
-    | None -> fun j -> j
+  { cols; card = ngroups; sel = None }
+
+(* Group ids are dense in first-seen order, and each group's output key
+   is read from its first row. A NULL key component (the bitmap of a
+   typed column) codes as 0 and sets its bit in a trailing null-mask
+   code, one per 62 nullable key columns; a boxed column's dictionary
+   holds NULL like any other value. *)
+let hash_agg_chunk ~(kixs : int array) ~(agg_binds : (chunk -> aggregator) array) ch =
+  let nk = Array.length kixs in
+  let aggs = Array.map (fun b -> b ch) agg_binds in
+  (* an unresolvable key reads NULL on every row: one constant code *)
+  let kcols = Array.map (fun ix -> if ix >= 0 then ch.cols.(ix) else unread) kixs in
+  let encs =
+    Array.mapi (fun k c -> if kixs.(k) >= 0 then group_encoder c else fun _ -> 0) kcols
   in
+  (* [nbit.(k)]: key [k]'s bit among the nullable keys, -1 if never NULL *)
+  let nbit = Array.make nk (-1) and nnull = ref 0 in
+  Array.iteri
+    (fun k c ->
+      if Col.has_nulls c then begin
+        nbit.(k) <- !nnull;
+        incr nnull
+      end)
+    kcols;
+  let ncodes = nk + ((!nnull + 61) / 62) in
+  let tab = Keytab.create ~nk:ncodes 64 in
+  let codes = Array.make ncodes 0 in
+  let firsts = Ivec.create () in
+  let gids = Array.make batch_rows 0 and phys = Array.make batch_rows 0 in
+  (* a global aggregate is one group, even over an empty input *)
+  let ngroups () = if nk = 0 then 1 else Keytab.length tab in
+  if nk = 0 then Array.iter (fun a -> a.grow 1) aggs;
   let b = ref 0 in
   while !b < ch.card do
-    let hi = min ch.card (!b + batch_rows) in
-    for j = !b to hi - 1 do
-      accumulate (phys j)
+    let m = min batch_rows (ch.card - !b) in
+    for j = 0 to m - 1 do
+      let i = match ch.sel with Some s -> Array.unsafe_get s (!b + j) | None -> !b + j in
+      Array.unsafe_set phys j i;
+      if nk > 0 then begin
+        for w = nk to ncodes - 1 do
+          codes.(w) <- 0
+        done;
+        for k = 0 to nk - 1 do
+          let q = Array.unsafe_get nbit k in
+          if q >= 0 && Col.is_null (Array.unsafe_get kcols k) i then begin
+            codes.(k) <- 0;
+            let w = nk + (q / 62) in
+            codes.(w) <- codes.(w) lor (1 lsl (q mod 62))
+          end
+          else codes.(k) <- (Array.unsafe_get encs k) i
+        done;
+        let g = Keytab.lookup tab codes ~insert:true in
+        if g = firsts.Ivec.n then Ivec.push firsts i;
+        Array.unsafe_set gids j g
+      end
     done;
-    b := hi
+    Array.iter
+      (fun a ->
+        a.grow (ngroups ());
+        a.fold gids phys m)
+      aggs;
+    b := !b + m
   done;
-  (* a global aggregate over an empty input still yields one row *)
-  if nk = 0 && !order = [] then order := [ ([||], Array.init na (fun _ -> fresh_acc ())) ];
-  groups_chunk ~nk ~agg_fns (List.rev !order)
+  groups_chunk ~nk ~na:(Array.length aggs) (ngroups ())
+    ~key:(fun k g -> if kixs.(k) >= 0 then Col.get kcols.(k) firsts.Ivec.a.(g) else Value.Null)
+    ~agg:(fun a g -> aggs.(a).value g)
 
 (* --- sort: a permutation selvec, no row movement --- *)
 
@@ -871,7 +1288,9 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
       let rv = Storage.Relation.resolver cc.cschema in
       let kixs = key_ixs rv keys in
       let agg_fns = Array.of_list (List.map (fun (a : Expr.agg) -> a.fn) aggs) in
-      let agg_binds =
+      let agg_binds = Array.of_list (List.map (bind_agg rv) aggs) in
+      (* the spill path feeds boxed accumulators *)
+      let agg_gets =
         Array.of_list (List.map (fun (a : Expr.agg) -> bind_scalar rv a.arg) aggs)
       in
       let cschema =
@@ -887,7 +1306,7 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
               (* a global aggregate ([nk = 0]) is one group of scalar
                  accumulators — nothing worth spilling *)
               if nk > 0 && should_spill ctx.mem cb then begin
-                let gets = Array.map (fun b -> b ch) agg_binds in
+                let gets = Array.map (fun b -> b ch) agg_gets in
                 let acc = ref [] in
                 Spill.agg ctx.spill ~input_bytes:cb ~key:(srow_key nk) ~na
                   ~feed_row:(fun accs row ->
@@ -897,11 +1316,14 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
                     done)
                   ~emit_group:(fun k accs -> acc := (k, accs) :: !acc)
                   (key_rows ch kixs);
-                groups_chunk ~nk ~agg_fns (List.rev !acc)
+                let groups = Array.of_list (List.rev !acc) in
+                groups_chunk ~nk ~na (Array.length groups)
+                  ~key:(fun k g -> (fst groups.(g)).(k))
+                  ~agg:(fun a g -> finish agg_fns.(a) (snd groups.(g)).(a))
               end
               else begin
                 mem_charge ctx.mem cb;
-                let o = hash_agg_chunk ~kixs ~agg_fns ~agg_binds ch in
+                let o = hash_agg_chunk ~kixs ~agg_binds ch in
                 mem_release ctx.mem cb;
                 o
               end

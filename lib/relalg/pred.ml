@@ -77,27 +77,30 @@ let rec map_exprs f = function
 let map_cols f p = map_exprs (Expr.map_cols f) p
 let subst env p = map_exprs (Expr.subst env) p
 
-(* SQL LIKE matching: '%' matches any sequence, '_' any single char. *)
+(* SQL LIKE matching: '%' matches any sequence, '_' any single char.
+   Two pointers over the pattern and the string; on a mismatch the
+   last '%' seen ([star], -1 = none) absorbs one more character of the
+   string (its match currently ends at [mark]) and matching resumes
+   just after it. Backtracking only to the last '%' suffices: any match
+   an earlier '%' could extend, the later one extends too. Top-level
+   functions over plain ints, so a call allocates nothing. *)
+let rec like_tail pattern np pi =
+  pi = np || (String.unsafe_get pattern pi = '%' && like_tail pattern np (pi + 1))
+
+let rec like_go pattern np s ns pi si star mark =
+  if si = ns then like_tail pattern np pi
+  else if pi < np && String.unsafe_get pattern pi = '%' then
+    like_go pattern np s ns (pi + 1) si pi si
+  else if
+    pi < np
+    && (String.unsafe_get pattern pi = '_'
+       || String.unsafe_get pattern pi = String.unsafe_get s si)
+  then like_go pattern np s ns (pi + 1) (si + 1) star mark
+  else if star >= 0 then like_go pattern np s ns (star + 1) (mark + 1) star (mark + 1)
+  else false
+
 let like_match ~pattern s =
-  let np = String.length pattern and ns = String.length s in
-  (* memoized recursion over (pi, si) *)
-  let memo = Hashtbl.create 16 in
-  let rec go pi si =
-    match Hashtbl.find_opt memo (pi, si) with
-    | Some r -> r
-    | None ->
-      let r =
-        if pi = np then si = ns
-        else
-          match pattern.[pi] with
-          | '%' -> go (pi + 1) si || (si < ns && go pi (si + 1))
-          | '_' -> si < ns && go (pi + 1) (si + 1)
-          | c -> si < ns && s.[si] = c && go (pi + 1) (si + 1)
-      in
-      Hashtbl.add memo (pi, si) r;
-      r
-  in
-  go 0 0
+  like_go pattern (String.length pattern) s (String.length s) 0 0 (-1) 0
 
 let eval_cmp c v1 v2 =
   match v1, v2 with

@@ -157,53 +157,47 @@ let to_values t = Array.init (length t) (fun i -> get t i)
 
 (* --- serialized size (agrees with Value.byte_width per element) --- *)
 
-let null_count t =
-  if not (has_nulls t) then 0
-  else begin
-    let n = length t in
-    let c = ref 0 in
-    for i = 0 to n - 1 do
-      if bitmap_get t.nulls i then incr c
-    done;
-    !c
-  end
-
-let compute_bytes t =
-  let n = length t in
+(* Serialized size of the [n] rows [ix 0], ..., [ix (n - 1)]: the same
+   [Value.byte_width] sum as the boxed loop in the [Values] case,
+   without boxing — a fixed width per non-null, 4 offset bytes plus
+   the heap bytes per non-null string, 1 (the NULL tag) per null.
+   O(1) for fixed-width columns without nulls. *)
+let rows_bytes t n (ix : int -> int) =
   match t.data with
-  | Ints _ | Floats _ | Dates _ | Bools _ when not (has_nulls t) ->
-    (* fixed width, no nulls: O(1) *)
-    let w = match t.data with Ints _ | Floats _ -> 8 | Dates _ -> 4 | _ -> 1 in
-    w * n
   | Ints _ | Floats _ | Dates _ | Bools _ ->
-    (* fixed width with nulls: width per non-null, 1 (the NULL tag) per
-       null — same numbers as the boxed loop below, without boxing *)
     let w = match t.data with Ints _ | Floats _ -> 8 | Dates _ -> 4 | _ -> 1 in
-    let nulls = null_count t in
-    (w * (n - nulls)) + nulls
+    if not (has_nulls t) then w * n
+    else begin
+      let nulls = ref 0 in
+      for j = 0 to n - 1 do
+        if bitmap_get t.nulls (ix j) then incr nulls
+      done;
+      (w * (n - !nulls)) + !nulls
+    end
   | Strs a ->
-    (* exact string accounting: 4 offset bytes + heap bytes per non-null
-       (= [Value.byte_width (Str s)]), 1 per null — no boxing *)
     let acc = ref 0 in
     if has_nulls t then
-      for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let i = ix j in
         acc := !acc + (if bitmap_get t.nulls i then 1 else 4 + String.length a.(i))
       done
     else
-      for i = 0 to n - 1 do
-        acc := !acc + 4 + String.length a.(i)
+      for j = 0 to n - 1 do
+        acc := !acc + 4 + String.length a.(ix j)
       done;
     !acc
-  | Values _ ->
+  | Values a ->
     let acc = ref 0 in
-    for i = 0 to n - 1 do
-      acc := !acc + Value.byte_width (get t i)
+    for j = 0 to n - 1 do
+      acc := !acc + Value.byte_width a.(ix j)
     done;
     !acc
 
 let byte_size t =
-  if t.bytes < 0 then t.bytes <- compute_bytes t;
+  if t.bytes < 0 then t.bytes <- rows_bytes t (length t) Fun.id;
   t.bytes
+
+let sel_byte_size t (sel : int array) = rows_bytes t (Array.length sel) (Array.unsafe_get sel)
 
 (* --- kernels' materialization primitives --- *)
 
@@ -225,12 +219,26 @@ let gather t (ixs : int array) : t =
       if !any then b else no_nulls
     end
   in
+  (* explicit loops: [Array.init]'s per-element closure would box every
+     float it returns *)
+  let ints (a : int array) =
+    let out = Array.make n 0 in
+    for j = 0 to n - 1 do
+      Array.unsafe_set out j (Array.unsafe_get a ixs.(j))
+    done;
+    out
+  in
   let data =
     match t.data with
-    | Ints a -> Ints (Array.init n (fun j -> Array.unsafe_get a ixs.(j)))
-    | Floats a -> Floats (Array.init n (fun j -> Array.unsafe_get a ixs.(j)))
+    | Ints a -> Ints (ints a)
+    | Floats a ->
+      let out = Array.make n 0. in
+      for j = 0 to n - 1 do
+        Array.unsafe_set out j (Array.unsafe_get a ixs.(j))
+      done;
+      Floats out
     | Strs a -> Strs (Array.init n (fun j -> Array.unsafe_get a ixs.(j)))
-    | Dates a -> Dates (Array.init n (fun j -> Array.unsafe_get a ixs.(j)))
+    | Dates a -> Dates (ints a)
     | Bools b ->
       let out = Bytes.make n '\000' in
       for j = 0 to n - 1 do

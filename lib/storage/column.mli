@@ -69,6 +69,11 @@ val byte_size : t -> int
 (** Serialized size: the sum of [Value.byte_width] over all rows,
     memoized; O(1) for fixed-width columns without nulls. *)
 
+val sel_byte_size : t -> int array -> int
+(** [sel_byte_size c sel] is {!byte_size} of [gather c sel], computed
+    without gathering or boxing: the sum of [Value.byte_width] over the
+    rows [sel] names. O(1) for fixed-width columns without nulls. *)
+
 val gather : t -> int array -> t
 (** [gather c ixs] selects rows by index — the materialization
     primitive behind selection vectors, sort permutations and join

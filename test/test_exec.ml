@@ -22,7 +22,24 @@ let db_with tables =
 let table_cols = function
   | "r" -> [ "a"; "b" ]
   | "s" -> [ "a"; "c" ]
+  | "t" -> [ "k"; "f"; "d"; "w" ]
   | t -> Alcotest.failf "unknown table %s" t
+
+(* A table past one 1024-row batch and a 64-group key table, for the
+   differentials: [k] Ints with NULLs; [f] Floats holding [0.0] and
+   [-0.0] (which compare equal) and integer-valued floats equal to
+   some [k]; [d] Dates with the same numbers as [k] (never equal to
+   them); [w] Strs with NULLs. Group [k = 50] sums [-0.0]s only. *)
+let t_rows =
+  List.init 1100 (fun i ->
+      [|
+        (if i mod 13 = 0 then Value.Null else Value.Int (i mod 400));
+        (if i mod 50 = 0 then Value.Float (if i mod 100 = 0 then 0.0 else -0.0)
+         else if i mod 3 = 0 then Value.Float (float_of_int (i mod 400))
+         else Value.Float (float_of_int i +. 0.25));
+        Value.Date (i mod 400);
+        (if i mod 17 = 0 then Value.Null else Value.Str (Printf.sprintf "w%d" (i mod 300)));
+      |])
 
 let default_db () =
   db_with
@@ -42,6 +59,7 @@ let default_db () =
           [| Value.Int 3; Value.Int 30 |];
           [| Value.Int 4; Value.Int 40 |];
         ] );
+      ("t", [ "k"; "f"; "d"; "w" ], t_rows);
     ]
 
 let node ?(loc = "x") ?(est = { P.est_rows = 1.; est_width = 8. }) n children =
@@ -432,11 +450,12 @@ let check_engines_agree ?faults ?(network = network) ~db ~table_cols plan =
       (Storage.Relation.to_csv a.relation)
       (Storage.Relation.to_csv b.relation)
 
-(* Random well-formed plans over the r/s tables, tracking each
+(* Random well-formed plans over the r/s/t tables, tracking each
    subplan's attribute universe so predicates, projections and join
    keys always reference live columns (dead references are legal too —
    they read NULL — and the generator produces some via the shared
-   attr pool). *)
+   attr pool). Each subplan also carries whether it may be large (it
+   reads [t]): a nested-loop join needs one small side. *)
 module Plangen = struct
   open QCheck
 
@@ -444,7 +463,8 @@ module Plangen = struct
 
   let base_attrs = function
     | "r" -> [ attr "r" "a"; attr "r" "b" ]
-    | _ -> [ attr "s" "a"; attr "s" "c" ]
+    | "s" -> [ attr "s" "a"; attr "s" "c" ]
+    | _ -> List.map (attr "t") (table_cols "t")
 
   let const_gen =
     Gen.oneof
@@ -454,6 +474,15 @@ module Plangen = struct
           [ Value.Str "one"; Value.Str "two"; Value.Str "three"; Value.Null ];
       ]
 
+  let num_const_gen =
+    Gen.oneof
+      [
+        Gen.map (fun i -> Value.Int i) (Gen.int_range 0 5);
+        Gen.oneofl [ Value.Float 1.5; Value.Float 2.0; Value.Float (-0.0) ];
+      ]
+
+  let binop_gen = Gen.oneofl [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Div ]
+
   let scalar_gen attrs =
     let col = Gen.map (fun a -> Expr.Col a) (Gen.oneofl attrs) in
     Gen.oneof
@@ -462,10 +491,34 @@ module Plangen = struct
         Gen.map (fun v -> Expr.Const v) const_gen;
         Gen.map3
           (fun op l r -> Expr.Binop (op, l, r))
-          (Gen.oneofl [ Expr.Add; Expr.Sub; Expr.Mul; Expr.Div ])
-          col
+          binop_gen col
           (Gen.map (fun v -> Expr.Const v) const_gen);
       ]
+
+  (* An aggregate argument: a column, or arithmetic over two columns or
+     over a column and a numeric constant. *)
+  let agg_arg_gen attrs =
+    let col = Gen.map (fun a -> Expr.Col a) (Gen.oneofl attrs) in
+    Gen.frequency
+      [
+        (2, col);
+        (1, Gen.map3 (fun op l r -> Expr.Binop (op, l, r)) binop_gen col col);
+        ( 1,
+          Gen.map3
+            (fun op l r -> Expr.Binop (op, l, r))
+            binop_gen col
+            (Gen.map (fun v -> Expr.Const v) num_const_gen) );
+      ]
+
+  let agg_fn_gen = Gen.oneofl [ Expr.Sum; Expr.Count; Expr.Min; Expr.Max; Expr.Avg ]
+
+  (* A [Hash_agg] over [p] and its output attributes. *)
+  let agg_node p keys fns =
+    let aggs =
+      List.mapi (fun i (fn, arg) -> { Expr.fn; arg; alias = Printf.sprintf "g%d" i }) fns
+    in
+    ( node (P.Hash_agg { keys; aggs }) [ p ],
+      keys @ List.map (fun (a : Expr.agg) -> Attr.unqualified a.alias) aggs )
 
   let atom_gen attrs =
     let open Gen in
@@ -478,7 +531,7 @@ module Plangen = struct
         map2
           (fun a pat -> Pred.Like (Expr.Col a, pat))
           (oneofl attrs)
-          (oneofl [ "%o%"; "t__"; "one"; "%e" ]);
+          (oneofl [ "%o%"; "t__"; "one"; "%e"; "w1%"; "%_2" ]);
         map2
           (fun e vs -> Pred.In (e, vs))
           (scalar_gen attrs)
@@ -506,15 +559,43 @@ module Plangen = struct
           (1, oneofl [ Pred.True; Pred.False ]);
         ]
 
-  (* A generated subplan and the attributes its output carries. *)
+  (* 1-3 join key pairs. *)
+  let key_pairs_gen lattrs rattrs =
+    Gen.list_size (Gen.int_range 1 3) (Gen.pair (Gen.oneofl lattrs) (Gen.oneofl rattrs))
+
+  (* 1-3 key pairs joining [t] with itself: each column with itself,
+     and the Int-vs-Float ([k], [f]) and Int-vs-Date ([k], [d]) pairs,
+     which must follow [Value] equality (the latter never matches). *)
+  let t_key_pairs_gen =
+    Gen.list_size (Gen.int_range 1 3)
+      (Gen.oneofl
+         (List.map
+            (fun (l, r) -> (attr "t" l, attr "t" r))
+            [
+              ("k", "k"); ("f", "f"); ("d", "d"); ("w", "w");
+              ("k", "f"); ("f", "k"); ("k", "d"); ("d", "k");
+            ]))
+
+  (* A generated subplan, the attributes its output carries, and
+     whether it may be large. *)
   let scan_gen =
     Gen.map2
-      (fun t loc -> (scan ~loc t, base_attrs t))
-      (Gen.oneofl [ "r"; "s" ]) (Gen.oneofl locs)
+      (fun t loc -> (scan ~loc t, base_attrs t, t = "t"))
+      (Gen.oneofl [ "r"; "s"; "t" ]) (Gen.oneofl locs)
+
+  (* [t], sometimes filtered: a side of the [t]-with-itself joins. *)
+  let t_gen =
+    Gen.map2
+      (fun loc pr ->
+        let p = scan ~loc "t" in
+        ((match pr with Some pr -> node (P.Filter pr) [ p ] | None -> p), base_attrs "t", true))
+      (Gen.oneofl locs)
+      (Gen.opt ~ratio:0.25 (pred_gen 1 (base_attrs "t")))
 
   let ship_wrap =
     Gen.map2
-      (fun f t -> fun (p, attrs) -> (node (P.Ship { from_loc = f; to_loc = t }) [ p ], attrs))
+      (fun f t -> fun (p, attrs, big) ->
+        (node (P.Ship { from_loc = f; to_loc = t }) [ p ], attrs, big))
       (Gen.oneofl locs) (Gen.oneofl locs)
 
   let rec plan_gen depth =
@@ -526,10 +607,10 @@ module Plangen = struct
         [
           (2, scan_gen);
           ( 2,
-            sub >>= fun (p, attrs) ->
-            map (fun pr -> (node (P.Filter pr) [ p ], attrs)) (pred_gen 2 attrs) );
+            sub >>= fun (p, attrs, big) ->
+            map (fun pr -> (node (P.Filter pr) [ p ], attrs, big)) (pred_gen 2 attrs) );
           ( 1,
-            sub >>= fun (p, attrs) ->
+            sub >>= fun (p, attrs, big) ->
             map
               (fun scalars ->
                 let items =
@@ -537,76 +618,89 @@ module Plangen = struct
                     (fun i e -> (e, Attr.unqualified (Printf.sprintf "p%d" i)))
                     scalars
                 in
-                (node (P.Project items) [ p ], List.map snd items))
+                (node (P.Project items) [ p ], List.map snd items, big))
               (list_size (int_range 1 3) (scalar_gen attrs)) );
           ( 1,
-            sub >>= fun (p, attrs) ->
+            sub >>= fun (p, attrs, big) ->
             map
               (fun keys ->
-                (node (P.Sort (List.map (fun (a, d) -> (a, d)) keys)) [ p ], attrs))
+                (node (P.Sort (List.map (fun (a, d) -> (a, d)) keys)) [ p ], attrs, big))
               (list_size (int_range 1 2) (pair (oneofl attrs) bool)) );
           ( 1,
-            sub >>= fun (p, attrs) ->
+            sub >>= fun (p, attrs, big) ->
             map2
               (fun keys fns ->
-                let aggs =
-                  List.mapi
-                    (fun i (fn, a) ->
-                      { Expr.fn; arg = Expr.Col a; alias = Printf.sprintf "g%d" i })
-                    fns
-                in
-                let out =
-                  keys @ List.map (fun (a : Expr.agg) -> Attr.unqualified a.alias) aggs
-                in
-                (node (P.Hash_agg { keys; aggs }) [ p ], out))
+                let n, out = agg_node p keys fns in
+                (n, out, big && keys <> []))
               (list_size (int_range 0 2) (oneofl attrs))
-              (list_size (int_range 1 2)
-                 (pair
-                    (oneofl [ Expr.Sum; Expr.Count; Expr.Min; Expr.Max; Expr.Avg ])
-                    (oneofl attrs))) );
+              (list_size (int_range 1 2) (pair agg_fn_gen (agg_arg_gen attrs))) );
           ( 1,
-            sub >>= fun lhs ->
-            sub >>= fun rhs ->
-            let (lp, lattrs) = lhs and (rp, rattrs) = rhs in
-            map3
-              (fun la ra residual ->
-                ( node
-                    (P.Hash_join { keys = [ (la, ra) ]; residual })
-                    [ lp; rp ],
-                  lattrs @ rattrs ))
-              (oneofl lattrs) (oneofl rattrs)
+            sub >>= fun (lp, lattrs, lbig) ->
+            sub >>= fun (rp, rattrs, rbig) ->
+            map2
+              (fun keys residual ->
+                ( node (P.Hash_join { keys; residual }) [ lp; rp ],
+                  lattrs @ rattrs,
+                  lbig || rbig ))
+              (key_pairs_gen lattrs rattrs)
               (pred_gen 1 (lattrs @ rattrs)) );
           ( 1,
-            sub >>= fun lhs ->
-            sub >>= fun rhs ->
-            let (lp, lattrs) = lhs and (rp, rattrs) = rhs in
-            map3
-              (fun la ra residual ->
+            sub >>= fun (lp, lattrs, lbig) ->
+            sub >>= fun (rp, rattrs, rbig) ->
+            map2
+              (fun keys residual ->
                 (* merge join over (sometimes) sorted inputs; byte-
                    identity must hold either way *)
-                let lp = node (P.Sort [ (la, false) ]) [ lp ] in
-                ( node
-                    (P.Merge_join { keys = [ (la, ra) ]; residual })
-                    [ lp; rp ],
-                  lattrs @ rattrs ))
-              (oneofl lattrs) (oneofl rattrs)
+                let lp = node (P.Sort (List.map (fun (la, _) -> (la, false)) keys)) [ lp ] in
+                ( node (P.Merge_join { keys; residual }) [ lp; rp ],
+                  lattrs @ rattrs,
+                  lbig || rbig ))
+              (key_pairs_gen lattrs rattrs)
               (pred_gen 1 (lattrs @ rattrs)) );
           ( 1,
-            sub >>= fun lhs ->
-            sub >>= fun rhs ->
-            let (lp, lattrs) = lhs and (rp, rattrs) = rhs in
-            map
-              (fun pr -> (node (P.Nl_join pr) [ lp; rp ], lattrs @ rattrs))
-              (pred_gen 1 (lattrs @ rattrs)) );
+            (* grouped aggregates over [t], favouring its float column:
+               [0.0] and [-0.0] keys form one group, and some groups
+               sum [-0.0]s only *)
+            t_gen >>= fun (p, attrs, _) ->
+            map2
+              (fun keys fns ->
+                let n, out = agg_node p keys fns in
+                (n, out, true))
+              (list_size (int_range 1 2) (oneofl attrs))
+              (list_size (int_range 1 2)
+                 (pair agg_fn_gen
+                    (oneof [ return (Expr.Col (attr "t" "f")); agg_arg_gen attrs ]))) );
+          ( 1,
+            (* [t] with itself: typed, string and mixed key pairs *)
+            t_gen >>= fun (lp, lattrs, _) ->
+            t_gen >>= fun (rp, rattrs, _) ->
+            map3
+              (fun merge keys residual ->
+                let residual = Option.value residual ~default:Pred.True in
+                let node_ =
+                  if merge then P.Merge_join { keys; residual } else P.Hash_join { keys; residual }
+                in
+                (node node_ [ lp; rp ], lattrs @ rattrs, true))
+              bool t_key_pairs_gen
+              (opt ~ratio:0.25 (pred_gen 1 (lattrs @ rattrs))) );
+          ( 1,
+            sub >>= fun (lp, lattrs, lbig) ->
+            sub >>= fun (rp, rattrs, rbig) ->
+            if lbig && rbig then return (lp, lattrs, lbig)
+            else
+              map
+                (fun pr -> (node (P.Nl_join pr) [ lp; rp ], lattrs @ rattrs, lbig || rbig))
+                (pred_gen 1 (lattrs @ rattrs)) );
           ( 1,
             (* union of two filters over the same scan: children share
                arity by construction *)
-            scan_gen >>= fun (p, attrs) ->
+            scan_gen >>= fun (p, attrs, big) ->
             map2
               (fun pr1 pr2 ->
                 ( node P.Union_all
                     [ node (P.Filter pr1) [ p ]; node (P.Filter pr2) [ p ] ],
-                  attrs ))
+                  attrs,
+                  big ))
               (pred_gen 1 attrs) (pred_gen 1 attrs) );
           (2, map2 (fun w sub -> w sub) ship_wrap sub);
         ]
@@ -614,7 +708,7 @@ module Plangen = struct
   let arbitrary_plan =
     QCheck.make
       ~print:(fun (p, _) -> Fmt.str "%a" (P.pp ?indent:None) p)
-      Gen.(int_range 1 4 >>= plan_gen)
+      Gen.(map (fun (p, attrs, _) -> (p, attrs)) (int_range 1 4 >>= plan_gen))
 end
 
 let test_differential_random_plans () =

@@ -40,6 +40,24 @@ let test_like () =
   Alcotest.(check bool) "lone percent" true (Pred.like_match ~pattern:"%" "");
   Alcotest.(check bool) "double percent" true (Pred.like_match ~pattern:"%%COPPER%%" "XCOPPERY")
 
+(* LIKE by its definition, recursing over both strings: '%' matches
+   any sequence, '_' any single character, anything else itself. *)
+let rec like_reference p s =
+  match p with
+  | [] -> s = []
+  | '%' :: p' -> like_reference p' s || (s <> [] && like_reference p (List.tl s))
+  | '_' :: p' -> s <> [] && like_reference p' (List.tl s)
+  | c :: p' -> (match s with c' :: s' -> c = c' && like_reference p' s' | [] -> false)
+
+let prop_like_reference =
+  let word = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '%'; '_' ]) (int_range 0 8)) in
+  QCheck.Test.make ~name:"LIKE agrees with the recursive definition" ~count:2000
+    (QCheck.make ~print:(fun (p, s) -> Printf.sprintf "%S LIKE %S" s p)
+       QCheck.Gen.(pair word word))
+    (fun (p, s) ->
+      let chars x = List.init (String.length x) (String.get x) in
+      Pred.like_match ~pattern:p s = like_reference (chars p) (chars s))
+
 let test_in_and_null () =
   let p = Pred.Atom (Pred.In (col "x", [ Value.Int 1; Value.Int 2 ])) in
   Alcotest.(check bool) "in hit" true (Pred.eval (lookup_of [ ("x", Value.Int 2) ]) p);
@@ -119,6 +137,7 @@ let () =
           Alcotest.test_case "conjuncts" `Quick test_conjuncts;
           Alcotest.test_case "conj/disj simplify" `Quick test_conj_disj_simplification;
           Alcotest.test_case "cols" `Quick test_cols;
+          QCheck_alcotest.to_alcotest prop_like_reference;
           QCheck_alcotest.to_alcotest prop_double_negation;
           QCheck_alcotest.to_alcotest prop_demorgan;
         ] );

@@ -165,7 +165,16 @@ let prop_column_roundtrip =
       (* gathering by the identity permutation changes nothing *)
       && Array.for_all2 Value.equal vs
            (Col.to_values
-              (Col.gather typed (Array.init (Array.length vs) (fun i -> i)))))
+              (Col.gather typed (Array.init (Array.length vs) (fun i -> i))))
+      (* a selection's byte count is its gather's, in any order *)
+      &&
+      let sel =
+        Array.of_list
+          (List.rev (List.filter (fun i -> i mod 3 <> 1) (List.init (Array.length vs) Fun.id)))
+      in
+      List.for_all
+        (fun c -> Col.sel_byte_size c sel = Col.byte_size (Col.gather c sel))
+        [ typed; sniffed ])
 
 let prop_relation_roundtrip =
   let row_gen =
