@@ -44,10 +44,12 @@ type t = {
 }
 
 (* Catalogs are immutable after [make], so a construction-time stamp
-   identifies one soundly for the lifetime of the process. Atomic so
-   racing domains can never issue duplicate stamps into the stamp-keyed
-   caches (docs/ARCHITECTURE.md, "Domain safety"). *)
-let next_stamp = Atomic.make 0
+   identifies one soundly for the lifetime of the process. *)
+let next_stamp = ref 0
+
+let fresh_stamp () =
+  incr next_stamp;
+  !next_stamp
 
 let make ~network tables =
   let m =
@@ -61,7 +63,7 @@ let make ~network tables =
     tables = m;
     network;
     replicas = Replica_map.empty;
-    stamp = Atomic.fetch_and_add next_stamp 1 + 1;
+    stamp = fresh_stamp ();
   }
 
 let stamp t = t.stamp
@@ -164,7 +166,7 @@ let with_replicas t assignments =
         Replica_map.add (table, partition) rs m)
       t.replicas assignments
   in
-  { t with replicas; stamp = Atomic.fetch_and_add next_stamp 1 + 1 }
+  { t with replicas; stamp = fresh_stamp () }
 
 let replicas t ~table ~partition =
   match Replica_map.find_opt (String.lowercase_ascii table, partition) t.replicas with

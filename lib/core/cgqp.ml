@@ -83,13 +83,12 @@ let c_failovers = Obs.Metrics.counter "cgqp_exec_ship_failovers_total"
 
 (* Runs that needed at least one failover (or aborted as unsatisfiable
    after one) — exposed as a sampled gauge so dashboards can alert on
-   "the system is currently degrading queries". Atomic, like the other
-   process-wide counters (docs/ARCHITECTURE.md, "Domain safety"). *)
-let degraded_runs = Atomic.make 0
+   "the system is currently degrading queries". *)
+let degraded_runs = ref 0
 
 let () =
   Obs.Metrics.gauge "cgqp_session_degraded_runs" (fun () ->
-      float_of_int (Atomic.get degraded_runs))
+      float_of_int !degraded_runs)
 
 (* CGQP_TEMPLATE_CACHE=1 force-enables template caching for every
    session (the CI matrix runs the whole suite this way). *)
@@ -459,11 +458,11 @@ let run session sql : (run_result, error) result =
         in
         (match attempt Optimizer.Explain.no_recovery planned with
         | Error e ->
-          ignore (Atomic.fetch_and_add degraded_runs 1);
+          incr degraded_runs;
           Error e
         | Ok (planned, interp, recovery) ->
           if recovery.failovers > 0 then
-            ignore (Atomic.fetch_and_add degraded_runs 1);
+            incr degraded_runs;
           (* cardinality feedback: record the executed scans; when the
              evidence clears the fold threshold, install the corrected
              catalog and start a new cache epoch (exactly one bump per

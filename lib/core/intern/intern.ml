@@ -7,15 +7,7 @@
 
    Ids are monotonically increasing and never reused, even across
    [clear]: a stale id held by some cache can then never alias a
-   different term interned later.
-
-   The table is shared by every domain and guarded by one mutex: ids
-   must stay process-unique (per-domain tables would let two distinct
-   terms alias one id and poison every id-keyed cache), and the memo
-   tables that key on these ids rely on pointer equality of the
-   canonical nodes across domains. Interning only happens on the
-   optimizer path — execution never interns — so the lock stays cheap
-   (docs/ARCHITECTURE.md, "Domain safety"). *)
+   different term interned later. *)
 
 type stats = { mutable hits : int; mutable misses : int }
 
@@ -34,8 +26,7 @@ module type S = sig
 
   val intern : elt -> node
   (** Canonical node for [x]; physically the same node for all
-      structurally equal arguments. Thread-safe: may be called from any
-      domain. *)
+      structurally equal arguments. *)
 
   val hits : unit -> int
   val misses : unit -> int
@@ -58,33 +49,28 @@ module Make (H : HashedType) : S with type elt = H.t = struct
   let table : node T.t = T.create 256
   let st = { hits = 0; misses = 0 }
   let next = ref 0
-  let lock = Mutex.create ()
 
   let intern x =
-    Mutex.protect lock (fun () ->
-        match T.find_opt table x with
-        | Some n ->
-          st.hits <- st.hits + 1;
-          n
-        | None ->
-          st.misses <- st.misses + 1;
-          let n = { node = x; id = !next } in
-          incr next;
-          T.add table x n;
-          n)
+    match T.find_opt table x with
+    | Some n ->
+      st.hits <- st.hits + 1;
+      n
+    | None ->
+      st.misses <- st.misses + 1;
+      let n = { node = x; id = !next } in
+      incr next;
+      T.add table x n;
+      n
 
-  let hits () = Mutex.protect lock (fun () -> st.hits)
-  let misses () = Mutex.protect lock (fun () -> st.misses)
-  let size () = Mutex.protect lock (fun () -> T.length table)
+  let hits () = st.hits
+  let misses () = st.misses
+  let size () = T.length table
 
   let reset_counters () =
-    Mutex.protect lock (fun () ->
-        st.hits <- 0;
-        st.misses <- 0)
+    st.hits <- 0;
+    st.misses <- 0
 
   let clear () =
-    Mutex.protect lock (fun () ->
-        T.reset table;
-        st.hits <- 0;
-        st.misses <- 0)
+    T.reset table;
+    reset_counters ()
 end

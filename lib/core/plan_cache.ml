@@ -65,15 +65,13 @@ let c_template_hits = Obs.Metrics.counter "cgqp_plancache_template_hits_total"
 let c_template_misses =
   Obs.Metrics.counter "cgqp_plancache_template_misses_total"
 
-(* Entries live across all instances, sampled by one gauge. Atomic:
-   instances may be touched from different domains
-   (docs/ARCHITECTURE.md, "Domain safety"). *)
-let live_entries = Atomic.make 0
-let live_add n = ignore (Atomic.fetch_and_add live_entries n)
+(* Entries live across all instances, sampled by one gauge. *)
+let live_entries = ref 0
+let live_add n = live_entries := !live_entries + n
 
 let () =
   Obs.Metrics.gauge "cgqp_plancache_entries" (fun () ->
-      float_of_int (Atomic.get live_entries))
+      float_of_int !live_entries)
 
 let create ?(capacity = 128) () =
   if capacity <= 0 then invalid_arg "Plan_cache.create: capacity must be positive";

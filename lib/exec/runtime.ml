@@ -192,7 +192,8 @@ let spill_partitions_for m ~bytes =
     min 64 (max 2 ((bytes / per) + 1))
 
 (* "64m"-style byte counts: plain bytes, or a k/m/g suffix (powers of
-   1024); "unlimited" / empty / unset mean no budget. *)
+   1024); "unlimited" / empty / unset mean no budget. A count whose
+   product with its suffix overflows is rejected rather than wrapped. *)
 let parse_budget s =
   let s = String.trim (String.lowercase_ascii s) in
   match s with
@@ -207,7 +208,7 @@ let parse_budget s =
       | _ -> (1, s)
     in
     (match int_of_string_opt (String.trim num) with
-    | Some v when v >= 0 -> Some (v * mul)
+    | Some v when v >= 0 && v <= max_int / mul -> Some (v * mul)
     | _ -> None)
 
 let budget_from_env () =
@@ -221,28 +222,22 @@ let budget_from_env () =
         (Printf.sprintf
            "CGQP_MEM_BUDGET=%S: expected bytes, optionally suffixed k/m/g" s))
 
-(* Process-wide spill/paging observability (executions may run
-   concurrently on domains, docs/ARCHITECTURE.md, "Domain safety"; the per-execution
-   [mem] folds in at the end). *)
+(* Process-wide spill/paging observability (the per-execution [mem]
+   folds in at the end). *)
 let c_spill_ops = Obs.Metrics.counter "cgqp_exec_spilled_operators_total"
 let c_spill_parts = Obs.Metrics.counter "cgqp_exec_spill_partitions_total"
 let c_spill_bytes = Obs.Metrics.counter "cgqp_exec_spill_bytes_total"
-let peak_tracked = Atomic.make 0
+let peak_tracked = ref 0
 
 let () =
   Obs.Metrics.gauge "cgqp_exec_peak_tracked_bytes" (fun () ->
-      float_of_int (Atomic.get peak_tracked));
+      float_of_int !peak_tracked);
   Obs.Metrics.gauge "cgqp_storage_segment_page_reads" (fun () ->
       float_of_int (Storage.Segment.page_reads ()))
 
 (* Fold a finished execution's account into the process-wide stats. *)
 let mem_finish m =
-  let rec bump () =
-    let cur = Atomic.get peak_tracked in
-    if m.peak > cur && not (Atomic.compare_and_set peak_tracked cur m.peak) then
-      bump ()
-  in
-  bump ();
+  peak_tracked := max !peak_tracked m.peak;
   if m.spill_ops > 0 then begin
     Obs.Metrics.inc ~by:m.spill_ops c_spill_ops;
     Obs.Metrics.inc ~by:m.spill_parts c_spill_parts;
@@ -250,12 +245,12 @@ let mem_finish m =
   end
 
 (* Readers for [--stats] and the bench. *)
-let peak_tracked_bytes () = Atomic.get peak_tracked
+let peak_tracked_bytes () = !peak_tracked
 let spilled_operators () = Obs.Metrics.value c_spill_ops
 let spill_partitions () = Obs.Metrics.value c_spill_parts
 let spill_run_bytes () = Obs.Metrics.value c_spill_bytes
 
-let reset_mem_stats () = Atomic.set peak_tracked 0
+let reset_mem_stats () = peak_tracked := 0
 
 (* --- aggregate accumulation --- *)
 

@@ -203,7 +203,8 @@ val spill_partitions_for : mem -> bytes:int -> int
 val parse_budget : string -> int option
 (** ["64m"]-style byte counts: plain bytes or a [k]/[m]/[g] suffix
     (powers of 1024); ["unlimited"]/[""] mean no budget. [None] =
-    unparseable. *)
+    unparseable, negative, or too large for an [int] once multiplied
+    out. *)
 
 val budget_from_env : unit -> int
 (** [CGQP_MEM_BUDGET] via {!parse_budget}; {!unlimited_budget} when

@@ -7,15 +7,10 @@
    single flag test, so instrumented hot paths keep their
    un-instrumented speed and — since tracing only ever observes —
    byte-identical outputs. The metrics registry is always on; an
-   increment is one atomic fetch-and-add behind a hashtable-free
-   pointer.
+   increment is one integer add behind a hashtable-free pointer.
 
-   Domain-safety (docs/ARCHITECTURE.md, "Domain safety"): counters are atomics;
-   histograms are sharded per domain and merged on read, so totals are
-   order-independent; trace events land in per-domain ring buffers and
-   [Trace.events] merges them by (domain tag, per-domain sequence) —
-   deterministic as long as work is assigned to domains
-   deterministically. *)
+   All of this is plain mutable state: a process runs the library on
+   one domain. *)
 
 (* --- JSON ---------------------------------------------------------- *)
 
@@ -276,7 +271,6 @@ module Trace = struct
     kind : kind;
     name : string;
     depth : int;
-    dom : int;  (* domain tag the event was emitted from (0 = main) *)
     attrs : (string * Json.t) list;
   }
 
@@ -291,70 +285,34 @@ module Trace = struct
 
   let now_ms () = !clock () -. !t0
 
-  (* Each domain records into its own ring buffer: the ring holds that
-     domain's most recent [cap] events; when full, writes evict the
-     oldest event and bump [dropped]. Buffers register themselves (once,
-     under [reg_lock]) so [events] can merge across domains; [gen]
-     invalidates every buffer wholesale on enable/clear without
-     reaching into other domains' local storage. *)
-  type buf_state = {
-    mutable tag : int;  (* merge rank (0 = main, else set_domain_tag's) *)
-    bgen : int;
-    buf : event option array;
+  (* One ring holding the most recent [Array.length buf] events; when
+     full, a write evicts the oldest event and bumps [dropped]. *)
+  type ring = {
+    mutable buf : event option array;
     mutable head : int;  (* next write slot *)
     mutable stored : int;
     mutable dropped : int;
-    mutable next_seq : int;  (* per-domain emission index *)
-    mutable depth : int;  (* per-domain span nesting *)
+    mutable next_seq : int;
+    mutable depth : int;  (* span nesting *)
   }
 
   let on = ref false
-  let cap = ref 0
-  let gen = ref 0
-  let registry : buf_state list ref = ref []
-  let reg_lock = Mutex.create ()
 
-  let tag_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
-
-  let state_key : buf_state option Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> None)
-
-  let set_domain_tag t =
-    Domain.DLS.set tag_key t;
-    match Domain.DLS.get state_key with
-    | Some st -> st.tag <- t
-    | None -> ()
-
-  let local_state () =
-    match Domain.DLS.get state_key with
-    | Some st when st.bgen = !gen -> st
-    | _ ->
-      let st =
-        {
-          tag = Domain.DLS.get tag_key;
-          bgen = !gen;
-          buf = Array.make (max 1 !cap) None;
-          head = 0;
-          stored = 0;
-          dropped = 0;
-          next_seq = 0;
-          depth = 0;
-        }
-      in
-      Mutex.protect reg_lock (fun () -> registry := st :: !registry);
-      Domain.DLS.set state_key (Some st);
-      st
+  let ring =
+    { buf = [| None |]; head = 0; stored = 0; dropped = 0; next_seq = 0; depth = 0 }
 
   let enabled () = !on
 
-  (* Enable/clear/disable/events are main-domain operations: call them
-     with no worker domain emitting. *)
   let clear () =
-    incr gen;
-    Mutex.protect reg_lock (fun () -> registry := [])
+    Array.fill ring.buf 0 (Array.length ring.buf) None;
+    ring.head <- 0;
+    ring.stored <- 0;
+    ring.dropped <- 0;
+    ring.next_seq <- 0;
+    ring.depth <- 0
 
   let enable ?(capacity = 65536) () =
-    cap := max 1 capacity;
+    ring.buf <- Array.make (max 1 capacity) None;
     clear ();
     t0 := !clock ();
     on := true
@@ -362,16 +320,12 @@ module Trace = struct
   let disable () = on := false
 
   let push kind name attrs =
-    let st = local_state () in
-    let e =
-      { seq = st.next_seq; ts_ms = now_ms (); kind; name; depth = st.depth;
-        dom = st.tag; attrs }
-    in
-    st.next_seq <- st.next_seq + 1;
-    if st.stored = Array.length st.buf then st.dropped <- st.dropped + 1
-    else st.stored <- st.stored + 1;
-    st.buf.(st.head) <- Some e;
-    st.head <- (st.head + 1) mod Array.length st.buf
+    let e = { seq = ring.next_seq; ts_ms = now_ms (); kind; name; depth = ring.depth; attrs } in
+    ring.next_seq <- ring.next_seq + 1;
+    if ring.stored = Array.length ring.buf then ring.dropped <- ring.dropped + 1
+    else ring.stored <- ring.stored + 1;
+    ring.buf.(ring.head) <- Some e;
+    ring.head <- (ring.head + 1) mod Array.length ring.buf
 
   let instant name attrs = if !on then push Instant name attrs
 
@@ -380,44 +334,29 @@ module Trace = struct
     else begin
       let start = now_ms () in
       push Begin name attrs;
-      let st = local_state () in
-      st.depth <- st.depth + 1;
+      ring.depth <- ring.depth + 1;
       match f () with
       | v ->
-        st.depth <- st.depth - 1;
+        ring.depth <- ring.depth - 1;
         push End name [ ("dur_ms", Json.Num (now_ms () -. start)) ];
         v
       | exception exn ->
-        st.depth <- st.depth - 1;
+        ring.depth <- ring.depth - 1;
         push End name
           [ ("dur_ms", Json.Num (now_ms () -. start));
             ("error", Json.Str (Printexc.to_string exn)) ];
         raise exn
     end
 
-  let buffer_events (st : buf_state) =
-    if st.stored = 0 then []
-    else begin
-      let len = Array.length st.buf in
-      let first = (st.head - st.stored + len) mod len in
-      List.init st.stored (fun i ->
-          match st.buf.((first + i) mod len) with
-          | Some e -> e
-          | None -> assert false)
-    end
-
-  (* Merge every domain's buffer, ordered by (domain tag, per-domain
-     seq): deterministic given a deterministic assignment of work to
-     tags, independent of the real-time interleaving of domains. *)
   let events () =
-    let bufs = Mutex.protect reg_lock (fun () -> !registry) in
-    List.concat_map buffer_events bufs
-    |> List.stable_sort (fun a b ->
-           match compare a.dom b.dom with 0 -> compare a.seq b.seq | c -> c)
+    let len = Array.length ring.buf in
+    let first = (ring.head - ring.stored + len) mod len in
+    List.init ring.stored (fun i ->
+        match ring.buf.((first + i) mod len) with
+        | Some e -> e
+        | None -> assert false)
 
-  let dropped () =
-    let bufs = Mutex.protect reg_lock (fun () -> !registry) in
-    List.fold_left (fun acc st -> acc + st.dropped) 0 bufs
+  let dropped () = ring.dropped
 
   let kind_to_string = function Begin -> "B" | End -> "E" | Instant -> "I"
 
@@ -435,7 +374,6 @@ module Trace = struct
         ("kind", Json.Str (kind_to_string e.kind));
         ("name", Json.Str e.name);
         ("depth", Json.Num (float_of_int e.depth));
-        ("dom", Json.Num (float_of_int e.dom));
         ("attrs", Json.Obj e.attrs);
       ]
 
@@ -443,10 +381,8 @@ module Trace = struct
     let str = function Json.Str s -> Some s | _ -> None in
     let num = function Json.Num f -> Some f | _ -> None in
     let field k conv = Option.bind (Json.member k j) conv in
-    (* "dom" is optional so pre-multicore traces still load *)
-    let dom =
-      match field "dom" num with Some d -> int_of_float d | None -> 0
-    in
+    (* unknown fields are ignored, so traces that still carry the
+       retired "dom" field load too *)
     match
       ( field "seq" num,
         field "ts_ms" num,
@@ -460,8 +396,7 @@ module Trace = struct
       match kind_of_string kind with
       | Some kind ->
         Ok
-          { seq = int_of_float seq; ts_ms; kind; name; depth = int_of_float depth;
-            dom; attrs }
+          { seq = int_of_float seq; ts_ms; kind; name; depth = int_of_float depth; attrs }
       | None -> Error ("unknown event kind: " ^ kind))
     | _ -> Error "missing or ill-typed event field"
 
@@ -477,9 +412,7 @@ module Trace = struct
       (events ())
 
   let pp_event ppf (e : event) =
-    Format.fprintf ppf "%s%6d %9.3fms %s%s %s%s"
-      (if e.dom = 0 then "" else Printf.sprintf "d%d:" e.dom)
-      e.seq e.ts_ms
+    Format.fprintf ppf "%6d %9.3fms %s%s %s%s" e.seq e.ts_ms
       (String.make (2 * e.depth) ' ')
       (kind_to_string e.kind) e.name
       (match e.attrs with
@@ -493,22 +426,13 @@ end
 (* --- Metrics ------------------------------------------------------- *)
 
 module Metrics = struct
-  type counter = int Atomic.t
+  type counter = int ref
 
-  (* One shard per (histogram, domain): [observe] touches only the
-     calling domain's shard, readers merge under the histogram's lock.
-     Merged totals are sums, hence independent of emission order. *)
-  type hshard = {
+  type histogram = {
+    bounds : float array;  (* inclusive upper bounds, ascending *)
     counts : int array;  (* length = Array.length bounds + 1 (+inf) *)
     mutable sum : float;
     mutable n : int;
-  }
-
-  type histogram = {
-    hid : int;
-    bounds : float array;  (* inclusive upper bounds, ascending *)
-    mutable shards : hshard list;
-    hlock : Mutex.t;
   }
 
   type instrument =
@@ -516,14 +440,9 @@ module Metrics = struct
     | Histogram of histogram
     | Gauge of (unit -> float) ref
 
-  let next_hid = Atomic.make 0
-
-  (* Registry keyed by (name, sorted labels); registration and reads
-     are rare, so one lock covers them (increments never touch it). *)
+  (* Registry keyed by (name, sorted labels). *)
   let registry : (string * (string * string) list, instrument) Hashtbl.t =
     Hashtbl.create 64
-
-  let registry_lock = Mutex.create ()
 
   let key name labels =
     (name, List.sort (fun (a, _) (b, _) -> String.compare a b) labels)
@@ -533,31 +452,29 @@ module Metrics = struct
     | Histogram _ -> "histogram"
     | Gauge _ -> "gauge"
 
+  let already name inst =
+    invalid_arg
+      (Printf.sprintf "Obs.Metrics: %s already registered as a %s" name (kind_name inst))
+
   let register name labels make check =
-    Mutex.protect registry_lock (fun () ->
-        let k = key name labels in
-        match Hashtbl.find_opt registry k with
-        | Some inst -> (
-          match check inst with
-          | Some v -> v
-          | None ->
-            invalid_arg
-              (Printf.sprintf "Obs.Metrics: %s already registered as a %s" name
-                 (kind_name inst)))
-        | None ->
-          let inst, v = make () in
-          Hashtbl.replace registry k inst;
-          v)
+    let k = key name labels in
+    match Hashtbl.find_opt registry k with
+    | Some inst -> (
+      match check inst with Some v -> v | None -> already name inst)
+    | None ->
+      let inst, v = make () in
+      Hashtbl.replace registry k inst;
+      v
 
   let counter ?(labels = []) name =
     register name labels
       (fun () ->
-        let c = Atomic.make 0 in
+        let c = ref 0 in
         (Counter c, c))
       (function Counter c -> Some c | _ -> None)
 
-  let inc ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
-  let value c = Atomic.get c
+  let inc ?(by = 1) c = c := !c + by
+  let value c = !c
 
   let default_buckets = [ 0.001; 0.01; 0.1; 1.; 10.; 100.; 1000.; 10000. ]
 
@@ -565,92 +482,45 @@ module Metrics = struct
     register name labels
       (fun () ->
         let bounds = Array.of_list (List.sort_uniq Float.compare buckets) in
-        let h =
-          { hid = Atomic.fetch_and_add next_hid 1; bounds; shards = [];
-            hlock = Mutex.create () }
-        in
+        let h = { bounds; counts = Array.make (Array.length bounds + 1) 0; sum = 0.; n = 0 } in
         (Histogram h, h))
       (function Histogram h -> Some h | _ -> None)
 
-  (* The calling domain's shard of [h], created and registered on first
-     use. The DLS table maps histogram ids to shards for this domain. *)
-  let shard_key : (int, hshard) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-  let shard (h : histogram) : hshard =
-    let t = Domain.DLS.get shard_key in
-    match Hashtbl.find_opt t h.hid with
-    | Some s -> s
-    | None ->
-      let s = { counts = Array.make (Array.length h.bounds + 1) 0; sum = 0.; n = 0 } in
-      Mutex.protect h.hlock (fun () -> h.shards <- s :: h.shards);
-      Hashtbl.add t h.hid s;
-      s
-
   let observe h v =
-    let s = shard h in
     let rec slot i =
       if i >= Array.length h.bounds then i
       else if v <= h.bounds.(i) then i
       else slot (i + 1)
     in
     let i = slot 0 in
-    s.counts.(i) <- s.counts.(i) + 1;
-    s.sum <- s.sum +. v;
-    s.n <- s.n + 1
+    h.counts.(i) <- h.counts.(i) + 1;
+    h.sum <- h.sum +. v;
+    h.n <- h.n + 1
 
-  (* Merged view of a histogram across all shards. *)
-  let merged h =
-    Mutex.protect h.hlock (fun () ->
-        let counts = Array.make (Array.length h.bounds + 1) 0 in
-        let sum = ref 0. and n = ref 0 in
-        List.iter
-          (fun s ->
-            Array.iteri (fun i c -> counts.(i) <- counts.(i) + c) s.counts;
-            sum := !sum +. s.sum;
-            n := !n + s.n)
-          h.shards;
-        (counts, !sum, !n))
-
-  let hist_count h =
-    let _, _, n = merged h in
-    n
-
-  let hist_sum h =
-    let _, sum, _ = merged h in
-    sum
+  let hist_count h = h.n
+  let hist_sum h = h.sum
 
   let gauge ?(labels = []) name f =
-    Mutex.protect registry_lock (fun () ->
-        let k = key name labels in
-        match Hashtbl.find_opt registry k with
-        | Some (Gauge r) -> r := f
-        | Some inst ->
-          invalid_arg
-            (Printf.sprintf "Obs.Metrics: %s already registered as a %s" name
-               (kind_name inst))
-        | None -> Hashtbl.replace registry k (Gauge (ref f)))
+    let k = key name labels in
+    match Hashtbl.find_opt registry k with
+    | Some (Gauge r) -> r := f
+    | Some inst -> already name inst
+    | None -> Hashtbl.replace registry k (Gauge (ref f))
 
   let reset () =
-    Mutex.protect registry_lock (fun () ->
-        Hashtbl.iter
-          (fun _ inst ->
-            match inst with
-            | Counter c -> Atomic.set c 0
-            | Histogram h ->
-              Mutex.protect h.hlock (fun () ->
-                  List.iter
-                    (fun s ->
-                      Array.fill s.counts 0 (Array.length s.counts) 0;
-                      s.sum <- 0.;
-                      s.n <- 0)
-                    h.shards)
-            | Gauge _ -> ())
-          registry)
+    Hashtbl.iter
+      (fun _ inst ->
+        match inst with
+        | Counter c -> c := 0
+        | Histogram h ->
+          Array.fill h.counts 0 (Array.length h.counts) 0;
+          h.sum <- 0.;
+          h.n <- 0
+        | Gauge _ -> ())
+      registry
 
   let sorted_entries () =
-    Mutex.protect registry_lock (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) registry [])
+    Hashtbl.fold (fun k v acc -> (k, v) :: acc) registry []
     |> List.sort (fun ((n1, l1), _) ((n2, l2), _) ->
            match String.compare n1 n2 with
            | 0 -> List.compare (fun (a, b) (c, d) ->
@@ -671,24 +541,23 @@ module Metrics = struct
           counters :=
             Json.Obj
               [ ("name", Json.Str name); ("labels", labels_json labels);
-                ("value", Json.Num (float_of_int (Atomic.get c))) ]
+                ("value", Json.Num (float_of_int !c)) ]
             :: !counters
         | Histogram h ->
-          let counts, sum, n = merged h in
           let buckets =
             List.init
-              (Array.length counts)
+              (Array.length h.counts)
               (fun i ->
                 let le =
                   if i < Array.length h.bounds then Json.Num h.bounds.(i)
                   else Json.Str "+inf"
                 in
-                Json.Obj [ ("le", le); ("count", Json.Num (float_of_int counts.(i))) ])
+                Json.Obj [ ("le", le); ("count", Json.Num (float_of_int h.counts.(i))) ])
           in
           histograms :=
             Json.Obj
               [ ("name", Json.Str name); ("labels", labels_json labels);
-                ("count", Json.Num (float_of_int n)); ("sum", Json.Num sum);
+                ("count", Json.Num (float_of_int h.n)); ("sum", Json.Num h.sum);
                 ("buckets", Json.Arr buckets) ]
             :: !histograms
         | Gauge f ->
@@ -718,14 +587,11 @@ module Metrics = struct
       (fun ((name, labels), inst) ->
         let id = name ^ label_string labels in
         match inst with
-        | Counter c ->
-          let v = Atomic.get c in
-          if v <> 0 then Format.fprintf ppf "%-64s %d@." id v
+        | Counter c -> if !c <> 0 then Format.fprintf ppf "%-64s %d@." id !c
         | Histogram h ->
-          let _, sum, n = merged h in
-          if n <> 0 then
-            Format.fprintf ppf "%-64s n=%d sum=%.3f mean=%.3f@." id n sum
-              (sum /. float_of_int n)
+          if h.n <> 0 then
+            Format.fprintf ppf "%-64s n=%d sum=%.3f mean=%.3f@." id h.n h.sum
+              (h.sum /. float_of_int h.n)
         | Gauge f -> Format.fprintf ppf "%-64s %.0f@." id (!f ()))
       (sorted_entries ())
 end

@@ -21,11 +21,8 @@
       (increments are a few nanoseconds); rendered as text or dumped
       as JSON.
 
-    Both {!Trace} and {!Metrics} are domain-safe: counters are atomics,
-    histograms are sharded per domain and merged on read, and each
-    domain traces into its own ring buffer, merged deterministically by
-    (domain tag, per-domain sequence); [docs/ARCHITECTURE.md] ("Domain
-    safety") lists the shared state. The event schema and metric naming
+    Both {!Trace} and {!Metrics} are plain global state: a process runs
+    the library on one domain. The event schema and metric naming
     convention are in [docs/TRACING.md]. *)
 
 (** Minimal JSON values, printer and parser. *)
@@ -59,16 +56,11 @@ module Trace : sig
     | Instant  (** point event *)
 
   type event = {
-    seq : int;
-        (** per-domain emission index, monotonically increasing within
-            one domain tag *)
+    seq : int;  (** emission index since {!enable} or {!clear} *)
     ts_ms : float;  (** milliseconds since {!enable} (see {!set_clock}) *)
     kind : kind;
     name : string;  (** dotted event name, e.g. ["memo.explore"] *)
-    depth : int;  (** span-nesting depth at emission (per domain) *)
-    dom : int;
-        (** domain tag the event was emitted from: 0 for the main
-            domain, whatever {!set_domain_tag} installed elsewhere *)
+    depth : int;  (** span-nesting depth at emission *)
     attrs : (string * Json.t) list;  (** event attributes *)
   }
 
@@ -78,25 +70,16 @@ module Trace : sig
       load per site. *)
 
   val enable : ?capacity:int -> unit -> unit
-  (** Start recording, each domain into a fresh ring of [capacity]
-      events (default 65536). When a ring is full the {e oldest} events
-      of that domain are dropped and {!dropped} counts them. Call from
-      the main domain with no worker emitting. *)
+  (** Start recording into a fresh ring of [capacity] events (default
+      65536). When the ring is full the {e oldest} events are dropped
+      and {!dropped} counts them. *)
 
   val disable : unit -> unit
   (** Stop recording. Buffered events remain readable. *)
 
   val clear : unit -> unit
   (** Drop all buffered events and reset [seq], depth and the drop
-      counter in every domain (recording state is unchanged). Call from
-      the main domain with no worker emitting. *)
-
-  val set_domain_tag : int -> unit
-  (** Set the calling domain's tag, stamped into {!event.dom} and used
-      as the major key when {!events} merges the per-domain buffers.
-      The main domain defaults to [0]; a worker pool should tag its
-      workers with distinct, deterministically assigned values (e.g.
-      1..N by worker index) so merged traces are reproducible. *)
+      counter (recording state is unchanged). Call outside any span. *)
 
   val set_clock : (unit -> float) -> unit
   (** Replace the timestamp source (milliseconds, monotone). The
@@ -118,17 +101,15 @@ module Trace : sig
       exactly [f ()]. *)
 
   val events : unit -> event list
-  (** Buffered events from every domain, merged by (domain tag,
-      per-domain [seq]) — a deterministic order whenever work is
-      assigned to tags deterministically. Read after joining any worker
-      domains; reading while workers emit is racy. *)
+  (** Buffered events, oldest first (ascending [seq]). *)
 
   val dropped : unit -> int
-  (** Events evicted from the rings (all domains) since the last
-      {!clear}. *)
+  (** Events evicted from the ring since the last {!clear}. *)
 
   val event_to_json : event -> Json.t
   val event_of_json : Json.t -> (event, string) result
+  (** Inverse of {!event_to_json}. Unknown fields are ignored, so lines
+      that still carry the retired ["dom"] field decode too. *)
 
   val to_jsonl : unit -> string
   (** All buffered events, one JSON object per line (the [--trace]
@@ -157,8 +138,7 @@ module Metrics : sig
       different instrument kind. *)
 
   val inc : ?by:int -> counter -> unit
-  (** Add [by] (default 1) to the counter. Lock-free (one atomic
-      fetch-and-add); safe from any domain. *)
+  (** Add [by] (default 1) to the counter. *)
 
   val value : counter -> int
 
@@ -171,8 +151,7 @@ module Metrics : sig
       at first registration. *)
 
   val observe : histogram -> float -> unit
-  (** Record one observation, into the calling domain's shard (no
-      locking on the hot path; readers merge the shards). *)
+  (** Record one observation. *)
 
   val hist_count : histogram -> int
   (** Number of observations. *)

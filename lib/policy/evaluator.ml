@@ -230,20 +230,18 @@ let locations_for_uncached ?stats ?(include_home = true) ~(catalog : Catalog.t)
 type verdict = { locs : Locset.t; d_eta : int; d_tests : int }
 
 let cache : ((int * int * bool) * Summary.t, verdict) Hashtbl.t = Hashtbl.create 1024
-let cache_lock = Mutex.create ()
 let enabled = ref true
 let hits = ref 0
 let misses = ref 0
 let max_entries = 1 lsl 16
 
 let set_cache_enabled b = enabled := b
-let cache_stats () = Mutex.protect cache_lock (fun () -> (!hits, !misses))
+let cache_stats () = (!hits, !misses)
 
 let reset_cache () =
-  Mutex.protect cache_lock (fun () ->
-      Hashtbl.reset cache;
-      hits := 0;
-      misses := 0)
+  Hashtbl.reset cache;
+  hits := 0;
+  misses := 0
 
 let replay stats ~d_eta ~d_tests =
   match stats with
@@ -252,29 +250,14 @@ let replay stats ~d_eta ~d_tests =
     st.eta <- st.eta + d_eta;
     st.implication_tests <- st.implication_tests + d_tests
 
-(* Shared across domains: lookups/inserts run under the lock, the
-   evaluation itself outside it. Two domains evaluating the same cold
-   key both compute the same verdict (Algorithm 1 is pure in the key)
-   and the second insert is dropped, so replayed η/test increments stay
-   exact either way; only the hit/miss diagnostic counters are
-   timing-dependent (docs/ARCHITECTURE.md, "Domain safety"). *)
 let locations_for ?stats ?(include_home = true) ~(catalog : Catalog.t)
     ~(policies : Pcatalog.t) (s : Summary.t) : Locset.t =
   if not !enabled then locations_for_uncached ?stats ~include_home ~catalog ~policies s
   else
     let key = ((Catalog.stamp catalog, Pcatalog.stamp policies, include_home), s) in
-    let cached =
-      Mutex.protect cache_lock (fun () ->
-          match Hashtbl.find_opt cache key with
-          | Some v ->
-            incr hits;
-            Some v
-          | None ->
-            incr misses;
-            None)
-    in
-    match cached with
+    match Hashtbl.find_opt cache key with
     | Some v ->
+      incr hits;
       Obs.Metrics.inc c_cache_hit;
       (* replay the recorded increments into the registry too, so the
          global η counter is cache-transparent like the stats record *)
@@ -283,13 +266,11 @@ let locations_for ?stats ?(include_home = true) ~(catalog : Catalog.t)
       replay stats ~d_eta:v.d_eta ~d_tests:v.d_tests;
       v.locs
     | None ->
+      incr misses;
       Obs.Metrics.inc c_cache_miss;
       let local = fresh_stats () in
       let locs = locations_for_uncached ~stats:local ~include_home ~catalog ~policies s in
-      Mutex.protect cache_lock (fun () ->
-          if Hashtbl.length cache >= max_entries then Hashtbl.reset cache;
-          if not (Hashtbl.mem cache key) then
-            Hashtbl.add cache key
-              { locs; d_eta = local.eta; d_tests = local.implication_tests });
+      if Hashtbl.length cache >= max_entries then Hashtbl.reset cache;
+      Hashtbl.add cache key { locs; d_eta = local.eta; d_tests = local.implication_tests };
       replay stats ~d_eta:local.eta ~d_tests:local.implication_tests;
       locs

@@ -256,7 +256,6 @@ let implies_uncached (pq : Pred.t) (pe : Pred.t) : bool =
    compares cached against from-scratch runs. *)
 
 let cache : (int * int, bool) Hashtbl.t = Hashtbl.create 4096
-let cache_lock = Mutex.create ()
 let enabled = ref true
 let hits = ref 0
 let misses = ref 0
@@ -277,45 +276,27 @@ let c_cache_miss =
     "cgqp_policy_cache_total"
 
 let set_cache_enabled b = enabled := b
-let cache_stats () = Mutex.protect cache_lock (fun () -> (!hits, !misses))
+let cache_stats () = (!hits, !misses)
 
 let reset_cache () =
-  Mutex.protect cache_lock (fun () ->
-      Hashtbl.reset cache;
-      hits := 0;
-      misses := 0)
+  Hashtbl.reset cache;
+  hits := 0;
+  misses := 0
 
-(* The cache is shared across domains (it is keyed on process-unique
-   intern ids, so it must be). Lookups and inserts run under the lock;
-   the implication test itself runs outside it, so a cold pair may be
-   computed by two domains at once — both arrive at the same verdict
-   (the test is pure) and the second insert is a no-op. Hit/miss counts
-   are therefore timing-dependent when domains share the cache
-   (docs/ARCHITECTURE.md, "Domain safety"). *)
 let implies (pq : Pred.t) (pe : Pred.t) : bool =
   if not !enabled then implies_uncached pq pe
   else
     let pq, qid = Pred.intern pq in
     let pe, eid = Pred.intern pe in
-    let cached =
-      Mutex.protect cache_lock (fun () ->
-          match Hashtbl.find_opt cache (qid, eid) with
-          | Some v ->
-            incr hits;
-            Some v
-          | None ->
-            incr misses;
-            None)
-    in
-    match cached with
+    match Hashtbl.find_opt cache (qid, eid) with
     | Some v ->
+      incr hits;
       Obs.Metrics.inc c_cache_hit;
       v
     | None ->
+      incr misses;
       Obs.Metrics.inc c_cache_miss;
       let v = implies_uncached pq pe in
-      Mutex.protect cache_lock (fun () ->
-          if Hashtbl.length cache >= max_entries then Hashtbl.reset cache;
-          if not (Hashtbl.mem cache (qid, eid)) then
-            Hashtbl.add cache (qid, eid) v);
+      if Hashtbl.length cache >= max_entries then Hashtbl.reset cache;
+      Hashtbl.add cache (qid, eid) v;
       v

@@ -11,11 +11,12 @@ type t = {
 }
 
 (* Policy catalogs are immutable after [make]; a construction-time
-   stamp identifies one soundly in process-wide cache keys. Atomic:
-   duplicate stamps issued by racing domains would alias distinct
-   catalogs in the evaluator's verdict cache (docs/ARCHITECTURE.md, "Domain safety"). *)
-let next_stamp = Atomic.make 0
-let fresh_stamp () = Atomic.fetch_and_add next_stamp 1 + 1
+   stamp identifies one soundly in process-wide cache keys. *)
+let next_stamp = ref 0
+
+let fresh_stamp () =
+  incr next_stamp;
+  !next_stamp
 
 (* splitmix64 finalizer — the same mixing discipline as the fault
    scheduler, so the fingerprint has no structure an LRU key could

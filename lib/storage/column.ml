@@ -31,10 +31,7 @@ type t = {
       (* packed bitmap, bit [i] set = row [i] is NULL; [Bytes.empty]
          means "no nulls" (and is mandatory for [Values]) *)
   mutable bytes : int;
-      (* memoized serialized size; -1 = not computed. Benign race under
-         domains: a pure function of the immutable data, and a single
-         word-sized write, so concurrent fills store the same value
-         (docs/ARCHITECTURE.md, "Domain safety"). *)
+      (* memoized serialized size; -1 = not computed *)
 }
 
 let no_nulls = Bytes.empty

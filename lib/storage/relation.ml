@@ -67,15 +67,7 @@ type t = {
   mutable cols_v : Column.t array option;  (* column-major cache *)
   mutable index_v : resolver option;
       (* built on first lookup; operators that never resolve names
-         (e.g. the vectorized engine's intermediates) pay nothing.
-
-         All three memo fields are benign races under domains: the
-         cached value is a pure function of the immutable schema/rows,
-         so concurrent fills compute equal content and a torn winner is
-         impossible (option-pointer writes are atomic in the OCaml
-         memory model). Deliberately NOT Lazy.t — forcing a Lazy from
-         two domains at once raises Lazy.Undefined
-         (docs/ARCHITECTURE.md, "Domain safety"). *)
+         (e.g. the vectorized engine's intermediates) pay nothing. *)
   pager : pager option;
       (* [Some _] = disk-backed (segment store). Paged relations never
          cache a materialized view — every [rows]/[cols] access

@@ -33,15 +33,14 @@ let magic_byte = '\xC5'
 let meta_magic = "cgqp-segments 1"
 
 (* Page-in accounting (one "page read" = one segment of one column
-   decoded from disk). Atomics: executions may run concurrently on
-   domains (docs/ARCHITECTURE.md, "Domain safety"). *)
-let reads = Atomic.make 0
-let read_bytes = Atomic.make 0
-let page_reads () = Atomic.get reads
-let page_read_bytes () = Atomic.get read_bytes
+   decoded from disk). *)
+let reads = ref 0
+let read_bytes = ref 0
+let page_reads () = !reads
+let page_read_bytes () = !read_bytes
 let reset_page_reads () =
-  Atomic.set reads 0;
-  Atomic.set read_bytes 0
+  reads := 0;
+  read_bytes := 0
 
 let fail fmt = Printf.ksprintf failwith fmt
 
@@ -259,9 +258,7 @@ type handle = {
   card : int;
   tags : int array;  (* per-column representation tag *)
   mutable bytes : int;
-      (* memoized footer byte-size total; -1 = not yet read. Benign
-         race under domains, like [Column.t]'s memo: a pure function of
-         the files, stored with one word-sized write. *)
+      (* memoized footer byte-size total; -1 = not yet read *)
 }
 
 let openh ~dir =
@@ -339,8 +336,8 @@ let read_payload sc ic plen =
   sc.buf
 
 let count_page_read plen =
-  Atomic.incr reads;
-  ignore (Atomic.fetch_and_add read_bytes plen)
+  incr reads;
+  read_bytes := !read_bytes + plen
 
 (* Storage for [n] rows of representation [tag]. *)
 let alloc h tag n : Column.data =

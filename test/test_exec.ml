@@ -918,6 +918,24 @@ let test_spill_cleanup () =
             fun ~budget p -> Exec.Vector.run ~faults ~budget ~network ~db ~table_cols p );
         ])
 
+(* [--mem-budget] / CGQP_MEM_BUDGET parsing: suffixes are powers of
+   1024, and a count whose product with its suffix overflows is
+   rejected instead of wrapping (2^33 g is 2^63 bytes, which wraps to
+   0 and would spill every operator). *)
+let test_parse_budget () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check (option int)) input expected (Exec.Runtime.parse_budget input))
+    [
+      ("64m", Some (64 * 1024 * 1024));
+      ("unlimited", Some Exec.Runtime.unlimited_budget);
+      ("", Some Exec.Runtime.unlimited_budget);
+      ("k", None);
+      ("-1", None);
+      ("8589934592g", None);
+      ("9999999999g", None);
+    ]
+
 let test_tpch_golden_equivalence () =
   (* The paper's twelve TPC-H queries, optimized then executed on both
      engines: results, ships and profiles must be byte-identical. *)
@@ -1222,6 +1240,7 @@ let () =
             test_differential_spill;
           Alcotest.test_case "spill dir cleanup on all exit paths" `Quick
             test_spill_cleanup;
+          Alcotest.test_case "memory budget parsing" `Quick test_parse_budget;
           Alcotest.test_case "paged scan decodes only projected columns" `Quick
             test_paged_scan_pruning;
           Alcotest.test_case "TPC-H golden equivalence" `Slow

@@ -152,7 +152,15 @@ let test_ring_buffer () =
             | _ -> -1)
           events
       in
-      Alcotest.(check (list int)) "newest survive, oldest first" [ 7; 8; 9; 10 ] is)
+      Alcotest.(check (list int)) "newest survive, oldest first" [ 7; 8; 9; 10 ] is;
+      (* clear empties the ring and restarts the drop count and seq *)
+      Obs.Trace.clear ();
+      Alcotest.(check int) "clear resets dropped" 0 (Obs.Trace.dropped ());
+      Alcotest.(check int) "clear empties the ring" 0 (List.length (Obs.Trace.events ()));
+      Obs.Trace.instant "after.clear" [];
+      match Obs.Trace.events () with
+      | [ e ] -> Alcotest.(check int) "seq restarts at 0" 0 e.Obs.Trace.seq
+      | es -> Alcotest.failf "expected one event after clear, got %d" (List.length es))
 
 let test_jsonl_roundtrip () =
   let events, jsonl =
@@ -172,7 +180,15 @@ let test_jsonl_roundtrip () =
         match Obs.Trace.event_of_json j with
         | Error msg -> Alcotest.failf "undecodable event: %s (%s)" line msg
         | Ok e' -> Alcotest.(check bool) "event round-trips" true (e = e')))
-    events lines
+    events lines;
+  (* traces written while events still carried a domain tag decode *)
+  let old_line =
+    {|{"seq":3,"ts_ms":1.5,"kind":"I","name":"memo.group","depth":1,"dom":0,"attrs":{"g":2}}|}
+  in
+  match Result.map Obs.Trace.event_of_json (Obs.Json.of_string old_line) with
+  | Ok (Ok e) ->
+    Alcotest.(check (pair string int)) "old line decodes" ("memo.group", 3) (e.name, e.seq)
+  | Ok (Error msg) | Error msg -> Alcotest.failf "line with \"dom\" rejected: %s" msg
 
 (* --- Metrics ---------------------------------------------------- *)
 
@@ -195,7 +211,43 @@ let test_histogram () =
   in
   List.iter (Obs.Metrics.observe h) [ 0.5; 5.; 50.; 500. ];
   Alcotest.(check int) "count" 4 (Obs.Metrics.hist_count h);
-  Alcotest.(check (float 1e-9)) "sum" 555.5 (Obs.Metrics.hist_sum h)
+  Alcotest.(check (float 1e-9)) "sum" 555.5 (Obs.Metrics.hist_sum h);
+  (* bucket counts are only visible through the dump *)
+  let buckets () =
+    let dumped =
+      match Obs.Json.member "histograms" (Obs.Metrics.dump ()) with
+      | Some (Obs.Json.Arr hs) -> hs
+      | _ -> Alcotest.fail "dump has no histograms array"
+    in
+    match
+      List.find_opt
+        (fun j ->
+          Obs.Json.member "name" j = Some (Obs.Json.Str "test_obs_hist_ms")
+          && Obs.Json.member "labels" j
+             = Some (Obs.Json.Obj [ ("case", Obs.Json.Str "basic") ]))
+        dumped
+    with
+    | Some j -> (
+      match Obs.Json.member "buckets" j with
+      | Some (Obs.Json.Arr bs) ->
+        List.map
+          (fun b ->
+            match Obs.Json.member "count" b with
+            | Some (Obs.Json.Num c) -> int_of_float c
+            | _ -> -1)
+          bs
+      | _ -> Alcotest.fail "histogram without buckets")
+    | None -> Alcotest.fail "histogram missing from the dump"
+  in
+  Alcotest.(check (list int)) "bucket counts" [ 1; 1; 1; 1 ] (buckets ());
+  Obs.Metrics.reset ();
+  Alcotest.(check int) "count after reset" 0 (Obs.Metrics.hist_count h);
+  Alcotest.(check (float 0.)) "sum after reset" 0. (Obs.Metrics.hist_sum h);
+  Alcotest.(check (list int)) "buckets after reset" [ 0; 0; 0; 0 ] (buckets ());
+  Obs.Metrics.observe h 5.;
+  Alcotest.(check int) "counts from zero" 1 (Obs.Metrics.hist_count h);
+  Alcotest.(check (float 1e-9)) "sums from zero" 5. (Obs.Metrics.hist_sum h);
+  Alcotest.(check (list int)) "buckets from zero" [ 0; 1; 0; 0 ] (buckets ())
 
 let test_dump_roundtrip () =
   (* force some registered instruments to be nonzero *)
