@@ -437,6 +437,10 @@ let micro () =
           (Staged.stage (fun () ->
                ignore
                  (optimize ~mode:Optimizer.Memo.Compliant ~cat ~policies Tpch.Queries.q5)));
+        Test.make ~name:"optimize-q8-compliant"
+          (Staged.stage (fun () ->
+               ignore
+                 (optimize ~mode:Optimizer.Memo.Compliant ~cat ~policies Tpch.Queries.q8)));
         Test.make ~name:"parse-policy"
           (Staged.stage (fun () ->
                ignore

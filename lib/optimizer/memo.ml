@@ -2,7 +2,9 @@
    generator (§6.1), extended with the paper's compliance machinery:
 
    - groups of logically-equivalent expressions, deduplicated by a
-     canonical representative (Normalize.canon);
+     structural key over the m-expression with its children named by
+     group id (the equivalence Normalize.canon defines, without building
+     or printing a plan per lookup);
    - transformation rules: join commutativity, join associativity and
      eager aggregation pushdown (the rule §6.4 identifies as necessary
      for completeness);
@@ -60,17 +62,22 @@ type mexpr =
 
 type group = {
   id : gid;
-  repr : Plan.t;  (* canonical logical form *)
+  repr : Plan.t;
+      (* canonical logical form, built once for estimates and summaries;
+         group identity is the structural key (see [key] below) *)
   mutable exprs : mexpr list;
   mutable explored : bool;
   mutable entries : entry list option;
   est : Stats.node_est;
+  attrs : Attr.Set.t;  (* output columns *)
   summary : Summary.t;
   tables : (string * string) list;  (* alias -> table *)
   partition_tag : int;  (* >= 0 when the whole subtree reads one partition *)
   single_loc : Catalog.Location.t option;
   policy_ships : Locset.t Lazy.t;  (* AR4 contribution for this group *)
   lb : float;  (* static lower bound on any entry's cost *)
+  leaves : gid list;  (* sorted join-tree leaf groups; [id] for a non-join *)
+  conjuncts : int list;  (* sorted interned join-tree conjuncts; [] for a non-join *)
 }
 
 and entry = {
@@ -112,16 +119,71 @@ type prune_stats = {
   combos_pruned : int;
 }
 
+(* --- group identity: the structural key --- *)
+
+(* A group is found by a key over one of its m-expressions, children
+   named by gid. The key induces the equivalence [Normalize.canon]
+   defines: filter conjuncts, aggregate keys and aggregates are sorted
+   as canon sorts them, and a join is identified by the multisets of
+   its leaf groups and of the conjuncts over its whole join tree — what
+   [Normalize.flatten] collects — so commuted and reassociated joins
+   share a key. Conjuncts are compared by interned id, scalars with
+   [Expr.compare_scalar]; nothing is printed. *)
+type key =
+  | K_scan of string * string * int  (* table, alias, partition; -1 = all *)
+  | K_filter of int list * gid  (* sorted conjunct ids *)
+  | K_project of (Expr.scalar * Attr.t) list * gid
+  | K_agg of Attr.t list * Expr.agg list * gid  (* sorted as canon sorts *)
+  | K_union of gid list  (* sorted *)
+  | K_join of gid list * int list  (* sorted leaf gids, sorted conjunct ids *)
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal_item (e1, n1) (e2, n2) = Expr.equal_scalar e1 e2 && Attr.equal n1 n2
+
+  let equal_agg (x : Expr.agg) (y : Expr.agg) =
+    x.fn = y.fn && Expr.equal_scalar x.arg y.arg && String.equal x.alias y.alias
+
+  let ints = List.equal Int.equal
+
+  let equal a b =
+    match a, b with
+    | K_scan (t1, a1, p1), K_scan (t2, a2, p2) ->
+      p1 = p2 && String.equal t1 t2 && String.equal a1 a2
+    | K_filter (c1, g1), K_filter (c2, g2) -> g1 = g2 && ints c1 c2
+    | K_project (i1, g1), K_project (i2, g2) -> g1 = g2 && List.equal equal_item i1 i2
+    | K_agg (k1, a1, g1), K_agg (k2, a2, g2) ->
+      g1 = g2 && List.equal Attr.equal k1 k2 && List.equal equal_agg a1 a2
+    | K_union g1, K_union g2 -> ints g1 g2
+    | K_join (l1, c1), K_join (l2, c2) -> ints l1 l2 && ints c1 c2
+    | (K_scan _ | K_filter _ | K_project _ | K_agg _ | K_union _ | K_join _), _ -> false
+
+  let mix h x = (h * 31) + x
+  let hash_ints = List.fold_left mix
+
+  (* Scalars stay out of the hash: [Expr.compare_scalar] equates
+     [Int 1] and [Float 1.], which the polymorphic hash tells apart. *)
+  let hash = function
+    | K_scan (t, a, p) -> Hashtbl.hash (t, a, p)
+    | K_filter (c, g) -> hash_ints (mix 1 g) c
+    | K_project (items, g) -> mix (Hashtbl.hash (List.map snd items)) g
+    | K_agg (keys, aggs, g) ->
+      mix (Hashtbl.hash (keys, List.map (fun (a : Expr.agg) -> a.alias) aggs)) g
+    | K_union gs -> hash_ints 5 gs
+    | K_join (l, c) -> hash_ints (hash_ints 7 l) c
+end)
+
 type t = {
   cat : Catalog.t;
   policies : Policy.Pcatalog.t;
   mode : mode;
   rules : rules;
   eval_stats : Policy.Evaluator.stats option;
-  mutable groups : group list;  (* newest first; lookup by id via array below *)
   arr : (gid, group) Hashtbl.t;
-  by_key : (string, gid) Hashtbl.t;  (* canonical repr (+ partition tag) -> group *)
+  by_key : gid Key_tbl.t;
   table_cols : string -> string list;
+  all_locs : Locset.t;  (* every catalog location *)
   mutable next_id : int;
   max_frontier : int;
   prune : bool;  (* branch-and-bound pruning enabled *)
@@ -141,10 +203,10 @@ let create ?(max_frontier = 8) ?(prune = true) ?(rules = default_rules) ?eval_st
     mode;
     rules;
     eval_stats;
-    groups = [];
     arr = Hashtbl.create 64;
-    by_key = Hashtbl.create 64;
+    by_key = Key_tbl.create 64;
     table_cols;
+    all_locs = Locset.of_list (Catalog.locations cat);
     next_id = 0;
     max_frontier;
     prune;
@@ -162,17 +224,7 @@ let prune_stats m =
 let group m id = Hashtbl.find m.arr id
 let group_count m = m.next_id
 
-let attrs_of g = List.map fst g.est.Stats.cols
-
-let attr_set_of g =
-  List.fold_left (fun s a -> Attr.Set.add a s) Attr.Set.empty (attrs_of g)
-
 (* --- group creation --- *)
-
-let group_key (repr : Plan.t) ~(partition : int) =
-  Printf.sprintf "%d|%s" partition (Plan.to_string repr)
-
-let all_locations m = Locset.of_list (Catalog.locations m.cat)
 
 (* Exploration-independent lower bound on the cost of any entry of a
    group: every member plan is a tree whose leaves scan each referenced
@@ -206,7 +258,7 @@ let static_lb m ~(tables : (string * string) list) ~(partition : int) : float =
         acc +. contribution)
     0. tables
 
-let new_group m ~repr ~partition ~est (expr_of_group : gid -> mexpr list) : gid =
+let new_group m ~key ~repr ~partition ~est (e : mexpr) : gid =
   let id = m.next_id in
   m.next_id <- id + 1;
   let summary = Summary.analyze ~table_cols:m.table_cols repr in
@@ -247,17 +299,17 @@ let new_group m ~repr ~partition ~est (expr_of_group : gid -> mexpr list) : gid 
           Policy.Evaluator.locations_for ?stats:m.eval_stats ~include_home:false
             ~catalog:m.cat ~policies:m.policies summary))
   in
+  let leaves, conjuncts = match key with K_join (l, c) -> (l, c) | _ -> ([ id ], []) in
   let g =
-    { id; repr; exprs = []; explored = false; entries = None; est; summary; tables;
+    { id; repr; exprs = [ e ]; explored = false; entries = None; est;
+      attrs = Attr.Set.of_list (List.map fst est.Stats.cols); summary; tables;
       partition_tag = partition; single_loc; policy_ships;
-      lb = static_lb m ~tables ~partition }
+      lb = static_lb m ~tables ~partition; leaves; conjuncts }
   in
   Hashtbl.replace m.arr id g;
-  m.groups <- g :: m.groups;
-  Hashtbl.replace m.by_key (group_key repr ~partition) id;
-  g.exprs <- expr_of_group id;
+  Key_tbl.replace m.by_key key id;
   Obs.Metrics.inc c_groups;
-  Obs.Metrics.inc ~by:(List.length g.exprs) c_exprs;
+  Obs.Metrics.inc c_exprs;
   if Obs.Trace.enabled () then
     Obs.Trace.instant "memo.group"
       [
@@ -320,21 +372,44 @@ let repr_of_expr m (e : mexpr) : Plan.t =
   | E_agg (keys, aggs, i) -> Plan.Aggregate { keys; aggs; input = r i }
   | E_union gs -> Plan.Union (List.map r gs)
 
+let conjunct_ids p =
+  List.sort Int.compare (List.map (fun c -> snd (Pred.intern c)) (Pred.conjuncts p))
+
+let key_of m (e : mexpr) : key =
+  match e with
+  | E_scan { table; alias; partition; _ } -> K_scan (table, alias, partition)
+  | E_filter (p, i) -> K_filter (conjunct_ids p, i)
+  | E_project (items, i) -> K_project (items, i)
+  | E_agg (keys, aggs, i) ->
+    K_agg
+      ( List.sort Attr.compare keys,
+        List.sort (fun (a : Expr.agg) (b : Expr.agg) -> String.compare a.alias b.alias) aggs,
+        i )
+  | E_union gs -> K_union (List.sort Int.compare gs)
+  | E_join (p, l, r) ->
+    let l = group m l and r = group m r in
+    let conjuncts = List.merge Int.compare l.conjuncts r.conjuncts in
+    K_join
+      ( List.merge Int.compare l.leaves r.leaves,
+        List.merge Int.compare (conjunct_ids p) conjuncts )
+
 (* Find-or-create the group holding [e]; the expression is added to the
-   group's expression list if not already present. *)
+   group's expression list if not already present. Only a new group
+   builds its canonical plan. *)
 let rec group_of_expr m (e : mexpr) : gid =
-  let repr = Normalize.canon (repr_of_expr m e) in
-  let partition =
-    match e with
-    | E_scan s -> s.partition
-    | E_filter (_, i) | E_project (_, i) | E_agg (_, _, i) -> (group m i).partition_tag
-    | E_join _ | E_union _ -> -1
-  in
-  match Hashtbl.find_opt m.by_key (group_key repr ~partition) with
+  let key = key_of m e in
+  match Key_tbl.find_opt m.by_key key with
   | Some id ->
     ignore (add_expr (group m id) e);
     id
   | None ->
+    let repr = Normalize.canon (repr_of_expr m e) in
+    let partition =
+      match e with
+      | E_scan s -> s.partition
+      | E_filter (_, i) | E_project (_, i) | E_agg (_, _, i) -> (group m i).partition_tag
+      | E_join _ | E_union _ -> -1
+    in
     let est =
       match e with
       | E_scan { table; alias; fraction; _ } -> Stats.scan_est m.cat ~table ~alias ~fraction
@@ -353,7 +428,7 @@ let rec group_of_expr m (e : mexpr) : gid =
           in
           { base with Stats.rows = Float.max 1.0 (base.Stats.rows *. frac) }
     in
-    new_group m ~repr ~partition ~est (fun _ -> [ e ])
+    new_group m ~key ~repr ~partition ~est e
 
 and ingest m (plan : Plan.t) : gid =
   match plan with
@@ -373,16 +448,16 @@ and ingest m (plan : Plan.t) : gid =
                  { table; alias; partition = i; location = p.location; fraction = p.fraction }))
           ps
       in
-      (* register the union group under the plain scan's key so joins
-         referencing the table resolve to it *)
-      let repr = Normalize.canon plan in
-      (match Hashtbl.find_opt m.by_key (group_key repr ~partition:(-1)) with
+      (* register the union group under the plain scan's key, partition
+         -1, so joins referencing the table resolve to it *)
+      let key = K_scan (table, alias, -1) in
+      (match Key_tbl.find_opt m.by_key key with
       | Some id ->
         ignore (add_expr (group m id) (E_union part_gids));
         id
       | None ->
         let est = Stats.scan_est m.cat ~table ~alias ~fraction:1.0 in
-        new_group m ~repr ~partition:(-1) ~est (fun _ -> [ E_union part_gids ])))
+        new_group m ~key ~repr:plan ~partition:(-1) ~est (E_union part_gids)))
   | Plan.Select (p, i) -> group_of_expr m (E_filter (p, ingest m i))
   | Plan.Project (items, i) -> group_of_expr m (E_project (items, ingest m i))
   | Plan.Join (p, l, r) -> group_of_expr m (E_join (p, ingest m l, ingest m r))
@@ -391,9 +466,8 @@ and ingest m (plan : Plan.t) : gid =
 
 (* --- transformation rules --- *)
 
-let equi_pairs m (p : Pred.t) ~(lset : Attr.Set.t) ~(rset : Attr.Set.t) :
+let equi_pairs (p : Pred.t) ~(lset : Attr.Set.t) ~(rset : Attr.Set.t) :
     ((Attr.t * Attr.t) list * Pred.t list) option =
-  ignore m;
   let pairs, residual =
     List.fold_left
       (fun (pairs, residual) c ->
@@ -427,11 +501,11 @@ let reagg_fn = function
    Supply aggregate below the join while keeping sum(totprice) exact. *)
 let try_eager_agg m ~keys ~aggs ~pred ~gl ~gr : mexpr option =
   let lgroup = group m gl and rgroup = group m gr in
-  let lset = attr_set_of lgroup and rset = attr_set_of rgroup in
+  let lset = lgroup.attrs and rset = rgroup.attrs in
   let qualified_cols e =
     Attr.Set.for_all (fun c -> Attr.is_qualified c) (Expr.cols e)
   in
-  match equi_pairs m pred ~lset ~rset with
+  match equi_pairs pred ~lset ~rset with
   | None -> None
   | Some (pairs, residual) ->
     if residual <> [] then None
@@ -537,7 +611,7 @@ let rec apply_rules m (_g : group) (e : mexpr) : mexpr list =
           match le with
           | E_join (p2, ga, gb) -> (
             let pool = Pred.conjuncts p @ Pred.conjuncts p2 in
-            let bset = attr_set_of (group m gb) and cset = attr_set_of (group m gr) in
+            let bset = (group m gb).attrs and cset = (group m gr).attrs in
             let bc = Attr.Set.union bset cset in
             let p_br, p_top =
               List.partition (fun c -> Attr.Set.subset (Pred.cols c) bc) pool
@@ -628,8 +702,8 @@ let op_cost m (g : group) (e : mexpr) : float =
   | E_project (_, i) -> rows i
   | E_join (p, l, r) ->
     let lr = rows l and rr = rows r in
-    let lset = attr_set_of (group m l) and rset = attr_set_of (group m r) in
-    (match equi_pairs m p ~lset ~rset with
+    let lset = (group m l).attrs and rset = (group m r).attrs in
+    (match equi_pairs p ~lset ~rset with
     | Some _ -> lr +. (2. *. rr) +. out (* hash join: build side costs double *)
     | None -> (lr *. rr) +. out (* nested loops *))
   | E_agg (_, _, i) -> rows i +. out
@@ -795,7 +869,7 @@ let rec entries_of m (g : group) : entry list =
     end
 
 and entry_candidates m (g : group) (e : mexpr) : entry list =
-  let all = all_locations m in
+  let all = m.all_locs in
   let finish ?(phys = P_default) ~cost ~exec ~order ~sub () =
     match m.mode with
     | Traditional ->
@@ -834,10 +908,10 @@ and entry_candidates m (g : group) (e : mexpr) : entry list =
       (entries_of m (group m i))
   | E_join (p, l, r) ->
     let les = entries_of m (group m l) and res = entries_of m (group m r) in
-    let lset = attr_set_of (group m l) and rset = attr_set_of (group m r) in
+    let lset = (group m l).attrs and rset = (group m r).attrs in
     let lr = (group m l).est.Stats.rows and rr = (group m r).est.Stats.rows in
     let out = g.est.Stats.rows in
-    let pairs = equi_pairs m p ~lset ~rset in
+    let pairs = equi_pairs p ~lset ~rset in
     List.concat_map
       (fun le ->
         List.concat_map
@@ -978,8 +1052,8 @@ let extract ?(required_order = []) m (root_gid : gid) : (anode * float) option =
         | E_filter (p, _) -> (Exec.Pplan.Filter p, children)
         | E_project (items, _) -> (Exec.Pplan.Project items, children)
         | E_join (p, l, r) -> (
-          let lset = attr_set_of (group m l) and rset = attr_set_of (group m r) in
-          match equi_pairs m p ~lset ~rset, e.phys with
+          let lset = (group m l).attrs and rset = (group m r).attrs in
+          match equi_pairs p ~lset ~rset, e.phys with
           | Some (pairs, residual), P_merge { sort_left; sort_right } ->
             let lkeys = List.map (fun (a, _) -> (a, false)) pairs in
             let rkeys = List.map (fun (_, b) -> (b, false)) pairs in

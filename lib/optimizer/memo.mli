@@ -3,7 +3,9 @@
     compliance machinery:
 
     - groups of logically-equivalent expressions, deduplicated by a
-      canonical representative ({!Normalize.canon});
+      structural key over each m-expression with its children named by
+      group id. The key induces the equivalence {!Normalize.canon}
+      defines; no plan is built or printed to look a group up;
     - transformation rules: join commutativity and associativity, eager
       aggregation pushdown (the rewrite §6.4 identifies as necessary for
       completeness), and filter/projection distribution over partition
@@ -43,11 +45,15 @@ type mexpr =
 
 type group = {
   id : gid;
-  repr : Plan.t;  (** canonical logical form (group identity) *)
+  repr : Plan.t;
+      (** canonical logical form ({!Normalize.canon}), built once when
+          the group is created and used for estimates and summaries;
+          group identity is the structural key, not this plan *)
   mutable exprs : mexpr list;
   mutable explored : bool;
   mutable entries : entry list option;
   est : Stats.node_est;
+  attrs : Attr.Set.t;  (** output columns, the attributes of [est.cols] *)
   summary : Summary.t;
   tables : (string * string) list;
   partition_tag : int;  (** >= 0 when the subtree reads one partition *)
@@ -56,6 +62,11 @@ type group = {
   lb : float;
       (** static lower bound on any entry's cost (summed base-table scan
           estimates), used by branch-and-bound pruning *)
+  leaves : gid list;
+      (** sorted leaf groups of the join tree; [[id]] for a non-join group *)
+  conjuncts : int list;
+      (** sorted interned ids ({!Pred.intern}) of the conjuncts over the
+          whole join tree; [[]] for a non-join group *)
 }
 
 and entry = {

@@ -104,26 +104,60 @@ let test_same_plan_when_traditional_compliant () =
 
 (* --- memo internals --- *)
 
+let plan_of_sql ?(cat = cat) sql =
+  let table_cols t =
+    Option.map (fun e -> Catalog.Table_def.col_names e.Catalog.def) (Catalog.find_table cat t)
+  in
+  Optimizer.Normalize.normalize ~table_cols:(Catalog.table_cols cat)
+    (Sqlfront.Binder.plan_of_sql ~table_cols sql)
+
+let memo_create () = Optimizer.Memo.create ~mode:Optimizer.Memo.Compliant ~cat ~policies:cra ()
+
+(* The first group reachable from [gid] (through first children) that
+   holds an expression matching [is_kind]. *)
+let rec find_group m is_kind gid =
+  let g = Optimizer.Memo.group m gid in
+  if List.exists is_kind g.Optimizer.Memo.exprs then gid
+  else
+    match g.Optimizer.Memo.exprs with
+    | ( Optimizer.Memo.E_filter (_, i)
+      | Optimizer.Memo.E_project (_, i)
+      | Optimizer.Memo.E_agg (_, _, i)
+      | Optimizer.Memo.E_join (_, i, _)
+      | Optimizer.Memo.E_union (i :: _) )
+      :: _ ->
+      find_group m is_kind i
+    | _ -> Alcotest.failf "no matching group below %d" gid
+
+let is_join = function Optimizer.Memo.E_join _ -> true | _ -> false
+let is_filter = function Optimizer.Memo.E_filter _ -> true | _ -> false
+
 let test_memo_dedup () =
-  let m = Optimizer.Memo.create ~mode:Optimizer.Memo.Compliant ~cat ~policies:cra () in
-  let plan sql =
-    Sqlfront.Binder.plan_of_sql
-      ~table_cols:(fun t ->
-        Option.map (fun e -> Catalog.Table_def.col_names e.Catalog.def)
-          (Catalog.find_table cat t))
-      sql
-  in
-  let g1 =
-    Optimizer.Memo.ingest m
-      (plan "SELECT c.name FROM customer c, orders o WHERE c.custkey = o.custkey")
-  in
-  let g2 =
-    Optimizer.Memo.ingest m
-      (plan "SELECT c.name FROM orders o, customer c WHERE o.custkey = c.custkey")
-  in
-  Alcotest.(check bool)
-    "commuted queries reach equal-sized memos" true
-    (g1 >= 0 && g2 >= 0)
+  let m = memo_create () in
+  let ingest sql = Optimizer.Memo.ingest m (plan_of_sql sql) in
+  let g1 = ingest "SELECT c.name FROM customer c, orders o WHERE c.custkey = o.custkey" in
+  let n1 = Optimizer.Memo.group_count m in
+  let g2 = ingest "SELECT c.name FROM orders o, customer c WHERE c.custkey = o.custkey" in
+  Alcotest.(check int) "swapped FROM order: same group" g1 g2;
+  Alcotest.(check int) "swapped FROM order: no new group" n1 (Optimizer.Memo.group_count m);
+  (* the predicate's orientation is part of the join's identity *)
+  let g3 = ingest "SELECT c.name FROM customer c, orders o WHERE o.custkey = c.custkey" in
+  Alcotest.(check bool) "flipped = : different join group" true
+    (find_group m is_join g1 <> find_group m is_join g3)
+
+let test_memo_float_constants () =
+  (* constants equal to four decimals, the precision floats print with,
+     are still different predicates *)
+  let m = memo_create () in
+  let ingest sql = Optimizer.Memo.ingest m (plan_of_sql sql) in
+  let g1 = ingest "SELECT l.orderkey FROM lineitem l WHERE l.discount < 0.050001" in
+  let g2 = ingest "SELECT l.orderkey FROM lineitem l WHERE l.discount < 0.050002" in
+  Alcotest.(check bool) "different groups" true (g1 <> g2);
+  List.iter
+    (fun g ->
+      let f = Optimizer.Memo.group m (find_group m is_filter g) in
+      Alcotest.(check int) "one filter expression" 1 (List.length f.Optimizer.Memo.exprs))
+    [ g1; g2 ]
 
 let test_exploration_grows_plan_space () =
   let count mode =
@@ -135,6 +169,215 @@ let test_exploration_grows_plan_space () =
   (* the compliant optimizer explores at least as much (extra eager-agg
      alternatives), cf. §7.3's plan-space growth *)
   Alcotest.(check bool) "plan space grows" true (comp >= trad)
+
+(* --- plan golden --- *)
+
+(* Every extended TPC-H query under each policy set, in both modes: a
+   digest of the placed plan, its phase-1 cost and the memo size, or
+   REJECTED. A change to how the memo registers groups must leave each
+   line as it is. *)
+let plan_golden =
+  [
+    ("Q2/T/compliant", "219f94f362c0 54858277 57");
+    ("Q2/T/traditional", "dead4adf6ba6 54858277 57");
+    ("Q2/C/compliant", "219f94f362c0 54858277 57");
+    ("Q2/C/traditional", "dead4adf6ba6 54858277 57");
+    ("Q2/CR/compliant", "219f94f362c0 54858277 57");
+    ("Q2/CR/traditional", "dead4adf6ba6 54858277 57");
+    ("Q2/CR+A/compliant", "219f94f362c0 54858277 57");
+    ("Q2/CR+A/traditional", "dead4adf6ba6 54858277 57");
+    ("Q3/T/compliant", "ee51a782bcda 281957197 21");
+    ("Q3/T/traditional", "ee51a782bcda 281957197 14");
+    ("Q3/C/compliant", "ee51a782bcda 281957197 21");
+    ("Q3/C/traditional", "ee51a782bcda 281957197 14");
+    ("Q3/CR/compliant", "e8509d5aafd4 281957197 21");
+    ("Q3/CR/traditional", "ee51a782bcda 281957197 14");
+    ("Q3/CR+A/compliant", "d99616412221 310062388 21");
+    ("Q3/CR+A/traditional", "ee51a782bcda 281957197 14");
+    ("Q5/T/compliant", "ae34afe84e9f 268035547 130");
+    ("Q5/T/traditional", "ae34afe84e9f 268035547 40");
+    ("Q5/C/compliant", "ae34afe84e9f 268035547 130");
+    ("Q5/C/traditional", "ae34afe84e9f 268035547 40");
+    ("Q5/CR/compliant", "ae34afe84e9f 268035547 130");
+    ("Q5/CR/traditional", "ae34afe84e9f 268035547 40");
+    ("Q5/CR+A/compliant", "ae34afe84e9f 268035547 130");
+    ("Q5/CR+A/traditional", "ae34afe84e9f 268035547 40");
+    ("Q8/T/compliant", "8c05e0b24d4b 243685291 388");
+    ("Q8/T/traditional", "0c31f4d4d928 243883550 59");
+    ("Q8/C/compliant", "8c05e0b24d4b 243685291 388");
+    ("Q8/C/traditional", "0c31f4d4d928 243883550 59");
+    ("Q8/CR/compliant", "8c05e0b24d4b 243685291 388");
+    ("Q8/CR/traditional", "0c31f4d4d928 243883550 59");
+    ("Q8/CR+A/compliant", "716117a723f2 243685291 388");
+    ("Q8/CR+A/traditional", "0c31f4d4d928 243883550 59");
+    ("Q9/T/compliant", "578b84197ad4 263609970 88");
+    ("Q9/T/traditional", "9bd099974847 263610950 41");
+    ("Q9/C/compliant", "578b84197ad4 263609970 88");
+    ("Q9/C/traditional", "9bd099974847 263610950 41");
+    ("Q9/CR/compliant", "578b84197ad4 263609970 88");
+    ("Q9/CR/traditional", "9bd099974847 263610950 41");
+    ("Q9/CR+A/compliant", "5e25580be54e 263609970 88");
+    ("Q9/CR+A/traditional", "9bd099974847 263610950 41");
+    ("Q10/T/compliant", "fbc6280476e9 276739473 34");
+    ("Q10/T/traditional", "d4229564b2a9 277435222 18");
+    ("Q10/C/compliant", "fbc6280476e9 276739473 34");
+    ("Q10/C/traditional", "d4229564b2a9 277435222 18");
+    ("Q10/CR/compliant", "9a15c2a426bf 276739473 34");
+    ("Q10/CR/traditional", "d4229564b2a9 277435222 18");
+    ("Q10/CR+A/compliant", "d9655729c953 297855431 34");
+    ("Q10/CR+A/traditional", "d4229564b2a9 277435222 18");
+    ("Q1/T/compliant", "94ce28e745c9 237861398 5");
+    ("Q1/T/traditional", "94ce28e745c9 237861398 5");
+    ("Q1/C/compliant", "94ce28e745c9 237861398 5");
+    ("Q1/C/traditional", "94ce28e745c9 237861398 5");
+    ("Q1/CR/compliant", "94ce28e745c9 237861398 5");
+    ("Q1/CR/traditional", "94ce28e745c9 237861398 5");
+    ("Q1/CR+A/compliant", "94ce28e745c9 237861398 5");
+    ("Q1/CR+A/traditional", "94ce28e745c9 237861398 5");
+    ("Q6/T/compliant", "a965178cba76 183038835 5");
+    ("Q6/T/traditional", "a965178cba76 183038835 5");
+    ("Q6/C/compliant", "a965178cba76 183038835 5");
+    ("Q6/C/traditional", "a965178cba76 183038835 5");
+    ("Q6/CR/compliant", "a965178cba76 183038835 5");
+    ("Q6/CR/traditional", "a965178cba76 183038835 5");
+    ("Q6/CR+A/compliant", "a965178cba76 183038835 5");
+    ("Q6/CR+A/traditional", "a965178cba76 183038835 5");
+    ("Q7/T/compliant", "85e6e14397aa 261303224 90");
+    ("Q7/T/traditional", "85e6e14397aa 261303224 40");
+    ("Q7/C/compliant", "85e6e14397aa 261303224 90");
+    ("Q7/C/traditional", "85e6e14397aa 261303224 40");
+    ("Q7/CR/compliant", "85e6e14397aa 261303224 90");
+    ("Q7/CR/traditional", "85e6e14397aa 261303224 40");
+    ("Q7/CR+A/compliant", "85e6e14397aa 261303224 90");
+    ("Q7/CR+A/traditional", "85e6e14397aa 261303224 40");
+    ("Q11/T/compliant", "ba543df7d88f 25272077 19");
+    ("Q11/T/traditional", "ba543df7d88f 25272077 12");
+    ("Q11/C/compliant", "ba543df7d88f 25272077 19");
+    ("Q11/C/traditional", "ba543df7d88f 25272077 12");
+    ("Q11/CR/compliant", "ba543df7d88f 25272077 19");
+    ("Q11/CR/traditional", "ba543df7d88f 25272077 12");
+    ("Q11/CR+A/compliant", "ba543df7d88f 25272077 19");
+    ("Q11/CR+A/traditional", "ba543df7d88f 25272077 12");
+    ("Q12/T/compliant", "eb5649e8cd06 226714251 8");
+    ("Q12/T/traditional", "eb5649e8cd06 226714251 8");
+    ("Q12/C/compliant", "63b056ffacbc 226714251 8");
+    ("Q12/C/traditional", "eb5649e8cd06 226714251 8");
+    ("Q12/CR/compliant", "63b056ffacbc 226714251 8");
+    ("Q12/CR/traditional", "eb5649e8cd06 226714251 8");
+    ("Q12/CR+A/compliant", "63b056ffacbc 226714251 8");
+    ("Q12/CR+A/traditional", "eb5649e8cd06 226714251 8");
+    ("Q19/T/compliant", "99d8ae6a7fdd 188854300 7");
+    ("Q19/T/traditional", "99d8ae6a7fdd 188854300 7");
+    ("Q19/C/compliant", "99d8ae6a7fdd 188854300 7");
+    ("Q19/C/traditional", "99d8ae6a7fdd 188854300 7");
+    ("Q19/CR/compliant", "99d8ae6a7fdd 188854300 7");
+    ("Q19/CR/traditional", "99d8ae6a7fdd 188854300 7");
+    ("Q19/CR+A/compliant", "99d8ae6a7fdd 188854300 7");
+    ("Q19/CR+A/traditional", "99d8ae6a7fdd 188854300 7");
+  ]
+
+let test_plan_golden () =
+  let lookup = Hashtbl.create 128 in
+  List.iter (fun (label, v) -> Hashtbl.replace lookup label v) plan_golden;
+  List.iter
+    (fun (name, sql) ->
+      List.iter
+        (fun set ->
+          let policies = Tpch.Policies.catalog_of cat set in
+          List.iter
+            (fun (mname, mode) ->
+              let label =
+                Printf.sprintf "%s/%s/%s" name (Tpch.Policies.set_name_to_string set) mname
+              in
+              let actual =
+                match optimize ~mode ~policies sql with
+                | Optimizer.Planner.Rejected _ -> "REJECTED"
+                | Optimizer.Planner.Planned p ->
+                  Printf.sprintf "%s %.0f %d"
+                    (String.sub
+                       (Digest.to_hex (Digest.string (Exec.Pplan.to_string p.plan)))
+                       0 12)
+                    p.phase1_cost p.groups
+              in
+              Alcotest.(check (option string)) label (Hashtbl.find_opt lookup label)
+                (Some actual))
+            [ ("compliant", Optimizer.Memo.Compliant);
+              ("traditional", Optimizer.Memo.Traditional) ])
+        Tpch.Policies.all_sets)
+    Tpch.Queries.all_extended
+
+(* --- group identity against the printed canonical plan --- *)
+
+(* The key groups were once registered under: the partition tag and the
+   printed canonical plan. Kept here only as an oracle. *)
+let printed_key partition repr = Printf.sprintf "%d|%s" partition (Plan.to_string repr)
+
+(* The canonical form and partition tag of one m-expression, rebuilt
+   from its child groups' representatives. *)
+let printed_key_of_expr m (e : Optimizer.Memo.mexpr) =
+  let g id = Optimizer.Memo.group m id in
+  let r id = (g id).Optimizer.Memo.repr in
+  let plan, partition =
+    match e with
+    | Optimizer.Memo.E_scan { table; alias; partition; _ } ->
+      (Plan.Scan { table; alias }, partition)
+    | Optimizer.Memo.E_filter (p, i) -> (Plan.Select (p, r i), (g i).partition_tag)
+    | Optimizer.Memo.E_project (items, i) -> (Plan.Project (items, r i), (g i).partition_tag)
+    | Optimizer.Memo.E_agg (keys, aggs, i) ->
+      (Plan.Aggregate { keys; aggs; input = r i }, (g i).partition_tag)
+    | Optimizer.Memo.E_join (p, l, r') -> (Plan.Join (p, r l, r r'), -1)
+    | Optimizer.Memo.E_union gs -> (Plan.Union (List.map r gs), -1)
+  in
+  printed_key partition (Optimizer.Normalize.canon plan)
+
+(* Expressions that rules add to a group without a lookup, and whose
+   canonical form differs from the group's: a union of partitions (a
+   partitioned scan, or a filter or projection distributed over one)
+   and eager aggregation's re-aggregation over partial results (its
+   arguments read the [__p] columns of the partial aggregate). *)
+let rewritten (g : Optimizer.Memo.group) (e : Optimizer.Memo.mexpr) =
+  match e, g.repr with
+  | Optimizer.Memo.E_union _, Plan.Union _ -> false
+  | Optimizer.Memo.E_union _, _ -> true
+  | Optimizer.Memo.E_agg (_, aggs, _), _ ->
+    List.exists
+      (fun (a : Expr.agg) ->
+        Attr.Set.exists (fun c -> String.ends_with ~suffix:"__p" c.Attr.name) (Expr.cols a.arg))
+      aggs
+  | _ -> false
+
+let adhoc_cat =
+  Tpch.Schema.catalog ~partition_tables:[ "customer"; "orders" ] ~partition_count:3 ()
+
+let adhoc_cra = Tpch.Policies.catalog_of adhoc_cat Tpch.Policies.CRA
+
+let groups_match_printed_keys ~cat ~policies sql =
+  let m =
+    Optimizer.Memo.create ~prune:false ~mode:Optimizer.Memo.Compliant ~cat ~policies ()
+  in
+  ignore (Optimizer.Memo.extract m (Optimizer.Memo.ingest m (plan_of_sql ~cat sql)));
+  let seen = Hashtbl.create 64 in
+  List.for_all
+    (fun gid ->
+      let g = Optimizer.Memo.group m gid in
+      let key = printed_key g.partition_tag g.repr in
+      let fresh = not (Hashtbl.mem seen key) in
+      Hashtbl.replace seen key ();
+      fresh
+      && List.for_all
+           (fun e -> rewritten g e || String.equal (printed_key_of_expr m e) key)
+           g.exprs)
+    (List.init (Optimizer.Memo.group_count m) Fun.id)
+
+let prop_group_identity =
+  QCheck.Test.make ~name:"memo groups are the printed canonical plans' classes" ~count:40
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      List.for_all
+        (fun sql ->
+          groups_match_printed_keys ~cat ~policies:cra sql
+          && groups_match_printed_keys ~cat:adhoc_cat ~policies:adhoc_cra sql)
+        (Tpch.Workload.gen_queries ~seed ~n:2 ()))
 
 (* --- Theorem 1 as a property --- *)
 
@@ -336,12 +579,15 @@ let () =
       ( "memo",
         [
           Alcotest.test_case "dedup" `Quick test_memo_dedup;
+          Alcotest.test_case "float constants" `Quick test_memo_float_constants;
+          Alcotest.test_case "plan golden" `Quick test_plan_golden;
           Alcotest.test_case "plan space" `Quick test_exploration_grows_plan_space;
           Alcotest.test_case "stats sanity" `Quick test_stats_sanity;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_theorem_1;
+          QCheck_alcotest.to_alcotest prop_group_identity;
           QCheck_alcotest.to_alcotest prop_site_selector_optimal;
           Alcotest.test_case "checker flags" `Quick test_checker_flags_bad_ship;
         ] );
