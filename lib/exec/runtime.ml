@@ -3,8 +3,8 @@
    the Grace spill path ([Spill]): SHIP accounting under the message
    cost model with fault injection and retry/backoff, per-operator
    profiles for EXPLAIN ANALYZE, the memory budget, the boxed aggregate
-   accumulators and row keys ([Interp] and [Spill] use them; [Vector]'s
-   in-memory kernels have unboxed ones), and the metrics/trace
+   accumulators and row keys ([Interp] and its row spill in [Spill] use
+   them; [Vector]'s kernels have unboxed ones), and the metrics/trace
    emission. Keeping this in one place is what makes the engines
    byte-identical on stats, profiles and traces. *)
 

@@ -6,11 +6,11 @@
     which is what makes their stats, profiles and observability output
     byte-identical (see [docs/EXECUTOR.md]). The boxed aggregate
     accumulators ({!acc}, {!feed}, {!finish}) and the row-key table
-    ({!Row_tbl}) serve {!Interp} and the Grace spill path ({!Spill});
-    {!Vector}'s in-memory kernels use their own unboxed key table and
-    typed accumulators, which fold in the same order and finish as
-    {!finish} does, and take {!acc} only for a non-numeric aggregate
-    argument. Predicate and scalar evaluation is per engine:
+    ({!Row_tbl}) serve {!Interp} and its row spill ({!Spill.join},
+    {!Spill.agg}); {!Vector}'s kernels, in memory and spilled, use
+    their own unboxed key table and typed accumulators, which fold in
+    the same order and finish as {!finish} does, and take {!acc} only
+    for a non-numeric aggregate argument. Predicate and scalar evaluation is per engine:
     {!Interp} evaluates the AST row by row, {!Vector} binds it to
     typed columns.
 

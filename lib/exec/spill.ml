@@ -1,16 +1,23 @@
 (* Grace-style spill-to-disk for hash join and hash aggregation.
 
    When an execution's memory budget trips ([Runtime.should_spill]),
-   the join/agg kernels hand their inputs here instead of building the
-   full hash table in memory. Rows are hash-partitioned by the
-   existing [Runtime.Row_key.hash] into on-disk run files, each
-   partition is processed with only its own state resident, and the
-   output is re-emitted in the exact order the in-memory kernel would
-   have produced — so results, profiles, SHIP ledgers and EXPLAIN
-   ANALYZE stay byte-identical whether or not an operator spilled
-   (locked by the qcheck differential in [test/test_exec.ml]).
+   hash join and aggregation partition their inputs into on-disk run
+   files instead of building the full hash table in memory, process
+   each partition with only its own state resident, and re-emit the
+   output in the exact order the in-memory kernel would have produced
+   — so results, profiles, SHIP ledgers and EXPLAIN ANALYZE stay
+   byte-identical whether or not an operator spilled (locked by the
+   qcheck differential in [test/test_exec.ml]).
 
-   Order preservation, the part worth being careful about:
+   This module owns the spill directory, the counters and the run-file
+   format. [Vector] partitions typed key columns itself and writes one
+   block per partition ([begin_op], [write_block], [read_block]).
+   [join] and [agg] below are [Interp]'s row implementation: rows are
+   hash-partitioned by [Runtime.Row_key.hash], one [Marshal] record
+   per row.
+
+   Order preservation in the row implementation, the part worth being
+   careful about:
 
    - All rows of one key land in one partition, in their original
      relative order. A partition's hash table therefore answers
@@ -27,11 +34,11 @@
      merge back in ascending first-seen order — the in-memory
      emission order.
 
-   Run files use [Marshal] (exact for the first-order [Value.t] and
-   accumulator records, including float bits). Spill directories are
-   created lazily under [CGQP_SPILL_DIR] (default: the system temp
-   dir) and removed by [cleanup], which engines run on every exit
-   path. *)
+   Run files use [Marshal] (exact for the first-order [Value.t],
+   accumulator and column records, including float bits). Spill
+   directories are created lazily under [CGQP_SPILL_DIR] (default:
+   the system temp dir) and removed by [cleanup], which engines run on
+   every exit path. *)
 
 open Relalg
 
@@ -107,6 +114,23 @@ let begin_op t ~bytes =
   (np, path)
 
 let part np (k : Value.t array) = Runtime.Row_key.hash k land max_int mod np
+
+(* --- typed blocks --- *)
+
+let write_block t path v =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      marshal_to oc v;
+      t.mem.Runtime.spill_run_bytes <- t.mem.Runtime.spill_run_bytes + pos_out oc;
+      close_out oc)
+
+let read_block path =
+  let ic = open_in_bin path in
+  let v = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Marshal.from_channel ic) in
+  remove_quiet path;
+  v
 
 let close_outs t ocs =
   Array.iter

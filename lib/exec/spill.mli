@@ -1,15 +1,21 @@
 (** Grace-style spill-to-disk for hash join and hash aggregation.
 
     When {!Runtime.should_spill} says an operator's scratch state would
-    trip the execution's memory budget, the kernels hand their inputs
-    here: rows are hash-partitioned by {!Runtime.Row_key.hash} into
-    on-disk run files, each partition is processed with only its own
-    state resident, and outputs are re-emitted in {e exactly} the
-    in-memory kernel's order (probe rows by input position, matches in
-    reverse insertion order; groups in first-seen order, each fed its
-    rows in input order) — so spilling is byte-invisible to results,
-    SHIP ledgers, profiles and EXPLAIN ANALYZE. See [docs/STORAGE.md]
-    and the qcheck differential in [test/test_exec.ml]. *)
+    trip the execution's memory budget, the engines hash-partition its
+    inputs into on-disk run files here, process each partition with
+    only its own state resident, and re-emit outputs in {e exactly}
+    the in-memory kernel's order (probe rows by input position,
+    matches in reverse insertion order; groups in first-seen order,
+    each fed its rows in input order) — so spilling is byte-invisible
+    to results, SHIP ledgers, profiles and EXPLAIN ANALYZE.
+
+    Two users, one directory and byte account: {!Interp} hands boxed
+    rows to {!join} and {!agg}, which partition by
+    {!Runtime.Row_key.hash} and write one [Marshal] record per row;
+    {!Vector} partitions typed key columns itself and writes one
+    block per partition through {!begin_op}, {!write_block} and
+    {!read_block}. See [docs/STORAGE.md] and the differentials in
+    [test/test_exec.ml]. *)
 
 open Relalg
 
@@ -24,6 +30,23 @@ val cleanup : t -> unit
 (** Remove the spill directory and everything in it (idempotent; safe
     if nothing ever spilled). Engines call this on every exit path,
     including [Ship_failed] unwinds. *)
+
+val begin_op : t -> bytes:int -> int * (string -> int -> string)
+(** [begin_op t ~bytes] starts one spilled operator whose state is
+    [bytes]: counts it and its {!Runtime.spill_partitions_for} fan-out
+    [np], creates the spill directory if needed, and returns [np] with
+    [path kind p], the run file of partition [p] for the operator's
+    [kind] of block. *)
+
+val write_block : t -> string -> 'a -> unit
+(** [write_block t path v] writes [v] to run file [path] with one
+    [Marshal] call and counts its bytes; the channel is closed on every
+    path. *)
+
+val read_block : string -> 'a
+(** [read_block path] reads back the value {!write_block} wrote to
+    [path] and removes the file. Like [Marshal.from_channel] it is
+    untyped: annotate the result with the type that was written. *)
 
 val join :
   t ->

@@ -24,13 +24,16 @@
      unboxed buffers and folds them into typed per-group arrays; other
      arguments feed a boxed [Runtime.acc] per group;
    - sort produces a permutation selvec over the input columns instead
-     of moving rows.
+     of moving rows;
+   - a hash join or aggregation over budget partitions typed key
+     blocks to run files and runs the same kernels per partition.
 
-   The memory budget, the spill path, the SHIP path and the boxed
-   accumulators come from the shared [Runtime], and the engine follows
-   the child-iteration contract documented in runtime.mli (right child
-   first for binary operators, unions left-to-right, rows in relation
-   order, probe matches in reverse build-insertion order). Results,
+   The memory budget, the SHIP path and the boxed accumulators come
+   from the shared [Runtime], the run files from [Spill], and the
+   engine follows the child-iteration contract documented in
+   runtime.mli (right child first for binary operators, unions
+   left-to-right, rows in relation order, probe matches in reverse
+   build-insertion order). Results,
    SHIP accounting, profiles and makespans are byte-identical to the
    reference interpreter — enforced by the differential properties in
    test/test_exec.ml. *)
@@ -387,42 +390,6 @@ module Ivec = struct
 
   let to_array v = Array.sub v.a 0 v.n
 end
-
-(* Spill-side row view of a chunk: one synthetic row per logical
-   position carrying the boxed key components plus the physical row
-   index as a trailing [Int]. The spill kernels only ever look at the
-   key (via the closures below); [emit] recovers the physical indices
-   and the join output is gathered exactly like the in-memory path, so
-   spilling cannot change the output's column representation. *)
-let key_rows ch (ixs : int array) : Value.t array array =
-  let nk = Array.length ixs in
-  let phys =
-    match ch.sel with
-    | Some sel -> fun j -> Array.unsafe_get sel j
-    | None -> fun j -> j
-  in
-  Array.init ch.card (fun j ->
-      let i = phys j in
-      let row = Array.make (nk + 1) Value.Null in
-      for k = 0 to nk - 1 do
-        let ix = Array.unsafe_get ixs k in
-        row.(k) <- (if ix >= 0 then Col.get ch.cols.(ix) i else Value.Null)
-      done;
-      row.(nk) <- Value.Int i;
-      row)
-
-(* Key extractors over [key_rows] rows; the join variant drops NULL
-   keys, matching the in-memory build/probe. *)
-let srow_key nk (row : Value.t array) = Array.sub row 0 nk
-
-let srow_join_key nk (row : Value.t array) =
-  let k = Array.sub row 0 nk in
-  if Array.exists Value.is_null k then None else Some k
-
-let srow_phys (row : Value.t array) =
-  match row.(Array.length row - 1) with
-  | Value.Int i -> i
-  | _ -> assert false
 
 (* A join residual bound against the joined schema (left columns, then
    right): the positions it reads and its column binder. [None] when it
@@ -1021,19 +988,30 @@ let groups_chunk ~nk ~na ngroups ~(key : int -> int -> Value.t) ~(agg : int -> i
   in
   { cols; card = ngroups; sel = None }
 
-(* Group ids are dense in first-seen order, and each group's output key
-   is read from its first row. A NULL key component (the bitmap of a
-   typed column) codes as 0 and sets its bit in a trailing null-mask
-   code, one per 62 nullable key columns; a boxed column's dictionary
-   holds NULL like any other value. *)
-let hash_agg_chunk ~(kixs : int array) ~(agg_binds : (chunk -> aggregator) array) ch =
-  let nk = Array.length kixs in
-  let aggs = Array.map (fun b -> b ch) agg_binds in
-  (* an unresolvable key reads NULL on every row: one constant code *)
-  let kcols = Array.map (fun ix -> if ix >= 0 then ch.cols.(ix) else unread) kixs in
-  let encs =
-    Array.mapi (fun k c -> if kixs.(k) >= 0 then group_encoder c else fun _ -> 0) kcols
-  in
+(* One grouping pass over [n] rows, visited in order: row [j] is keyed
+   at row [ksel j] of [kcols] ([None]: an unresolvable key, NULL on
+   every row) and aggregated at physical row [asel j] of the chunk
+   [aggs] were bound to (a [None] selection is the identity). Group
+   ids are dense in first-seen order; [firsts.(g)] is the visit index
+   of group [g]'s first row, whose key is the group's output key. A
+   NULL key component (the bitmap of a typed column) codes as 0 and
+   sets its bit in a trailing null-mask code, one per 62 nullable key
+   columns; a boxed column's dictionary holds NULL like any other
+   value. *)
+type groups = {
+  ngroups : int;
+  firsts : int array;
+  key : int -> int -> Value.t;  (* [key k g]: key component [k] of group [g] *)
+  agg : int -> int -> Value.t;  (* [agg a g]: aggregate [a] of group [g], finished *)
+}
+
+let at sel j = match sel with Some s -> Array.unsafe_get s j | None -> j
+
+let group_rows ~(kcols : Col.t option array) ~(aggs : aggregator array) ~n ~ksel ~asel =
+  let nk = Array.length kcols in
+  let kc = Array.map (Option.value ~default:unread) kcols in
+  (* an unresolvable key is one constant code *)
+  let encs = Array.map (function Some c -> group_encoder c | None -> fun _ -> 0) kcols in
   (* [nbit.(k)]: key [k]'s bit among the nullable keys, -1 if never NULL *)
   let nbit = Array.make nk (-1) and nnull = ref 0 in
   Array.iteri
@@ -1042,7 +1020,7 @@ let hash_agg_chunk ~(kixs : int array) ~(agg_binds : (chunk -> aggregator) array
         nbit.(k) <- !nnull;
         incr nnull
       end)
-    kcols;
+    kc;
   let ncodes = nk + ((!nnull + 61) / 62) in
   let tab = Keytab.create ~nk:ncodes 64 in
   let codes = Array.make ncodes 0 in
@@ -1052,18 +1030,18 @@ let hash_agg_chunk ~(kixs : int array) ~(agg_binds : (chunk -> aggregator) array
   let ngroups () = if nk = 0 then 1 else Keytab.length tab in
   if nk = 0 then Array.iter (fun a -> a.grow 1) aggs;
   let b = ref 0 in
-  while !b < ch.card do
-    let m = min batch_rows (ch.card - !b) in
+  while !b < n do
+    let m = min batch_rows (n - !b) in
     for j = 0 to m - 1 do
-      let i = match ch.sel with Some s -> Array.unsafe_get s (!b + j) | None -> !b + j in
-      Array.unsafe_set phys j i;
+      Array.unsafe_set phys j (at asel (!b + j));
       if nk > 0 then begin
+        let i = at ksel (!b + j) in
         for w = nk to ncodes - 1 do
           codes.(w) <- 0
         done;
         for k = 0 to nk - 1 do
           let q = Array.unsafe_get nbit k in
-          if q >= 0 && Col.is_null (Array.unsafe_get kcols k) i then begin
+          if q >= 0 && Col.is_null (Array.unsafe_get kc k) i then begin
             codes.(k) <- 0;
             let w = nk + (q / 62) in
             codes.(w) <- codes.(w) lor (1 lsl (q mod 62))
@@ -1071,7 +1049,7 @@ let hash_agg_chunk ~(kixs : int array) ~(agg_binds : (chunk -> aggregator) array
           else codes.(k) <- (Array.unsafe_get encs k) i
         done;
         let g = Keytab.lookup tab codes ~insert:true in
-        if g = firsts.Ivec.n then Ivec.push firsts i;
+        if g = firsts.Ivec.n then Ivec.push firsts (!b + j);
         Array.unsafe_set gids j g
       end
     done;
@@ -1082,9 +1060,190 @@ let hash_agg_chunk ~(kixs : int array) ~(agg_binds : (chunk -> aggregator) array
       aggs;
     b := !b + m
   done;
-  groups_chunk ~nk ~na:(Array.length aggs) (ngroups ())
-    ~key:(fun k g -> if kixs.(k) >= 0 then Col.get kcols.(k) firsts.Ivec.a.(g) else Value.Null)
-    ~agg:(fun a g -> aggs.(a).value g)
+  let firsts = Ivec.to_array firsts in
+  {
+    ngroups = ngroups ();
+    firsts;
+    key =
+      (fun k g ->
+        match kcols.(k) with Some c -> Col.get c (at ksel firsts.(g)) | None -> Value.Null);
+    agg = (fun a g -> aggs.(a).value g);
+  }
+
+let key_cols ch (ixs : int array) =
+  Array.map (fun ix -> if ix >= 0 then Some ch.cols.(ix) else None) ixs
+
+let hash_agg_chunk ~(kixs : int array) ~(agg_binds : (chunk -> aggregator) array) ch =
+  let aggs = Array.map (fun b -> b ch) agg_binds in
+  let g = group_rows ~kcols:(key_cols ch kixs) ~aggs ~n:ch.card ~ksel:ch.sel ~asel:ch.sel in
+  groups_chunk ~nk:(Array.length kixs) ~na:(Array.length aggs) g.ngroups ~key:g.key ~agg:g.agg
+
+(* --- Grace spill over typed blocks ---
+
+   When a hash join's build side or an aggregation's input would trip
+   the memory budget, the operator hash-partitions its key columns
+   into [Runtime.spill_partitions_for] run files, one typed block per
+   partition (its logical positions and its key columns gathered at
+   them, one [Marshal] each), and runs the in-memory kernels above on
+   one partition at a time. All rows of one key land in one partition
+   in ascending logical order, so each partition reproduces its share
+   of the in-memory emission exactly; the output is put back in order
+   by logical position (never physical row: under a [Sort] the
+   selection vector is a permutation). A partition's resident bytes —
+   its key values plus an 8-byte position per row — are charged while
+   it is processed. *)
+
+(* A key column's partition hash of physical row [i]: [Value.hash] of
+   its value, so values that are [Value.equal] hash equal across
+   representations ([Int 1]/[Float 1.0], [0.0]/[-0.0]); unboxed for
+   [Ints], [Dates] and [Strs]. NULL hashes to -1, which [Value.hash]
+   never returns. *)
+let part_hash (c : Col.t) : int -> int =
+  let nulls = Col.has_nulls c in
+  match c.Col.data with
+  | Col.Ints a | Col.Dates a ->
+    fun i -> if nulls && Col.is_null c i then -1 else Hashtbl.hash (Array.unsafe_get a i)
+  | Col.Strs a ->
+    fun i -> if nulls && Col.is_null c i then -1 else Hashtbl.hash (Array.unsafe_get a i)
+  | Col.Floats _ | Col.Bools _ | Col.Values _ ->
+    fun i -> ( match Col.get c i with Value.Null -> -1 | v -> Value.hash v)
+
+let null_hash = Value.hash Value.Null
+
+(* Partition a chunk's logical positions on [kcols] by
+   [Runtime.Row_key.hash] of the boxed key, computed column-typed, and
+   write partition [p] as the block [(positions, key columns)] to
+   [path p], returning the paths. With [join], a row with a NULL key
+   component is dropped (it never joins); otherwise NULL hashes as
+   [Value.hash Null]. An unresolvable key is NULL on every row, so it
+   drops every join row and is an all-NULL column in an aggregate's
+   blocks. *)
+let write_blocks sp ch (kcols : Col.t option array) ~np ~join (path : int -> string) =
+  let hashers = Array.map (function Some c -> part_hash c | None -> fun _ -> -1) kcols in
+  let parts = Array.init np (fun _ -> Ivec.create ()) in
+  for j = 0 to ch.card - 1 do
+    let i = at ch.sel j in
+    let h = ref 17 and keep = ref true in
+    for k = 0 to Array.length hashers - 1 do
+      let x = (Array.unsafe_get hashers k) i in
+      if x < 0 then begin
+        if join then keep := false;
+        h := (!h * 31) + null_hash
+      end
+      else h := (!h * 31) + x
+    done;
+    if !keep then Ivec.push parts.((!h land max_int) mod np) j
+  done;
+  Array.mapi
+    (fun p part ->
+      let ps = Ivec.to_array part in
+      let ix = match ch.sel with Some s -> Array.map (Array.get s) ps | None -> ps in
+      let cols =
+        Array.map
+          (function
+            | Some c -> Col.gather c ix
+            | None -> Col.of_value_array (Array.make (Array.length ps) Value.Null))
+          kcols
+      in
+      let f = path p in
+      Spill.write_block sp f (ps, cols);
+      f)
+    parts
+
+let read_keys path : int array * Col.t array = Spill.read_block path
+
+let block_bytes pos cols =
+  Array.fold_left (fun a c -> a + Col.byte_size c) (8 * Array.length pos) cols
+
+let block_chunk pos cols = { cols; card = Array.length pos; sel = None }
+
+(* Spilled hash join: each partition's probe block joins its build
+   block through [hash_join_pairs], and its matches are written as
+   logical (probe, build) position arrays. A partition emits each probe
+   row's matches contiguously, in reverse build-insertion order, so
+   counting the matches per probe position, prefix-summing and
+   scattering puts them back in the in-memory order in O(n). *)
+let spill_join ctx ~bytes ~lixs ~rixs lch rch emit =
+  let np, path = Spill.begin_op ctx.spill ~bytes in
+  let bpaths = write_blocks ctx.spill rch (key_cols rch rixs) ~np ~join:true (path "b") in
+  let ppaths = write_blocks ctx.spill lch (key_cols lch lixs) ~np ~join:true (path "p") in
+  let ids = Array.init (Array.length lixs) Fun.id in
+  (* [starts.(l + 1)] counts probe position [l]'s matches, then
+     prefix-sums to [starts.(l)] = the index of its first *)
+  let starts = Array.make (lch.card + 1) 0 in
+  let mpaths =
+    Array.init np (fun p ->
+        let rpos, rcols = read_keys bpaths.(p) in
+        let resident = block_bytes rpos rcols in
+        mem_charge ctx.mem resident;
+        let lpos, lcols = read_keys ppaths.(p) in
+        let ml = Ivec.create () and mr = Ivec.create () in
+        hash_join_pairs ~lixs:ids ~rixs:ids (block_chunk lpos lcols) (block_chunk rpos rcols)
+          (fun lj rj ->
+            let l = lpos.(lj) in
+            starts.(l + 1) <- starts.(l + 1) + 1;
+            Ivec.push ml l;
+            Ivec.push mr rpos.(rj));
+        let f = path "m" p in
+        Spill.write_block ctx.spill f (Ivec.to_array ml, Ivec.to_array mr);
+        mem_release ctx.mem resident;
+        f)
+  in
+  for l = 1 to lch.card do
+    starts.(l) <- starts.(l) + starts.(l - 1)
+  done;
+  let build = Array.make starts.(lch.card) 0 and next = Array.sub starts 0 lch.card in
+  Array.iter
+    (fun f ->
+      let (ml : int array), (mr : int array) = Spill.read_block f in
+      Array.iteri
+        (fun k l ->
+          build.(next.(l)) <- mr.(k);
+          next.(l) <- next.(l) + 1)
+        ml)
+    mpaths;
+  for l = 0 to lch.card - 1 do
+    for x = starts.(l) to starts.(l + 1) - 1 do
+      emit (at lch.sel l) (at rch.sel build.(x))
+    done
+  done
+
+(* Spilled hash aggregation: each partition's rows group through
+   [group_rows] with fresh typed aggregators (a group's rows share its
+   partition and arrive in input order, so it folds exactly as in
+   memory). Each group takes a slot at its first row's logical
+   position, and walking the slots gives first-seen order. A
+   partition keeps only its groups' keys and aggregator state. *)
+let spill_agg ctx ~bytes ~kixs ~agg_binds ch =
+  let np, path = Spill.begin_op ctx.spill ~bytes in
+  let paths = write_blocks ctx.spill ch (key_cols ch kixs) ~np ~join:false (path "p") in
+  let slot = Array.make ch.card (-1) in
+  let parts =
+    Array.mapi
+      (fun p f ->
+        let pos, cols = read_keys f in
+        let resident = block_bytes pos cols in
+        mem_charge ctx.mem resident;
+        let asel = match ch.sel with Some s -> Array.map (Array.get s) pos | None -> pos in
+        let g =
+          group_rows ~kcols:(Array.map Option.some cols)
+            ~aggs:(Array.map (fun b -> b ch) agg_binds)
+            ~n:(Array.length pos) ~ksel:None ~asel:(Some asel)
+        in
+        Array.iteri (fun gi j -> slot.(pos.(j)) <- (gi * np) + p) g.firsts;
+        mem_release ctx.mem resident;
+        (Array.map (fun c -> Col.gather c g.firsts) cols, g.agg))
+      paths
+  in
+  let order = Ivec.create () in
+  Array.iter (fun v -> if v >= 0 then Ivec.push order v) slot;
+  let group o f =
+    let v = order.Ivec.a.(o) in
+    f parts.(v mod np) (v / np)
+  in
+  groups_chunk ~nk:(Array.length kixs) ~na:(Array.length agg_binds) order.Ivec.n
+    ~key:(fun k o -> group o (fun (keys, _) g -> Col.get keys.(k) g))
+    ~agg:(fun a o -> group o (fun (_, agg) g -> agg a g))
 
 (* --- sort: a permutation selvec, no row movement --- *)
 
@@ -1243,7 +1402,6 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
       and rixs = key_ixs rrv (List.map snd keys) in
       let cschema = cl.cschema @ cr.cschema in
       let residual = bind_residual cschema residual in
-      let nk = Array.length lixs in
       {
         cschema;
         exec =
@@ -1254,11 +1412,7 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
                  number the row engines see, so the spill decision is
                  engine-independent *)
               if should_spill ctx.mem rb then
-                collect_pairs ?residual lch rch (fun emit ->
-                    Spill.join ctx.spill ~build_bytes:rb
-                      ~lkey:(srow_join_key nk) ~rkey:(srow_join_key nk)
-                      ~emit:(fun lrow rrow -> emit (srow_phys lrow) (srow_phys rrow))
-                      (key_rows lch lixs) (key_rows rch rixs))
+                collect_pairs ?residual lch rch (spill_join ctx ~bytes:rb ~lixs ~rixs lch rch)
               else begin
                 mem_charge ctx.mem rb;
                 let o = collect_pairs ?residual lch rch (hash_join_pairs ~lixs ~rixs lch rch) in
@@ -1287,40 +1441,20 @@ let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
       let cc = comp (0 :: rpath) c in
       let rv = Storage.Relation.resolver cc.cschema in
       let kixs = key_ixs rv keys in
-      let agg_fns = Array.of_list (List.map (fun (a : Expr.agg) -> a.fn) aggs) in
       let agg_binds = Array.of_list (List.map (bind_agg rv) aggs) in
-      (* the spill path feeds boxed accumulators *)
-      let agg_gets =
-        Array.of_list (List.map (fun (a : Expr.agg) -> bind_scalar rv a.arg) aggs)
-      in
       let cschema =
         keys @ List.map (fun (a : Expr.agg) -> Attr.unqualified a.alias) aggs
       in
-      let nk = Array.length kixs and na = Array.length agg_fns in
       {
         cschema;
         exec =
           (fun ctx ->
             let ch, cb, fin = cc.exec ctx in
             let out =
-              (* a global aggregate ([nk = 0]) is one group of scalar
+              (* a global aggregate (no keys) is one group of scalar
                  accumulators — nothing worth spilling *)
-              if nk > 0 && should_spill ctx.mem cb then begin
-                let gets = Array.map (fun b -> b ch) agg_gets in
-                let acc = ref [] in
-                Spill.agg ctx.spill ~input_bytes:cb ~key:(srow_key nk) ~na
-                  ~feed_row:(fun accs row ->
-                    let i = srow_phys row in
-                    for a = 0 to na - 1 do
-                      feed accs.(a) ((Array.unsafe_get gets a) i)
-                    done)
-                  ~emit_group:(fun k accs -> acc := (k, accs) :: !acc)
-                  (key_rows ch kixs);
-                let groups = Array.of_list (List.rev !acc) in
-                groups_chunk ~nk ~na (Array.length groups)
-                  ~key:(fun k g -> (fst groups.(g)).(k))
-                  ~agg:(fun a g -> finish agg_fns.(a) (snd groups.(g)).(a))
-              end
+              if Array.length kixs > 0 && should_spill ctx.mem cb then
+                spill_agg ctx ~bytes:cb ~kixs ~agg_binds ch
               else begin
                 mem_charge ctx.mem cb;
                 let o = hash_agg_chunk ~kixs ~agg_binds ch in

@@ -876,9 +876,17 @@ let test_spill_cleanup () =
              })
           [ spilling_join () ]
       in
+      (* open descriptors, where /proc/self/fd lists them: a run file
+         left open on any path shows up here *)
+      let fds () =
+        if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd")
+        else 0
+      in
+      let fds0 = fds () in
       let check_empty ctx =
         Alcotest.(check (array string))
-          (ctx ^ ": spill dir empty") [||] (Sys.readdir dir)
+          (ctx ^ ": spill dir empty") [||] (Sys.readdir dir);
+        Alcotest.(check int) (ctx ^ ": no leaked descriptors") fds0 (fds ())
       in
       List.iter
         (fun (name, exec) ->
@@ -917,6 +925,122 @@ let test_spill_cleanup () =
           ( "vector",
             fun ~budget p -> Exec.Vector.run ~faults ~budget ~network ~db ~table_cols p );
         ])
+
+let test_spill_order_and_hash () =
+  (* The spill path partitions typed key columns and restores the
+     in-memory order by logical position. Over a [Sort] the selection
+     vector is a permutation, so an order restored by physical row
+     differs; and a partition hash that disagrees with [Value.equal]
+     sends equal keys to different partitions ([Int]-vs-[Float] join
+     keys miss each other, [0.0] and [-0.0] split a group). Both
+     engines, budget 0 and unlimited, must give one report. *)
+  let db = default_db () in
+  let t ?(alias = "t") () = node (P.Table_scan { table = "t"; alias; partition = 0 }) [] in
+  let sorted child = node (P.Sort [ (attr "t" "w", true); (attr "t" "f", false) ]) [ child ] in
+  let agg keys =
+    node
+      (P.Hash_agg
+         {
+           keys;
+           aggs =
+             [
+               { Expr.fn = Expr.Sum; arg = col "t" "f"; alias = "s" };
+               { Expr.fn = Expr.Count; arg = col "t" "k"; alias = "n" };
+               { Expr.fn = Expr.Min; arg = col "t" "w"; alias = "lo" };
+             ];
+         })
+      [ sorted (t ()) ]
+  in
+  let join keys =
+    node (P.Hash_join { keys; residual = Pred.True }) [ sorted (t ()); t ~alias:"u" () ]
+  in
+  let plans =
+    [
+      ("agg by f", agg [ attr "t" "f" ]);
+      ("agg by k, w", agg [ attr "t" "k"; attr "t" "w" ]);
+      ("agg by d", agg [ attr "t" "d" ]);
+      ("join k = u.f", join [ (attr "t" "k", attr "u" "f") ]);
+      ("join f = u.f", join [ (attr "t" "f", attr "u" "f") ]);
+      ("join k = u.d", join [ (attr "t" "k", attr "u" "d") ]);
+      ("join w, d = u.w, u.d", join [ (attr "t" "w", attr "u" "w"); (attr "t" "d", attr "u" "d") ]);
+    ]
+  in
+  List.iter
+    (fun (name, plan) ->
+      let interp budget = result_fp (Exec.Interp.run ~budget ~network ~db ~table_cols plan)
+      and vector budget = result_fp (Exec.Vector.run ~budget ~network ~db ~table_cols plan) in
+      let reference = interp Exec.Runtime.unlimited_budget in
+      List.iter
+        (fun (engine, budget, got) ->
+          if got <> reference then
+            Alcotest.failf "%s: %s at budget %s differs from reference at unlimited" name
+              engine budget)
+        [
+          ("reference", "0", interp 0);
+          ("vector", "unlimited", vector Exec.Runtime.unlimited_budget);
+          ("vector", "0", vector 0);
+        ])
+    plans;
+  (* the cases are not vacuous: [0.0] and [-0.0] form one group, and
+     Int keys meet equal Floats *)
+  let card plan = Storage.Relation.cardinality (run ~db plan).relation in
+  Alcotest.(check bool) "Int keys join equal Floats" true
+    (card (join [ (attr "t" "k", attr "u" "f") ]) > 0);
+  Alcotest.(check bool) "0.0 and -0.0 group together" true
+    (card (agg [ attr "t" "f" ])
+    < List.length
+        (List.sort_uniq compare
+           (List.map
+              (fun r -> match r.(1) with Value.Float x -> Int64.bits_of_float x | _ -> 0L)
+              t_rows)))
+
+let test_spill_counter_parity () =
+  (* The spill decision is engine-independent: over the twelve TPC-H
+     queries, under a budget small enough to spill, both engines spill
+     the same operators into the same number of partitions, really
+     write run files, and give the same reports. *)
+  let cat = Tpch.Schema.catalog () in
+  let db = Tpch.Datagen.load ~cat (Tpch.Datagen.generate ~sf:0.002 ()) in
+  let session = Cgqp.create ~catalog:cat () in
+  Cgqp.add_policies session Tpch.Policies.unrestricted;
+  Cgqp.attach_database session db;
+  let network = Catalog.network cat and table_cols = Catalog.table_cols cat in
+  let budget = 64 * 1024 in
+  let counted run =
+    let ops = Exec.Runtime.spilled_operators ()
+    and parts = Exec.Runtime.spill_partitions ()
+    and bytes = Exec.Runtime.spill_run_bytes () in
+    let r = run () in
+    ( result_fp r,
+      Exec.Runtime.spilled_operators () - ops,
+      Exec.Runtime.spill_partitions () - parts,
+      Exec.Runtime.spill_run_bytes () - bytes )
+  in
+  let spilled =
+    List.fold_left
+      (fun acc (name, sql) ->
+        match Cgqp.optimize session sql with
+        | Error e -> Alcotest.failf "%s failed to optimize: %s" name (Cgqp.error_to_string e)
+        | Ok planned ->
+          let plan = planned.Optimizer.Planner.plan in
+          let ifp, iops, iparts, ibytes =
+            counted (fun () -> Exec.Interp.run ~budget ~network ~db ~table_cols plan)
+          in
+          let vfp, vops, vparts, vbytes =
+            counted (fun () -> Exec.Vector.run ~budget ~network ~db ~table_cols plan)
+          in
+          Alcotest.(check int) (name ^ ": spilled operators") iops vops;
+          Alcotest.(check int) (name ^ ": spill partitions") iparts vparts;
+          List.iter
+            (fun (engine, bytes) ->
+              if vops > 0 && bytes <= 0 then
+                Alcotest.failf "%s: %s spilled but wrote no run bytes" name engine)
+            [ ("reference", ibytes); ("vector", vbytes) ];
+          Alcotest.(check bool) (name ^ ": same report") true (ifp = vfp);
+          acc + vops)
+      0 Tpch.Queries.all_extended
+  in
+  Alcotest.(check bool) "some operator spilled" true (spilled > 0)
 
 (* [--mem-budget] / CGQP_MEM_BUDGET parsing: suffixes are powers of
    1024, and a count whose product with its suffix overflows is
@@ -1240,6 +1364,10 @@ let () =
             test_differential_spill;
           Alcotest.test_case "spill dir cleanup on all exit paths" `Quick
             test_spill_cleanup;
+          Alcotest.test_case "spill restores logical order, hashes by Value.equal" `Quick
+            test_spill_order_and_hash;
+          Alcotest.test_case "spill counters agree across engines" `Slow
+            test_spill_counter_parity;
           Alcotest.test_case "memory budget parsing" `Quick test_parse_budget;
           Alcotest.test_case "paged scan decodes only projected columns" `Quick
             test_paged_scan_pruning;
