@@ -2,8 +2,10 @@
    Conchon's "Type-safe modular hash-consing": every structurally
    distinct term is stored once, with a unique integer id, so that
    structural equality of interned terms degenerates to pointer
-   equality and the ids can key O(1) memo tables (the optimizer's
-   implication- and compliance-verdict caches).
+   equality and the ids can key O(1) memo tables. Interned predicate
+   ids key the implication-verdict cache and the memo's join and filter
+   keys; the compliance-verdict cache hashes whole summaries instead
+   (see [Summary.hash]).
 
    Ids are monotonically increasing and never reused, even across
    [clear]: a stale id held by some cache can then never alias a

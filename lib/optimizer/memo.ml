@@ -63,14 +63,18 @@ type mexpr =
 type group = {
   id : gid;
   repr : Plan.t;
-      (* canonical logical form, built once for estimates and summaries;
-         group identity is the structural key (see [key] below) *)
+      (* canonical logical form, built once; it orders join leaves and
+         labels the trace. Group identity is the structural key (see
+         [key] below), and summaries and estimates derive from the
+         children's (see [derive]) *)
   mutable exprs : mexpr list;
   mutable explored : bool;
   mutable entries : entry list option;
   est : Stats.node_est;
+  base : Stats.node_est;  (* [est] before partition scaling: parents derive from it *)
   attrs : Attr.Set.t;  (* output columns *)
   summary : Summary.t;
+  env : Summary.env;  (* [summary]'s environment: parents derive from it *)
   tables : (string * string) list;  (* alias -> table *)
   partition_tag : int;  (* >= 0 when the whole subtree reads one partition *)
   single_loc : Catalog.Location.t option;
@@ -182,6 +186,9 @@ type t = {
   eval_stats : Policy.Evaluator.stats option;
   arr : (gid, group) Hashtbl.t;
   by_key : gid Key_tbl.t;
+  scans : (string * string, (Summary.t * Summary.env) * Stats.node_est) Hashtbl.t;
+      (* (table, alias) -> whole-table scan summary and estimate, built
+         once for the scan groups of all partitions and their union *)
   table_cols : string -> string list;
   all_locs : Locset.t;  (* every catalog location *)
   mutable next_id : int;
@@ -205,6 +212,7 @@ let create ?(max_frontier = 8) ?(prune = true) ?(rules = default_rules) ?eval_st
     eval_stats;
     arr = Hashtbl.create 64;
     by_key = Key_tbl.create 64;
+    scans = Hashtbl.create 8;
     table_cols;
     all_locs = Locset.of_list (Catalog.locations cat);
     next_id = 0;
@@ -258,11 +266,72 @@ let static_lb m ~(tables : (string * string) list) ~(partition : int) : float =
         acc +. contribution)
     0. tables
 
-let new_group m ~key ~repr ~partition ~est (e : mexpr) : gid =
+(* The scan summary and unscaled estimate of [table] read as [alias]. *)
+let scan_base m ~table ~alias =
+  match Hashtbl.find_opt m.scans (table, alias) with
+  | Some b -> b
+  | None ->
+    let est = Stats.scan_est m.cat ~table ~alias ~fraction:1.0 in
+    let b = (Summary.scan ~table_cols:m.table_cols ~table ~alias, est) in
+    Hashtbl.add m.scans (table, alias) b;
+    b
+
+(* A new group's summary with its environment, its base tables and its
+   unscaled estimate, each from one step over its children's stored
+   results. The steps are the ones that [Summary]'s analysis,
+   [Plan.base_tables] and [Stats]' estimator fold over [repr], applied
+   in the same order to the same arguments, so the results are theirs
+   without walking [repr]. The operator's own arguments are read off
+   [repr]'s root (canon sorts conjuncts, keys and aggregates, and float
+   products follow that order); children are taken in [repr]'s order. *)
+let derive m ~key (e : mexpr) (repr : Plan.t) =
+  let in_repr_order gids =
+    List.stable_sort (fun a b -> Plan.compare a.repr b.repr) (List.map (group m) gids)
+  in
+  let join p (sl, tl, bl) (c : group) =
+    (Summary.join p sl (c.summary, c.env), tl @ c.tables, Stats.join p bl c.base)
+  in
+  match e, repr with
+  | _, Plan.Scan { table; alias } ->
+    (* a scan, or the union of a partitioned table's partition scans *)
+    let analysis, base = scan_base m ~table ~alias in
+    (analysis, [ (alias, table) ], base)
+  | E_filter (_, i), Plan.Select (p, _) ->
+    let c = group m i in
+    (Summary.select p (c.summary, c.env), c.tables, Stats.select c.base p)
+  | E_project (_, i), Plan.Project (items, _) ->
+    let c = group m i in
+    (Summary.project items (c.summary, c.env), c.tables, Stats.project c.base items)
+  | E_agg (_, _, i), Plan.Aggregate { keys; aggs; _ } ->
+    let c = group m i in
+    ( Summary.aggregate ~keys ~aggs (c.summary, c.env),
+      c.tables,
+      Stats.aggregate ~keys ~aggs c.base )
+  | E_union gs, Plan.Union _ ->
+    let cs = in_repr_order gs in
+    ( Summary.union (List.map (fun c -> (c.summary, c.env)) cs),
+      List.concat_map (fun c -> c.tables) cs,
+      Stats.union (List.map (fun c -> c.base) cs) )
+  | E_join _, Plan.Join (p, _, _) -> (
+    (* canon rebuilds a join left-deep over its leaves in repr order,
+       with True on the inner joins and every conjunct at the top *)
+    let leaves = match key with K_join (leaves, _) -> leaves | _ -> [] in
+    match in_repr_order leaves with
+    | first :: (_ :: _ as rest) ->
+      let rec fold acc = function
+        | [] -> acc
+        | [ c ] -> join p acc c
+        | c :: rest -> fold (join Pred.True acc c) rest
+      in
+      fold ((first.summary, first.env), first.tables, first.base) rest
+    | [] | [ _ ] -> invalid_arg "Memo.derive: a join with fewer than two leaves")
+  | (E_scan _ | E_filter _ | E_project _ | E_agg _ | E_union _ | E_join _), _ ->
+    invalid_arg "Memo.derive: expression and canonical plan disagree"
+
+let new_group m ~key ~repr ~partition (e : mexpr) : gid =
   let id = m.next_id in
   m.next_id <- id + 1;
-  let summary = Summary.analyze ~table_cols:m.table_cols repr in
-  let tables = Plan.base_tables repr in
+  let (summary, env), tables, base = derive m ~key e repr in
   (* A partition-tagged group reads exactly one partition of one table:
      its subquery is local to that partition's site, so AR4 applies
      there and the estimate is scaled by the partition fraction. *)
@@ -299,10 +368,18 @@ let new_group m ~key ~repr ~partition ~est (e : mexpr) : gid =
           Policy.Evaluator.locations_for ?stats:m.eval_stats ~include_home:false
             ~catalog:m.cat ~policies:m.policies summary))
   in
+  let est =
+    match e, partition_placement with
+    | E_scan { table; alias; fraction; _ }, _ -> Stats.scan_est m.cat ~table ~alias ~fraction
+    | _, Some pl ->
+      (* scale a single-partition wrapper by its fraction *)
+      { base with Stats.rows = Float.max 1.0 (base.Stats.rows *. pl.Catalog.fraction) }
+    | _, None -> base
+  in
   let leaves, conjuncts = match key with K_join (l, c) -> (l, c) | _ -> ([ id ], []) in
   let g =
-    { id; repr; exprs = [ e ]; explored = false; entries = None; est;
-      attrs = Attr.Set.of_list (List.map fst est.Stats.cols); summary; tables;
+    { id; repr; exprs = [ e ]; explored = false; entries = None; est; base;
+      attrs = Attr.Set.of_list (List.map fst est.Stats.cols); summary; env; tables;
       partition_tag = partition; single_loc; policy_ships;
       lb = static_lb m ~tables ~partition; leaves; conjuncts }
   in
@@ -410,25 +487,7 @@ let rec group_of_expr m (e : mexpr) : gid =
       | E_filter (_, i) | E_project (_, i) | E_agg (_, _, i) -> (group m i).partition_tag
       | E_join _ | E_union _ -> -1
     in
-    let est =
-      match e with
-      | E_scan { table; alias; fraction; _ } -> Stats.scan_est m.cat ~table ~alias ~fraction
-      | _ ->
-        let base = Stats.estimate m.cat repr in
-        if partition < 0 then base
-        else
-          (* scale a single-partition wrapper by its fraction *)
-          let frac =
-            match Plan.base_tables repr with
-            | [ (_, t) ] -> (
-              match List.nth_opt (Catalog.placements m.cat t) partition with
-              | Some pl -> pl.Catalog.fraction
-              | None -> 1.0)
-            | _ -> 1.0
-          in
-          { base with Stats.rows = Float.max 1.0 (base.Stats.rows *. frac) }
-    in
-    new_group m ~key ~repr ~partition ~est e
+    new_group m ~key ~repr ~partition e
 
 and ingest m (plan : Plan.t) : gid =
   match plan with
@@ -455,9 +514,7 @@ and ingest m (plan : Plan.t) : gid =
       | Some id ->
         ignore (add_expr (group m id) (E_union part_gids));
         id
-      | None ->
-        let est = Stats.scan_est m.cat ~table ~alias ~fraction:1.0 in
-        new_group m ~key ~repr:plan ~partition:(-1) ~est (E_union part_gids)))
+      | None -> new_group m ~key ~repr:plan ~partition:(-1) (E_union part_gids)))
   | Plan.Select (p, i) -> group_of_expr m (E_filter (p, ingest m i))
   | Plan.Project (items, i) -> group_of_expr m (E_project (items, ingest m i))
   | Plan.Join (p, l, r) -> group_of_expr m (E_join (p, ingest m l, ingest m r))

@@ -47,14 +47,22 @@ type group = {
   id : gid;
   repr : Plan.t;
       (** canonical logical form ({!Normalize.canon}), built once when
-          the group is created and used for estimates and summaries;
-          group identity is the structural key, not this plan *)
+          the group is created. It orders a join's leaves and labels
+          the [memo.group] trace instant. Group identity is the
+          structural key, not this plan, and [summary] and [est] are
+          derived from the child groups' stored results, not from it *)
   mutable exprs : mexpr list;
   mutable explored : bool;
   mutable entries : entry list option;
   est : Stats.node_est;
+      (** [Stats.estimate repr], scaled by the partition fraction for a
+          partition-tagged group; a partition scan's own estimate *)
+  base : Stats.node_est;
+      (** the unscaled estimate ([Stats.estimate repr]), which parent
+          groups derive theirs from *)
   attrs : Attr.Set.t;  (** output columns, the attributes of [est.cols] *)
-  summary : Summary.t;
+  summary : Summary.t;  (** [Summary.analyze repr] *)
+  env : Summary.env;  (** [summary]'s environment, which parent groups derive from *)
   tables : (string * string) list;
   partition_tag : int;  (** >= 0 when the subtree reads one partition *)
   single_loc : Catalog.Location.t option;

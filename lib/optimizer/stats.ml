@@ -88,47 +88,11 @@ let scalar_info est = function
 
 let clamp_distinct rows c = { c with distinct = Float.min c.distinct rows }
 
-let rec estimate (cat : Catalog.t) (plan : Plan.t) : node_est =
-  match plan with
-  | Plan.Scan { table; alias } -> scan_est cat ~table ~alias ~fraction:1.0
-  | Plan.Select (p, i) ->
-    let e = estimate cat i in
-    let rows = Float.max 1.0 (e.rows *. selectivity e p) in
-    { rows; cols = List.map (fun (a, c) -> (a, clamp_distinct rows c)) e.cols }
-  | Plan.Project (items, i) ->
-    let e = estimate cat i in
-    { rows = e.rows;
-      cols = List.map (fun (ex, n) -> (n, clamp_distinct e.rows (scalar_info e ex))) items }
-  | Plan.Join (p, l, r) ->
-    let el = estimate cat l and er = estimate cat r in
-    let cross = { rows = el.rows *. er.rows; cols = el.cols @ er.cols } in
-    let rows = Float.max 1.0 (cross.rows *. selectivity cross p) in
-    { rows; cols = List.map (fun (a, c) -> (a, clamp_distinct rows c)) cross.cols }
-  | Plan.Aggregate { keys; aggs; input } ->
-    let e = estimate cat input in
-    let group_count =
-      if keys = [] then 1.0
-      else
-        List.fold_left (fun acc k -> acc *. (find_col e k).distinct) 1.0 keys
-        |> Float.min (e.rows /. 2.0)
-        |> Float.max 1.0
-    in
-    let key_cols = List.map (fun k -> (k, clamp_distinct group_count (find_col e k))) keys in
-    let agg_cols =
-      List.map
-        (fun (a : Expr.agg) ->
-          ( Attr.unqualified a.alias,
-            { distinct = group_count; width = 8.; lo = None; hi = None } ))
-        aggs
-    in
-    { rows = group_count; cols = key_cols @ agg_cols }
-  | Plan.Union xs ->
-    let es = List.map (estimate cat) xs in
-    let rows = List.fold_left (fun acc e -> acc +. e.rows) 0.0 es in
-    let cols = match es with [] -> [] | e :: _ -> e.cols in
-    { rows; cols = List.map (fun (a, c) -> (a, clamp_distinct rows c)) cols }
+(* --- one step per operator: [estimate] folds them over a plan; the
+   memo applies one per new group to its child groups' stored
+   (unscaled) estimates --- *)
 
-and scan_est cat ~table ~alias ~fraction : node_est =
+let scan_est cat ~table ~alias ~fraction : node_est =
   let def = Catalog.table_def cat table in
   let rows = Float.max 1.0 (float_of_int def.Catalog.Table_def.row_count *. fraction) in
   let cols =
@@ -142,3 +106,49 @@ and scan_est cat ~table ~alias ~fraction : node_est =
       def.Catalog.Table_def.columns
   in
   { rows; cols }
+
+let select e p =
+  let rows = Float.max 1.0 (e.rows *. selectivity e p) in
+  { rows; cols = List.map (fun (a, c) -> (a, clamp_distinct rows c)) e.cols }
+
+let project e items =
+  { rows = e.rows;
+    cols = List.map (fun (ex, n) -> (n, clamp_distinct e.rows (scalar_info e ex))) items }
+
+let join p el er =
+  let cross = { rows = el.rows *. er.rows; cols = el.cols @ er.cols } in
+  let rows = Float.max 1.0 (cross.rows *. selectivity cross p) in
+  { rows; cols = List.map (fun (a, c) -> (a, clamp_distinct rows c)) cross.cols }
+
+let aggregate ~keys ~(aggs : Expr.agg list) e =
+  let group_count =
+    if keys = [] then 1.0
+    else
+      List.fold_left (fun acc k -> acc *. (find_col e k).distinct) 1.0 keys
+      |> Float.min (e.rows /. 2.0)
+      |> Float.max 1.0
+  in
+  let key_cols = List.map (fun k -> (k, clamp_distinct group_count (find_col e k))) keys in
+  let agg_cols =
+    List.map
+      (fun (a : Expr.agg) ->
+        (Attr.unqualified a.alias, { distinct = group_count; width = 8.; lo = None; hi = None }))
+      aggs
+  in
+  { rows = group_count; cols = key_cols @ agg_cols }
+
+let union es =
+  let rows = List.fold_left (fun acc e -> acc +. e.rows) 0.0 es in
+  let cols = match es with [] -> [] | e :: _ -> e.cols in
+  { rows; cols = List.map (fun (a, c) -> (a, clamp_distinct rows c)) cols }
+
+let rec estimate (cat : Catalog.t) (plan : Plan.t) : node_est =
+  match plan with
+  | Plan.Scan { table; alias } -> scan_est cat ~table ~alias ~fraction:1.0
+  | Plan.Select (p, i) -> select (estimate cat i) p
+  | Plan.Project (items, i) -> project (estimate cat i) items
+  | Plan.Join (p, l, r) ->
+    let el = estimate cat l in
+    join p el (estimate cat r)
+  | Plan.Aggregate { keys; aggs; input } -> aggregate ~keys ~aggs (estimate cat input)
+  | Plan.Union xs -> union (List.map (estimate cat) xs)

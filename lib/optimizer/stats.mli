@@ -28,7 +28,28 @@ val selectivity : node_est -> Pred.t -> float
     [lo]/[hi], independence across conjuncts). *)
 
 val estimate : Catalog.t -> Plan.t -> node_est
-(** Bottom-up estimate of a whole logical plan. *)
+(** Bottom-up estimate of a whole logical plan: the fold of the steps
+    below. *)
+
+(** {2 One step per operator}
+
+    Each step estimates an operator's output from its inputs'
+    estimates, so a caller that keeps each subplan's estimate (the
+    optimizer's memo groups) derives a parent's without walking the
+    subplans again. Applied in the plan's order, the steps give
+    [estimate]'s floats bit for bit. *)
 
 val scan_est : Catalog.t -> table:string -> alias:string -> fraction:float -> node_est
-(** Estimate for one partition of a table ([fraction] of its rows). *)
+(** Estimate for one partition of a table ([fraction] of its rows);
+    [estimate] scans with [~fraction:1.0]. *)
+
+val select : node_est -> Pred.t -> node_est
+val project : node_est -> (Expr.scalar * Attr.t) list -> node_est
+
+val join : Pred.t -> node_est -> node_est -> node_est
+(** [join p left right]. *)
+
+val aggregate : keys:Attr.t list -> aggs:Expr.agg list -> node_est -> node_est
+
+val union : node_est list -> node_est
+(** Branches in plan order; the first one's columns are the union's. *)

@@ -221,7 +221,12 @@ let locations_for_uncached ?stats ?(include_home = true) ~(catalog : Catalog.t)
    Algorithm 1 is pure in (catalog, policies, include_home, summary);
    both catalogs are immutable and carry construction-time stamps, and
    summaries are plain data, so the whole evaluation memoizes on a
-   structural key. Cached entries also record how much they bumped the
+   structural key. The key hashes with [Summary.hash], which reads the
+   whole summary (the polymorphic hash stops after ten meaningful
+   words, so summaries sharing their leading tables and outputs would
+   share a bucket), and compares with [compare = 0]: [Pred.equal]
+   would equate [Int 1] and [Float 1.] constants, which the summary
+   keeps apart. Cached entries also record how much they bumped the
    instrumentation counters (η, implication tests), and hits replay
    those increments — E7-style η reports stay exact whether or not the
    cache is warm. The [enabled] switch exists for the differential
@@ -229,7 +234,19 @@ let locations_for_uncached ?stats ?(include_home = true) ~(catalog : Catalog.t)
 
 type verdict = { locs : Locset.t; d_eta : int; d_tests : int }
 
-let cache : ((int * int * bool) * Summary.t, verdict) Hashtbl.t = Hashtbl.create 1024
+type key = { cat : int; pols : int; home : bool; summary : Summary.t }
+
+module Verdict_tbl = Hashtbl.Make (struct
+  type t = key
+
+  let equal a b =
+    a.cat = b.cat && a.pols = b.pols && a.home = b.home
+    && (a.summary == b.summary || Stdlib.compare a.summary b.summary = 0)
+
+  let hash k = (((Summary.hash k.summary * 31) + k.cat) * 31) + k.pols + Bool.to_int k.home
+end)
+
+let cache : verdict Verdict_tbl.t = Verdict_tbl.create 1024
 let enabled = ref true
 let hits = ref 0
 let misses = ref 0
@@ -239,7 +256,7 @@ let set_cache_enabled b = enabled := b
 let cache_stats () = (!hits, !misses)
 
 let reset_cache () =
-  Hashtbl.reset cache;
+  Verdict_tbl.reset cache;
   hits := 0;
   misses := 0
 
@@ -254,8 +271,11 @@ let locations_for ?stats ?(include_home = true) ~(catalog : Catalog.t)
     ~(policies : Pcatalog.t) (s : Summary.t) : Locset.t =
   if not !enabled then locations_for_uncached ?stats ~include_home ~catalog ~policies s
   else
-    let key = ((Catalog.stamp catalog, Pcatalog.stamp policies, include_home), s) in
-    match Hashtbl.find_opt cache key with
+    let key =
+      { cat = Catalog.stamp catalog; pols = Pcatalog.stamp policies; home = include_home;
+        summary = s }
+    in
+    match Verdict_tbl.find_opt cache key with
     | Some v ->
       incr hits;
       Obs.Metrics.inc c_cache_hit;
@@ -270,7 +290,7 @@ let locations_for ?stats ?(include_home = true) ~(catalog : Catalog.t)
       Obs.Metrics.inc c_cache_miss;
       let local = fresh_stats () in
       let locs = locations_for_uncached ~stats:local ~include_home ~catalog ~policies s in
-      if Hashtbl.length cache >= max_entries then Hashtbl.reset cache;
-      Hashtbl.add cache key { locs; d_eta = local.eta; d_tests = local.implication_tests };
+      if Verdict_tbl.length cache >= max_entries then Verdict_tbl.reset cache;
+      Verdict_tbl.add cache key { locs; d_eta = local.eta; d_tests = local.implication_tests };
       replay stats ~d_eta:local.eta ~d_tests:local.implication_tests;
       locs

@@ -46,7 +46,8 @@ val locations_for :
     because rule AR1/AR3 already account for them via traits.
 
     Results are memoized on (catalog stamp, policy-catalog stamp,
-    include_home, summary) unless the cache is disabled; cache hits
+    include_home, summary) unless the cache is disabled; the key hashes
+    with {!Relalg.Summary.hash} and compares with [compare = 0]. Cache hits
     replay the instrumentation increments (η, implication tests) the
     original evaluation produced, so [stats] stay exact. *)
 

@@ -255,7 +255,14 @@ let implies_uncached (pq : Pred.t) (pe : Pred.t) : bool =
    [enabled] switch exists for the differential test suite, which
    compares cached against from-scratch runs. *)
 
-let cache : (int * int, bool) Hashtbl.t = Hashtbl.create 4096
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int * int
+
+  let equal (a, b) (c, d) = a = c && b = d
+  let hash (a, b) = (a * 65599) + b
+end)
+
+let cache : bool Pair_tbl.t = Pair_tbl.create 4096
 let enabled = ref true
 let hits = ref 0
 let misses = ref 0
@@ -279,7 +286,7 @@ let set_cache_enabled b = enabled := b
 let cache_stats () = (!hits, !misses)
 
 let reset_cache () =
-  Hashtbl.reset cache;
+  Pair_tbl.reset cache;
   hits := 0;
   misses := 0
 
@@ -288,7 +295,7 @@ let implies (pq : Pred.t) (pe : Pred.t) : bool =
   else
     let pq, qid = Pred.intern pq in
     let pe, eid = Pred.intern pe in
-    match Hashtbl.find_opt cache (qid, eid) with
+    match Pair_tbl.find_opt cache (qid, eid) with
     | Some v ->
       incr hits;
       Obs.Metrics.inc c_cache_hit;
@@ -297,6 +304,6 @@ let implies (pq : Pred.t) (pe : Pred.t) : bool =
       incr misses;
       Obs.Metrics.inc c_cache_miss;
       let v = implies_uncached pq pe in
-      if Hashtbl.length cache >= max_entries then Hashtbl.reset cache;
-      Hashtbl.add cache (qid, eid) v;
+      if Pair_tbl.length cache >= max_entries then Pair_tbl.reset cache;
+      Pair_tbl.add cache (qid, eid) v;
       v

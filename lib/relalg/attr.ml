@@ -4,8 +4,17 @@
 
 type t = { rel : string; name : string }
 
-let make ~rel ~name = { rel = String.lowercase_ascii rel; name = String.lowercase_ascii name }
-let unqualified name = { rel = ""; name = String.lowercase_ascii name }
+(* [String.lowercase_ascii] copies even an all-lowercase string; names
+   that have no ASCII uppercase letter are returned as they are. *)
+let lower s =
+  let rec has_upper i =
+    i < String.length s
+    && match String.unsafe_get s i with 'A' .. 'Z' -> true | _ -> has_upper (i + 1)
+  in
+  if has_upper 0 then String.lowercase_ascii s else s
+
+let make ~rel ~name = { rel = lower rel; name = lower name }
+let unqualified name = { rel = ""; name = lower name }
 let is_qualified a = a.rel <> ""
 
 let compare a b =

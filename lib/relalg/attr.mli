@@ -10,7 +10,8 @@ type t = { rel : string; name : string }
 
 val make : rel:string -> name:string -> t
 (** [make ~rel ~name] is the qualified reference [rel.name],
-    lowercased. *)
+    lowercased. A string with no ASCII uppercase letter is kept as it
+    is, not copied. *)
 
 val unqualified : string -> t
 (** A bare column name, to be bound later (or the output of a

@@ -48,4 +48,31 @@ val analyze : table_cols:(string -> string list) -> Plan.t -> t
 (** Compute the summary of a logical plan. [table_cols] supplies base
     table column lists (may raise for unknown tables). *)
 
+(** {2 One step per operator}
+
+    [analyze] is the fold of these steps over a plan. Each step
+    computes an operator's summary and environment from its children's
+    [(t, env)] pairs, so a caller that keeps each subplan's pair (the
+    optimizer's memo groups) derives a parent's without walking the
+    subplans again. *)
+
+type env
+(** The columns a (sub)plan exposes, each bound to its {!out_ref}. *)
+
+val scan : table_cols:(string -> string list) -> table:string -> alias:string -> t * env
+val select : Pred.t -> t * env -> t * env
+val project : (Expr.scalar * Attr.t) list -> t * env -> t * env
+val join : Pred.t -> t * env -> t * env -> t * env
+val aggregate : keys:Attr.t list -> aggs:Expr.agg list -> t * env -> t * env
+
+val union : (t * env) list -> t * env
+(** Branches in plan order; the first one's outputs and environment
+    are the union's. *)
+
+val hash : t -> int
+(** A hash over every field of a summary, consistent with
+    [Stdlib.compare s s' = 0]: unlike [Hashtbl.hash], it reads the
+    whole summary, and it tells [Int 1] from [Float 1.] constants as
+    [compare] does. *)
+
 val pp : Format.formatter -> t -> unit

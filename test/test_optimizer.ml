@@ -379,6 +379,87 @@ let prop_group_identity =
           && groups_match_printed_keys ~cat:adhoc_cat ~policies:adhoc_cra sql)
         (Tpch.Workload.gen_queries ~seed ~n:2 ()))
 
+(* --- derived summaries and estimates against the walked ones --- *)
+
+(* A group derives its summary and estimate from its child groups'
+   stored results. The oracle walks the group's canonical plan, as
+   groups once did: [Summary.analyze] and [Stats.estimate], the latter
+   scaled by the partition fraction for a partition-tagged group, or a
+   partition scan's own estimate. Floats must agree bit for bit. *)
+let walked_est ~cat (g : Optimizer.Memo.group) =
+  match g.exprs with
+  | Optimizer.Memo.E_scan { table; alias; fraction; _ } :: _ ->
+    Optimizer.Stats.scan_est cat ~table ~alias ~fraction
+  | _ ->
+    let base = Optimizer.Stats.estimate cat g.repr in
+    let frac =
+      match Plan.base_tables g.repr with
+      | [ (_, t) ] when g.partition_tag >= 0 -> (
+        match List.nth_opt (Catalog.placements cat t) g.partition_tag with
+        | Some pl -> pl.Catalog.fraction
+        | None -> 1.0)
+      | _ -> 1.0
+    in
+    if g.partition_tag < 0 then base
+    else { base with rows = Float.max 1.0 (base.rows *. frac) }
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_est (a : Optimizer.Stats.node_est) (b : Optimizer.Stats.node_est) =
+  same_bits a.rows b.rows
+  && List.equal
+       (fun (x, (c : Optimizer.Stats.col_info)) (y, (d : Optimizer.Stats.col_info)) ->
+         Attr.equal x y && same_bits c.distinct d.distinct && same_bits c.width d.width
+         && Option.equal same_bits c.lo d.lo && Option.equal same_bits c.hi d.hi)
+       a.cols b.cols
+
+(* groups checked that scale a partition's share, and union groups *)
+let scaled_groups = ref 0
+let union_groups = ref 0
+
+let check_derived ~label ~mode ~cat ~policies sql =
+  let m = Optimizer.Memo.create ~mode ~cat ~policies () in
+  ignore (Optimizer.Memo.extract m (Optimizer.Memo.ingest m (plan_of_sql ~cat sql)));
+  let table_cols = Catalog.table_cols cat in
+  for gid = 0 to Optimizer.Memo.group_count m - 1 do
+    let g = Optimizer.Memo.group m gid in
+    (match g.exprs with
+    | Optimizer.Memo.E_union _ :: _ -> incr union_groups
+    | Optimizer.Memo.E_scan _ :: _ -> ()
+    | _ -> if not (same_bits g.est.rows g.base.rows) then incr scaled_groups);
+    if g.summary <> Summary.analyze ~table_cols g.repr then
+      Alcotest.failf "%s: group %d's summary differs from the walked one" label gid;
+    if not (same_est g.est (walked_est ~cat g)) then
+      Alcotest.failf "%s: group %d's estimate differs from the walked one" label gid;
+    if g.tables <> Plan.base_tables g.repr then
+      Alcotest.failf "%s: group %d's base tables differ from the walked ones" label gid
+  done
+
+let test_derived_matches_walked () =
+  List.iter
+    (fun (name, sql) ->
+      List.iter
+        (fun set ->
+          let policies = Tpch.Policies.catalog_of cat set in
+          List.iter
+            (fun (mname, mode) ->
+              let label =
+                Printf.sprintf "%s/%s/%s" name (Tpch.Policies.set_name_to_string set) mname
+              in
+              check_derived ~label ~mode ~cat ~policies sql)
+            [ ("compliant", Optimizer.Memo.Compliant);
+              ("traditional", Optimizer.Memo.Traditional) ])
+        Tpch.Policies.all_sets)
+    Tpch.Queries.all_extended;
+  (* partition scans, partition-tagged wrappers and union groups *)
+  List.iteri
+    (fun i sql ->
+      check_derived ~label:(Printf.sprintf "adhoc %d" i) ~mode:Optimizer.Memo.Compliant
+        ~cat:adhoc_cat ~policies:adhoc_cra sql)
+    (Tpch.Workload.gen_queries ~seed:2027 ~n:200 ());
+  Alcotest.(check bool) "partition-tagged wrappers checked" true (!scaled_groups > 0);
+  Alcotest.(check bool) "union groups checked" true (!union_groups > 0)
+
 (* --- Theorem 1 as a property --- *)
 
 let prop_theorem_1 =
@@ -581,6 +662,8 @@ let () =
           Alcotest.test_case "dedup" `Quick test_memo_dedup;
           Alcotest.test_case "float constants" `Quick test_memo_float_constants;
           Alcotest.test_case "plan golden" `Quick test_plan_golden;
+          Alcotest.test_case "derived = walked summaries and estimates" `Quick
+            test_derived_matches_walked;
           Alcotest.test_case "plan space" `Quick test_exploration_grows_plan_space;
           Alcotest.test_case "stats sanity" `Quick test_stats_sanity;
         ] );

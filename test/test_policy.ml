@@ -404,6 +404,69 @@ let prop_evaluator_cache_transparent =
       && stats_miss.Policy.Evaluator.eta = stats_raw.Policy.Evaluator.eta
       && stats_hit.Policy.Evaluator.eta = stats_raw.Policy.Evaluator.eta)
 
+(* The verdict cache keys on the whole summary. Separately built,
+   structurally equal summaries share a slot; two summaries that differ
+   only past the polymorphic hash's first ten meaningful words, in the
+   last output's [opaque] flag or in an [Int 1] vs [Float 1.] constant
+   ([Pred.equal] equates the two), take separate slots. *)
+let test_verdict_cache_key () =
+  let cat = t1_catalog () in
+  let pols = t1_policies cat in
+  let lookup s = ignore (Policy.Evaluator.locations_for ~catalog:cat ~policies:pols s) in
+  let counts label expect =
+    Alcotest.(check (pair int int)) label expect (Policy.Evaluator.cache_stats ())
+  in
+  Policy.Evaluator.set_cache_enabled true;
+  Policy.Evaluator.reset_cache ();
+  let s = summarize cat q1 and s' = summarize cat q1 in
+  Alcotest.(check bool) "built separately" false (s == s');
+  lookup s;
+  counts "first lookup misses" (0, 1);
+  lookup s';
+  counts "equal summary hits" (1, 1);
+  let separate label a b =
+    Alcotest.(check int)
+      (label ^ ": polymorphic hash agrees")
+      (Hashtbl.hash a) (Hashtbl.hash b);
+    Alcotest.(check bool) (label ^ ": Summary.hash differs") true
+      (Summary.hash a <> Summary.hash b);
+    Policy.Evaluator.reset_cache ();
+    lookup a;
+    lookup b;
+    counts (label ^ ": both miss") (0, 2);
+    lookup a;
+    lookup b;
+    counts (label ^ ": both hit") (2, 2)
+  in
+  let flip_last_opaque (s : Summary.t) =
+    match List.rev s.outputs with
+    | last :: rest ->
+      { s with outputs = List.rev ({ last with Summary.opaque = not last.opaque } :: rest) }
+    | [] -> Alcotest.fail "q1 has outputs"
+  in
+  separate "opaque flag" s (flip_last_opaque s);
+  let b_is v =
+    summarize cat
+      (Plan.Project
+         ( [ (col "a", attr "a"); (col "c", attr "c") ],
+           Plan.Select
+             ( Pred.Atom (Pred.Cmp (Pred.Eq, col "b", Expr.Const v)),
+               Plan.Scan { table = "t"; alias = "t" } ) ))
+  in
+  separate "Int 1 vs Float 1." (b_is (Value.Int 1)) (b_is (Value.Float 1.))
+
+(* The implication cache keys on the two predicates' intern ids:
+   separately built equal predicates share a slot. *)
+let test_implication_cache_key () =
+  let p () = Pred.Atom (Pred.Cmp (Pred.Gt, col "b", Expr.Const (Value.Int 15))) in
+  let q = Pred.Atom (Pred.Cmp (Pred.Gt, col "b", Expr.Const (Value.Int 10))) in
+  Policy.Implication.set_cache_enabled true;
+  Policy.Implication.reset_cache ();
+  Alcotest.(check bool) "b > 15 implies b > 10" true (Policy.Implication.implies (p ()) q);
+  Alcotest.(check bool) "again" true (Policy.Implication.implies (p ()) q);
+  Alcotest.(check bool) "converse fails" false (Policy.Implication.implies q (p ()));
+  Alcotest.(check (pair int int)) "hits, misses" (1, 2) (Policy.Implication.cache_stats ())
+
 let () =
   Alcotest.run "policy"
     [
@@ -431,5 +494,10 @@ let () =
           Alcotest.test_case "partitioned home" `Quick test_partitioned_home_excluded;
           QCheck_alcotest.to_alcotest prop_expression_interning;
           QCheck_alcotest.to_alcotest prop_evaluator_cache_transparent;
+        ] );
+      ( "caches",
+        [
+          Alcotest.test_case "verdict cache key" `Quick test_verdict_cache_key;
+          Alcotest.test_case "implication cache key" `Quick test_implication_cache_key;
         ] );
     ]

@@ -125,6 +125,16 @@ let prop_demorgan =
       Pred.eval l (Pred.Not (Pred.And (p, q)))
       = Pred.eval l (Pred.Or (Pred.Not p, Pred.Not q)))
 
+let test_attr_make () =
+  let a = Attr.make ~rel:"L" ~name:"ShipDate" in
+  Alcotest.(check string) "lowercased" "l.shipdate" (Attr.to_string a);
+  let rel = "l" and name = "shipdate" in
+  let b = Attr.make ~rel ~name in
+  Alcotest.(check bool) "lowercase rel kept, not copied" true (b.Attr.rel == rel);
+  Alcotest.(check bool) "lowercase name kept, not copied" true (b.Attr.name == name);
+  Alcotest.(check bool) "unqualified name kept" true ((Attr.unqualified name).Attr.name == name);
+  Alcotest.(check string) "mixed case" "l_x9" (Attr.make ~rel:"" ~name:"L_X9").Attr.name
+
 let () =
   Alcotest.run "pred"
     [
@@ -137,6 +147,7 @@ let () =
           Alcotest.test_case "conjuncts" `Quick test_conjuncts;
           Alcotest.test_case "conj/disj simplify" `Quick test_conj_disj_simplification;
           Alcotest.test_case "cols" `Quick test_cols;
+          Alcotest.test_case "attr make" `Quick test_attr_make;
           QCheck_alcotest.to_alcotest prop_like_reference;
           QCheck_alcotest.to_alcotest prop_double_negation;
           QCheck_alcotest.to_alcotest prop_demorgan;
