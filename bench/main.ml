@@ -1414,6 +1414,7 @@ let ooc_bench () =
   let mismatches = ref 0 in
   let tot_res = ref 0. and tot_paged = ref 0. and tot_spill = ref 0. in
   let tot_rows = ref 0 and tot_spilled = ref 0 and tot_partitions = ref 0 in
+  let tot_peak = ref 0 in
   let tot_paged_reads = ref 0 in
   let per_query =
     List.filter_map
@@ -1441,6 +1442,7 @@ let ooc_bench () =
           tot_rows := !tot_rows + processed;
           tot_spilled := !tot_spilled + spilled;
           tot_partitions := !tot_partitions + partitions;
+          tot_peak := !tot_peak + peak;
           tot_paged_reads := !tot_paged_reads + reads_paged;
           let rps t = if t <= 0. then 0. else float_of_int processed /. (t /. 1000.) in
           Fmt.pr "%-8s %7d %12.1f %12.1f %12.1f %11d %8d/%-4d %9d %3s@." name
@@ -1478,6 +1480,7 @@ let ooc_bench () =
     (rps !tot_res) (rps !tot_paged) (rps !tot_spill);
   Fmt.pr "spilled operators: %d (across the budgeted runs)@." !tot_spilled;
   Fmt.pr "spill partitions: %d@." !tot_partitions;
+  Fmt.pr "spill peak tracked bytes: %d (summed over the budgeted runs)@." !tot_peak;
   (* segment page-ins of the unbudgeted paged runs: lower on vector than
      on reference, whose row view decodes every column of every scan *)
   Fmt.pr "paged page reads: %d@." !tot_paged_reads;
@@ -1506,6 +1509,7 @@ let ooc_bench () =
           ("spill_rows_per_sec", Num (rps !tot_spill));
           ("spilled_operators", Num (float_of_int !tot_spilled));
           ("spill_partitions", Num (float_of_int !tot_partitions));
+          ("spill_peak_tracked_bytes", Num (float_of_int !tot_peak));
           ("paged_page_reads", Num (float_of_int !tot_paged_reads));
           ("mismatches", Num (float_of_int !mismatches));
         ])

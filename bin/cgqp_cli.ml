@@ -779,11 +779,19 @@ let no_cache_arg =
     & info [ "no-cache" ]
         ~doc:"Disable the plan cache (every submit re-runs the optimizer).")
 
+let positive_int_conv =
+  let parse s =
+    match int_of_string_opt (String.trim s) with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let cache_capacity_arg =
   Arg.(
-    value & opt int 128
+    value & opt positive_int_conv 128
     & info [ "cache-capacity" ] ~docv:"N"
-        ~doc:"Plan cache capacity in entries (LRU eviction beyond this).")
+        ~doc:"Plan cache capacity in entries, at least 1 (LRU eviction beyond this).")
 
 let template_cache_arg =
   Arg.(

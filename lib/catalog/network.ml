@@ -97,24 +97,14 @@ module Fault = struct
              | _ -> acc)
            1.0 s.events
 
-  (* splitmix64 finalizer: a high-quality pure mixing function, so drop
-     decisions are a function of (seed, link, ship index, attempt) alone
-     and every chaos run replays bit-for-bit from its seed. *)
-  let mix64 (x : int64) : int64 =
-    let open Int64 in
-    let x = mul (logxor x (shift_right_logical x 30)) 0xbf58476d1ce4e5b9L in
-    let x = mul (logxor x (shift_right_logical x 27)) 0x94d049bb133111ebL in
-    logxor x (shift_right_logical x 31)
-
-  let hash_str h s =
-    let acc = ref h in
-    String.iter (fun c -> acc := mix64 (Int64.logxor !acc (Int64.of_int (Char.code c)))) s;
-    !acc
-
   (* [drops s ~from_loc ~to_loc ~ship ~attempt]: is the [attempt]-th try
      of the [ship]-th SHIP of a run dropped? Deterministic in the
-     schedule seed; uniform with the link's drop probability. *)
+     schedule seed; uniform with the link's drop probability. Mixed
+     through splitmix64, so drop decisions are a function of (seed,
+     link, ship index, attempt) alone and every chaos run replays
+     bit-for-bit from its seed. *)
   let drops s ~from_loc ~to_loc ~ship ~attempt =
+    let open Relalg.Splitmix in
     let p = drop_probability s ~from_loc ~to_loc in
     if p <= 0. then false
     else if p >= 1. then true

@@ -98,7 +98,7 @@ val retry : session -> Exec.Interp.retry_policy
 
 val set_engine : session -> Exec.Engine.t -> unit
 (** Choose which executor {!run} uses: the vectorized engine (default)
-    or the tree-walking reference interpreter. Both are byte-identical
+    or the row-at-a-time reference interpreter. Both are byte-identical
     on results, SHIP accounting and profiles (see
     [docs/EXECUTOR.md]); sessions start from
     {!Exec.Engine.default}, which honors the [CGQP_ENGINE] environment

@@ -135,18 +135,7 @@ let normalize_sql sql =
 
 (* --- fingerprints --- *)
 
-let mix64 (x : int64) : int64 =
-  let open Int64 in
-  let x = mul (logxor x (shift_right_logical x 30)) 0xbf58476d1ce4e5b9L in
-  let x = mul (logxor x (shift_right_logical x 27)) 0x94d049bb133111ebL in
-  logxor x (shift_right_logical x 31)
-
-let hash_str h s =
-  let acc = ref h in
-  String.iter
-    (fun c -> acc := mix64 (Int64.logxor !acc (Int64.of_int (Char.code c))))
-    s;
-  !acc
+open Relalg.Splitmix
 
 (* Order-insensitive over all three lists; 0 iff the mask is empty, so
    the healthy-network key is stable across [run] and [optimize]. *)

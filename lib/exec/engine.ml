@@ -1,5 +1,5 @@
 (* Engine selection: the vectorized executor ([Vector]) is the default
-   and the one production engine; the tree-walking interpreter
+   and the one production engine; the row-at-a-time interpreter
    ([Interp]) stays available as the reference engine for differential
    testing and debugging. Both are byte-identical on results, SHIP
    accounting and profiles. *)

@@ -1,9 +1,10 @@
 (** Execution engine selection.
 
-    Two engines execute placed physical plans: the tree-walking
-    reference interpreter ({!Interp}) and the vectorized executor
-    ({!Vector}). They are byte-identical on results, SHIP accounting,
-    profiles and observability output (see [docs/EXECUTOR.md]); the
+    Two engines execute placed physical plans through one shared plan
+    walk ({!Runtime.compile}): the row-at-a-time reference interpreter
+    ({!Interp}) and the vectorized executor ({!Vector}). They are
+    byte-identical on results, SHIP accounting, profiles and
+    observability output (see [docs/EXECUTOR.md]); the
     vectorized engine is the default. Select per session via
     [Cgqp.set_engine], per process via the [CGQP_ENGINE] environment
     variable, or per CLI invocation with [--engine]. *)

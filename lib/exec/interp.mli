@@ -1,9 +1,11 @@
 (** Reference interpreter for placed physical plans.
 
-    A straightforward tree-walker kept as the semantic baseline: the
-    vectorized executor ({!Vector}) is differentially tested against it
-    and must produce byte-identical results, SHIP accounting and
-    profiles (see [docs/EXECUTOR.md]). Use {!Engine.run} to select an
+    Row-at-a-time operator kernels over boxed relations, kept as the
+    semantic baseline: the vectorized executor ({!Vector}) is
+    differentially tested against it and must produce byte-identical
+    results, SHIP accounting and profiles (see [docs/EXECUTOR.md]).
+    Both engines run the same plan walk ({!Runtime.compile}); they
+    differ only in their kernels. Use {!Engine.run} to select an
     engine; this module re-exports the shared {!Runtime} scaffolding,
     so [Exec.Interp.Ship_failed] is the {e same} exception either
     engine raises.

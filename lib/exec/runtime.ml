@@ -1,12 +1,14 @@
 (* Shared execution scaffolding for the engines (the reference
    interpreter in [Interp] and the vectorized executor in [Vector]) and
-   the Grace spill path ([Spill]): SHIP accounting under the message
+   the Grace spill path ([Spill]), and the one plan walk both engines
+   run ([compile], at the bottom): SHIP accounting under the message
    cost model with fault injection and retry/backoff, per-operator
-   profiles for EXPLAIN ANALYZE, the memory budget, the boxed aggregate
-   accumulators and row keys ([Interp] and its row spill in [Spill] use
-   them; [Vector]'s kernels have unboxed ones), and the metrics/trace
-   emission. Keeping this in one place is what makes the engines
-   byte-identical on stats, profiles and traces. *)
+   profiles for EXPLAIN ANALYZE, the memory budget and the spill
+   directory, the boxed aggregate accumulators and row keys ([Interp]
+   and its row spill in [Spill] use them; [Vector]'s kernels have
+   unboxed ones), and the metrics/trace emission. The engines supply
+   only operator kernels, which is what makes them byte-identical on
+   stats, profiles and traces. *)
 
 open Relalg
 
@@ -73,7 +75,7 @@ exception
     site : Catalog.Location.t;
   }
 
-(* Freshness gate every engine runs before reading a scan's rows: a
+(* Freshness gate the walk runs before reading a scan's rows: a
    scheduled [replica-lag] makes the copy at [site] unreadable, exactly
    like a down link makes a SHIP impossible. The predicate only looks at
    (faults, table, site) — never at the catalog — so a session whose
@@ -162,13 +164,15 @@ type mem = {
   mutable spill_ops : int;  (* operators that took the spill path *)
   mutable spill_parts : int;  (* Grace partitions across those *)
   mutable spill_run_bytes : int;  (* bytes written to run files *)
+  mutable run_dir : string option;  (* created on first spill *)
+  mutable run_lock : string option;  (* unique temp file reserving the name *)
 }
 
 let unlimited_budget = max_int
 
 let mem_create ~budget =
   { budget; tracked = 0; peak = 0; spill_ops = 0; spill_parts = 0;
-    spill_run_bytes = 0 }
+    spill_run_bytes = 0; run_dir = None; run_lock = None }
 
 let mem_charge m b =
   if m.budget <> unlimited_budget then begin
@@ -235,8 +239,43 @@ let () =
   Obs.Metrics.gauge "cgqp_storage_segment_page_reads" (fun () ->
       float_of_int (Storage.Segment.page_reads ()))
 
-(* Fold a finished execution's account into the process-wide stats. *)
+(* The execution's spill directory, created on first use:
+   [Filename.temp_file] atomically reserves a fresh name under
+   [CGQP_SPILL_DIR] (default: the system temp dir), kept as a lock file
+   until [mem_finish], and the directory lives beside it. *)
+let run_dir m =
+  match m.run_dir with
+  | Some d -> d
+  | None ->
+    let base =
+      match Sys.getenv_opt "CGQP_SPILL_DIR" with
+      | Some d when String.trim d <> "" -> d
+      | _ -> Filename.get_temp_dir_name ()
+    in
+    let lock = Filename.temp_file ~temp_dir:base "cgqp-spill-" "" in
+    let d = lock ^ ".d" in
+    Sys.mkdir d 0o700;
+    m.run_lock <- Some lock;
+    m.run_dir <- Some d;
+    d
+
+let remove_run_dir m =
+  let quietly f x = try f x with Sys_error _ -> () in
+  Option.iter
+    (fun d ->
+      quietly
+        (fun d -> Array.iter (fun f -> quietly Sys.remove (Filename.concat d f)) (Sys.readdir d))
+        d;
+      quietly Sys.rmdir d)
+    m.run_dir;
+  Option.iter (quietly Sys.remove) m.run_lock;
+  m.run_dir <- None;
+  m.run_lock <- None
+
+(* Remove the spill directory and fold a finished execution's account
+   into the process-wide stats. *)
 let mem_finish m =
+  remove_run_dir m;
   peak_tracked := max !peak_tracked m.peak;
   if m.spill_ops > 0 then begin
     Obs.Metrics.inc ~by:m.spill_ops c_spill_ops;
@@ -299,8 +338,8 @@ module Row_tbl = Hashtbl.Make (Row_key)
 
 (* Execute one SHIP: topology checks, then the retry loop on the
    simulated clock, then stats/metrics/trace. The drop fate of each
-   attempt is keyed by the ship's index in [stats.ships] — engines must
-   therefore execute ships in the same order to see the same fates. *)
+   attempt is keyed by the ship's index in [stats.ships], so the walk's
+   child order fixes every fate. *)
 let do_ship ~faults ~retry ~network ~stats ~from_loc ~to_loc ~bytes ~rows :
     ship_record =
   let ship_idx = List.length stats.ships in
@@ -377,9 +416,8 @@ let do_ship ~faults ~retry ~network ~stats ~from_loc ~to_loc ~bytes ~rows :
       ];
   record
 
-(* Post-order per-node bookkeeping, identical across engines:
-   rows_processed, the rows counter, the profile entry and the
-   per-operator trace event. *)
+(* Post-order per-node bookkeeping: rows_processed, the rows counter,
+   the profile entry and the per-operator trace event. *)
 let record_node ~stats ~(profile : node_profile list ref) ~rpath ~label
     ~(loc : Catalog.Location.t) ~ship ~card ~bytes =
   stats.rows_processed <- stats.rows_processed + card;
@@ -394,3 +432,195 @@ let record_node ~stats ~(profile : node_profile list ref) ~rpath ~label
         ("loc", Obs.Json.Str loc);
         ("rows", Obs.Json.Num (float_of_int card));
       ]
+
+(* --- the plan walk ---
+
+   One compile-time walk over the placed plan, shared by the engines:
+   it keeps the contract's child order, runs the replica gate and every
+   SHIP, records each operator, keeps the memory account (including the
+   spill decision) and computes finish times. An engine supplies only
+   its kernels, over its own output type ['o]: [Interp] threads boxed
+   relations, [Vector] column chunks. Each kernel is applied to its
+   compile-time arguments once, here, and the closure it returns runs
+   per execution. *)
+
+type hash_mode = In_memory | Spilled of { mem : mem; bytes : int }
+
+type 'o kernels = {
+  scan :
+    Storage.Relation.t -> Attr.t list -> project:(Expr.scalar * Attr.t) list option -> unit -> 'o;
+  filter : Attr.t list -> Pred.t -> 'o -> 'o;
+  project : Attr.t list -> (Expr.scalar * Attr.t) list -> 'o -> 'o;
+  hash_join :
+    Attr.t list -> Attr.t list -> (Attr.t * Attr.t) list -> Pred.t -> hash_mode -> 'o -> 'o -> 'o;
+  merge_join : Attr.t list -> Attr.t list -> (Attr.t * Attr.t) list -> Pred.t -> 'o -> 'o -> 'o;
+  nl_join : Attr.t list -> Attr.t list -> Pred.t -> 'o -> 'o -> 'o;
+  hash_agg : Attr.t list -> Attr.t list -> Expr.agg list -> hash_mode -> 'o -> 'o;
+  sort : Attr.t list -> (Attr.t * bool) list -> 'o -> 'o;
+  union : Attr.t list -> 'o list -> 'o;
+  card : 'o -> int;
+  byte_size : 'o -> int;
+  to_relation : Attr.t list -> 'o -> Storage.Relation.t;
+}
+
+let agg_schema keys (aggs : Expr.agg list) =
+  keys @ List.map (fun (a : Expr.agg) -> Attr.unqualified a.alias) aggs
+
+type env = {
+  faults : Catalog.Network.Fault.schedule;
+  retry : retry_policy;
+  network : Catalog.Network.t;
+  stats : stats;
+  profile : node_profile list ref;
+  mem : mem;
+}
+
+(* A compiled operator returns its output, the bytes charged for it
+   (released by the parent once consumed) and its finish time. *)
+type 'o plan = {
+  schema : Attr.t list;
+  exec : env -> 'o * int * float;
+  to_rel : 'o -> Storage.Relation.t;
+}
+
+let plan_schema p = p.schema
+
+(* A hash operator's scratch state ([bytes]: the build side, or the
+   input) is charged for the in-memory kernel's duration, unless
+   charging it would trip the budget: then the kernel spills. *)
+let hashed env ~bytes ~can_spill kernel =
+  if can_spill && should_spill env.mem bytes then kernel (Spilled { mem = env.mem; bytes })
+  else begin
+    mem_charge env.mem bytes;
+    let out = kernel In_memory in
+    mem_release env.mem bytes;
+    out
+  end
+
+(* A kernel that needs neither the environment nor its input's bytes. *)
+let pure f _env _bytes = f
+
+let compile (k : 'o kernels) ~(db : Storage.Database.t) ~(table_cols : string -> string list)
+    (plan : Pplan.t) : 'o plan =
+  (* [rpath] is the node's root-to-node child-index path, reversed.
+     [project] is the parent's item list when the parent is a
+     [Project]. *)
+  let rec comp ?project rpath (p : Pplan.t) : Attr.t list * (env -> 'o * int * float) =
+    let label = Pplan.node_label p.node and loc = p.loc in
+    (* Record the operator, charge its output and release its
+       children's charges now that they are consumed. *)
+    let finish env ~release ?bytes out fin =
+      let card = k.card out in
+      let bytes = match bytes with Some b -> b | None -> k.byte_size out in
+      record_node ~stats:env.stats ~profile:env.profile ~rpath ~label ~loc ~ship:None ~card
+        ~bytes;
+      mem_charge env.mem bytes;
+      List.iter (mem_release env.mem) release;
+      (out, bytes, fin +. (float_of_int card *. row_cost_ms))
+    in
+    (* [bind] applies the kernel to its children's schemas; the result
+       runs with the environment and the bytes charged for its input
+       (the build side, for a join). *)
+    let unary ?project ?(schema = Fun.id) c bind =
+      let cs, cx = comp ?project (0 :: rpath) c in
+      let f = bind cs in
+      ( schema cs,
+        fun env ->
+          let o, b, fin = cx env in
+          finish env ~release:[ b ] (f env b o) fin )
+    in
+    (* Right child first: SHIP indices, and with them the per-attempt
+       drop fates, follow execution order. *)
+    let binary l r bind =
+      let ls, lx = comp (0 :: rpath) l and rs, rx = comp (1 :: rpath) r in
+      let f = bind ls rs in
+      ( ls @ rs,
+        fun env ->
+          let ro, rb, rfin = rx env in
+          let lo, lb, lfin = lx env in
+          finish env ~release:[ lb; rb ] (f env rb lo ro) (Float.max lfin rfin) )
+    in
+    match p.node, p.children with
+    | Pplan.Table_scan { table; alias; partition }, [] ->
+      let r = Storage.Database.find_exn db ~table ~partition () in
+      let schema =
+        (* re-qualify the stored schema with the query alias *)
+        List.map2
+          (fun (_ : Attr.t) c -> Attr.make ~rel:alias ~name:c)
+          (Storage.Relation.schema r) (table_cols table)
+      in
+      let scan = k.scan r schema ~project in
+      ( schema,
+        fun env ->
+          check_replica ~faults:env.faults ~table ~partition ~site:loc;
+          let out = scan () in
+          (* a paged relation's size comes from its segment footers *)
+          finish env ~release:[] ~bytes:(Storage.Relation.byte_size r) out 0. )
+    | Pplan.Filter pred, [ c ] -> unary c (fun cs -> pure (k.filter cs pred))
+    | Pplan.Project items, [ c ] ->
+      let project = match c.node with Pplan.Table_scan _ -> Some items | _ -> None in
+      unary ?project ~schema:(fun _ -> List.map snd items) c (fun cs -> pure (k.project cs items))
+    | Pplan.Hash_join { keys; residual }, [ l; r ] ->
+      binary l r (fun ls rs ->
+          let f = k.hash_join ls rs keys residual in
+          fun env rb lo ro -> hashed env ~bytes:rb ~can_spill:true (fun mode -> f mode lo ro))
+    | Pplan.Merge_join { keys; residual }, [ l; r ] ->
+      binary l r (fun ls rs -> pure (k.merge_join ls rs keys residual))
+    | Pplan.Nl_join pred, [ l; r ] -> binary l r (fun ls rs -> pure (k.nl_join ls rs pred))
+    | Pplan.Hash_agg { keys; aggs }, [ c ] ->
+      unary ~schema:(fun _ -> agg_schema keys aggs) c (fun cs ->
+          let f = k.hash_agg cs keys aggs in
+          (* a global aggregate is one group: nothing worth spilling *)
+          fun env b o -> hashed env ~bytes:b ~can_spill:(keys <> []) (fun mode -> f mode o))
+    | Pplan.Sort keys, [ c ] -> unary c (fun cs -> pure (k.sort cs keys))
+    | Pplan.Union_all, (_ :: _ as children) ->
+      let cs = List.mapi (fun i c -> comp (i :: rpath) c) children in
+      let schema = fst (List.hd cs) in
+      let width = List.length schema in
+      if List.exists (fun (s, _) -> List.length s <> width) cs then
+        fail "union children of unequal width";
+      let f = k.union schema in
+      ( schema,
+        fun env ->
+          (* children left to right *)
+          let rec go fin outs bs = function
+            | [] -> finish env ~release:(List.rev bs) (f (List.rev outs)) fin
+            | (_, cx) :: rest ->
+              let o, b, cfin = cx env in
+              go (Float.max fin cfin) (o :: outs) (b :: bs) rest
+          in
+          go 0. [] [] cs )
+    | Pplan.Ship { from_loc; to_loc }, [ c ] ->
+      let cs, cx = comp (0 :: rpath) c in
+      ( cs,
+        fun env ->
+          let o, b, fin = cx env in
+          let card = k.card o in
+          let record =
+            do_ship ~faults:env.faults ~retry:env.retry ~network:env.network ~stats:env.stats
+              ~from_loc ~to_loc ~bytes:b ~rows:card
+          in
+          record_node ~stats:env.stats ~profile:env.profile ~rpath ~label ~loc
+            ~ship:(Some record) ~card ~bytes:b;
+          (* memory-wise a SHIP aliases its child: no charge, no
+             release — the child's bytes stay live for the parent *)
+          (o, b, fin +. record.cost_ms) )
+    | node, children ->
+      fail "malformed plan: %s with %d children" (Pplan.node_label node)
+        (List.length children)
+  in
+  let schema, exec = comp [] plan in
+  { schema; exec; to_rel = k.to_relation schema }
+
+let execute ?(faults = Catalog.Network.Fault.empty) ?(retry = default_retry) ?budget
+    ~(network : Catalog.Network.t) (plan : 'o plan) : result =
+  let stats = fresh_stats () and profile = ref [] in
+  let mem =
+    mem_create ~budget:(match budget with Some b -> b | None -> budget_from_env ())
+  in
+  let env = { faults; retry; network; stats; profile; mem } in
+  Fun.protect
+    ~finally:(fun () -> mem_finish mem)
+    (fun () ->
+      let out, _, makespan_ms = Obs.Trace.span "exec.run" (fun () -> plan.exec env) in
+      { relation = plan.to_rel out; stats; profile = List.rev !profile; makespan_ms })

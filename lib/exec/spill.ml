@@ -9,8 +9,9 @@
    byte-identical whether or not an operator spilled (locked by the
    qcheck differential in [test/test_exec.ml]).
 
-   This module owns the spill directory, the counters and the run-file
-   format. [Vector] partitions typed key columns itself and writes one
+   This module counts spilled operators and owns the run-file format;
+   the run files live in the execution's directory
+   ([Runtime.run_dir]). [Vector] partitions typed key columns itself and writes one
    block per partition ([begin_op], [write_block], [read_block]).
    [join] and [agg] below are [Interp]'s row implementation: rows are
    hash-partitioned by [Runtime.Row_key.hash], one [Marshal] record
@@ -35,56 +36,9 @@
      emission order.
 
    Run files use [Marshal] (exact for the first-order [Value.t],
-   accumulator and column records, including float bits). Spill
-   directories are created lazily under [CGQP_SPILL_DIR] (default:
-   the system temp dir) and removed by [cleanup], which engines run on
-   every exit path. *)
+   accumulator and column records, including float bits). *)
 
 open Relalg
-
-type t = {
-  mem : Runtime.mem;
-  mutable dir : string option;  (* created on first spill *)
-  mutable lock : string option;  (* unique temp file reserving the name *)
-  mutable opseq : int;  (* distinguishes run files of successive operators *)
-}
-
-let create mem = { mem; dir = None; lock = None; opseq = 0 }
-
-let base_dir () =
-  match Sys.getenv_opt "CGQP_SPILL_DIR" with
-  | Some d when String.trim d <> "" -> d
-  | _ -> Filename.get_temp_dir_name ()
-
-(* Unique per-execution directory: [Filename.temp_file] atomically
-   reserves a fresh name (kept as a lock file until [cleanup]) and the
-   directory lives beside it. *)
-let active_dir t =
-  match t.dir with
-  | Some d -> d
-  | None ->
-    let lock = Filename.temp_file ~temp_dir:(base_dir ()) "cgqp-spill-" "" in
-    let d = lock ^ ".d" in
-    Sys.mkdir d 0o700;
-    t.lock <- Some lock;
-    t.dir <- Some d;
-    d
-
-let cleanup t =
-  (match t.dir with
-  | None -> ()
-  | Some d ->
-    (try
-       Array.iter
-         (fun f -> try Sys.remove (Filename.concat d f) with Sys_error _ -> ())
-         (Sys.readdir d)
-     with Sys_error _ -> ());
-    try Sys.rmdir d with Sys_error _ -> ());
-  (match t.lock with
-  | None -> ()
-  | Some f -> ( try Sys.remove f with Sys_error _ -> ()));
-  t.dir <- None;
-  t.lock <- None
 
 (* --- run-file plumbing --- *)
 
@@ -102,14 +56,12 @@ let remove_quiet p = try Sys.remove p with Sys_error _ -> ()
 
 (* Start a spilled operator: bump counters, lay out per-partition run
    file paths. *)
-let begin_op t ~bytes =
-  let mem = t.mem in
+let begin_op (mem : Runtime.mem) ~bytes =
   let np = Runtime.spill_partitions_for mem ~bytes in
-  mem.Runtime.spill_ops <- mem.Runtime.spill_ops + 1;
-  mem.Runtime.spill_parts <- mem.Runtime.spill_parts + np;
-  let dir = active_dir t in
-  let seq = t.opseq in
-  t.opseq <- seq + 1;
+  let seq = mem.spill_ops in
+  mem.spill_ops <- seq + 1;
+  mem.spill_parts <- mem.spill_parts + np;
+  let dir = Runtime.run_dir mem in
   let path kind p = Filename.concat dir (Printf.sprintf "op%d-%s%d.run" seq kind p) in
   (np, path)
 
@@ -117,13 +69,13 @@ let part np (k : Value.t array) = Runtime.Row_key.hash k land max_int mod np
 
 (* --- typed blocks --- *)
 
-let write_block t path v =
+let write_block (mem : Runtime.mem) path v =
   let oc = open_out_bin path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       marshal_to oc v;
-      t.mem.Runtime.spill_run_bytes <- t.mem.Runtime.spill_run_bytes + pos_out oc;
+      mem.spill_run_bytes <- mem.spill_run_bytes + pos_out oc;
       close_out oc)
 
 let read_block path =
@@ -132,10 +84,10 @@ let read_block path =
   remove_quiet path;
   v
 
-let close_outs t ocs =
+let close_outs (mem : Runtime.mem) ocs =
   Array.iter
     (fun oc ->
-      t.mem.Runtime.spill_run_bytes <- t.mem.Runtime.spill_run_bytes + pos_out oc;
+      mem.spill_run_bytes <- mem.spill_run_bytes + pos_out oc;
       close_out oc)
     ocs
 
@@ -147,10 +99,9 @@ let close_outs t ocs =
    row, build-table match) pairs in the same sequence the in-memory
    kernel produces: probe rows in input order, matches per probe row
    in the build table's reverse-insertion order. *)
-let join t ~build_bytes ~lkey ~rkey ~emit (lrows : Value.t array array)
+let join mem ~build_bytes ~lkey ~rkey ~emit (lrows : Value.t array array)
     (rrows : Value.t array array) =
-  let mem = t.mem in
-  let np, path = begin_op t ~bytes:build_bytes in
+  let np, path = begin_op mem ~bytes:build_bytes in
   (* phase 1: partition the build side, and the probe side tagged with
      the global probe index *)
   let bpaths = Array.init np (path "b") and ppaths = Array.init np (path "p") in
@@ -161,7 +112,7 @@ let join t ~build_bytes ~lkey ~rkey ~emit (lrows : Value.t array array)
       | None -> ()
       | Some k -> marshal_to bocs.(part np k) (k, row))
     rrows;
-  close_outs t bocs;
+  close_outs mem bocs;
   let pocs = Array.map open_out_bin ppaths in
   Array.iteri
     (fun gi row ->
@@ -169,7 +120,7 @@ let join t ~build_bytes ~lkey ~rkey ~emit (lrows : Value.t array array)
       | None -> ()
       | Some k -> marshal_to pocs.(part np k) (gi, k, row))
     lrows;
-  close_outs t pocs;
+  close_outs mem pocs;
   (* phase 2: per partition, build a table over only that partition's
      build rows, probe, and run-file the match lists *)
   let mpaths = Array.init np (path "m") in
@@ -200,7 +151,7 @@ let join t ~build_bytes ~lkey ~rkey ~emit (lrows : Value.t array array)
     in
     probe ();
     close_in pic;
-    close_outs t [| moc |];
+    close_outs mem [| moc |];
     Runtime.mem_release mem !resident;
     remove_quiet bpaths.(p);
     remove_quiet ppaths.(p)
@@ -245,10 +196,9 @@ let join t ~build_bytes ~lkey ~rkey ~emit (lrows : Value.t array array)
    values). [feed_row accs row] folds one row into a group's
    accumulators; [emit_group k accs] is called per group in first-seen
    input order — exactly the in-memory kernel's emission order. *)
-let agg t ~input_bytes ~key ~na ~feed_row ~emit_group
+let agg mem ~input_bytes ~key ~na ~feed_row ~emit_group
     (rows : Value.t array array) =
-  let mem = t.mem in
-  let np, path = begin_op t ~bytes:input_bytes in
+  let np, path = begin_op mem ~bytes:input_bytes in
   (* phase 1: partition the input tagged with the global row index *)
   let ppaths = Array.init np (path "p") in
   let pocs = Array.map open_out_bin ppaths in
@@ -257,7 +207,7 @@ let agg t ~input_bytes ~key ~na ~feed_row ~emit_group
       let k = key row in
       marshal_to pocs.(part np k) (gi, k, row))
     rows;
-  close_outs t pocs;
+  close_outs mem pocs;
   (* phase 2: accumulate per partition (rows arrive in input order, so
      per-group accumulation order is preserved), then run-file each
      group tagged with its first-seen index *)
@@ -288,7 +238,7 @@ let agg t ~input_bytes ~key ~na ~feed_row ~emit_group
     close_in pic;
     let goc = open_out_bin gpaths.(p) in
     List.iter (fun g -> marshal_to goc g) (List.rev !order);
-    close_outs t [| goc |];
+    close_outs mem [| goc |];
     Runtime.mem_release mem !resident;
     remove_quiet ppaths.(p)
   done;

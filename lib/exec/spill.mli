@@ -1,8 +1,9 @@
 (** Grace-style spill-to-disk for hash join and hash aggregation.
 
     When {!Runtime.should_spill} says an operator's scratch state would
-    trip the execution's memory budget, the engines hash-partition its
-    inputs into on-disk run files here, process each partition with
+    trip the execution's memory budget, the plan walk ({!Runtime.compile})
+    runs the engine's spilled kernel, which hash-partitions its inputs
+    into on-disk run files here, process each partition with
     only its own state resident, and re-emit outputs in {e exactly}
     the in-memory kernel's order (probe rows by input position,
     matches in reverse insertion order; groups in first-seen order,
@@ -19,27 +20,15 @@
 
 open Relalg
 
-type t
-(** Per-execution spill state: a lazily created unique directory under
-    [CGQP_SPILL_DIR] (default: the system temp dir), plus the
-    execution's byte account. *)
-
-val create : Runtime.mem -> t
-
-val cleanup : t -> unit
-(** Remove the spill directory and everything in it (idempotent; safe
-    if nothing ever spilled). Engines call this on every exit path,
-    including [Ship_failed] unwinds. *)
-
-val begin_op : t -> bytes:int -> int * (string -> int -> string)
-(** [begin_op t ~bytes] starts one spilled operator whose state is
+val begin_op : Runtime.mem -> bytes:int -> int * (string -> int -> string)
+(** [begin_op mem ~bytes] starts one spilled operator whose state is
     [bytes]: counts it and its {!Runtime.spill_partitions_for} fan-out
-    [np], creates the spill directory if needed, and returns [np] with
-    [path kind p], the run file of partition [p] for the operator's
-    [kind] of block. *)
+    [np] in [mem], and returns [np] with [path kind p], the run file of
+    partition [p] for the operator's [kind] of block, in
+    {!Runtime.run_dir}. *)
 
-val write_block : t -> string -> 'a -> unit
-(** [write_block t path v] writes [v] to run file [path] with one
+val write_block : Runtime.mem -> string -> 'a -> unit
+(** [write_block mem path v] writes [v] to run file [path] with one
     [Marshal] call and counts its bytes; the channel is closed on every
     path. *)
 
@@ -49,7 +38,7 @@ val read_block : string -> 'a
     untyped: annotate the result with the type that was written. *)
 
 val join :
-  t ->
+  Runtime.mem ->
   build_bytes:int ->
   lkey:(Value.t array -> Value.t array option) ->
   rkey:(Value.t array -> Value.t array option) ->
@@ -57,14 +46,14 @@ val join :
   Value.t array array ->
   Value.t array array ->
   unit
-(** [join t ~build_bytes ~lkey ~rkey ~emit lrows rrows] hash-joins
+(** [join mem ~build_bytes ~lkey ~rkey ~emit lrows rrows] hash-joins
     probe side [lrows] against build side [rrows] with run files,
     calling [emit lrow rrow] in the in-memory kernel's exact sequence.
     [lkey]/[rkey] box a row's key ([None] = NULL component, row drops
     out); [build_bytes] sizes the partition fan-out. *)
 
 val agg :
-  t ->
+  Runtime.mem ->
   input_bytes:int ->
   key:(Value.t array -> Value.t array) ->
   na:int ->
@@ -72,7 +61,7 @@ val agg :
   emit_group:(Value.t array -> Runtime.acc array -> unit) ->
   Value.t array array ->
   unit
-(** [agg t ~input_bytes ~key ~na ~feed_row ~emit_group rows] groups
+(** [agg mem ~input_bytes ~key ~na ~feed_row ~emit_group rows] groups
     [rows] by [key] with run files, calling [emit_group] per group in
     first-seen input order, accumulators fed in input order ([na]
     accumulators per group). *)

@@ -1,9 +1,9 @@
 (* Vectorized executor for physical plans.
 
-   The production engine. Where the reference interpreter ([Interp])
-   walks the plan over one boxed [Value.t array] row at a time, this
-   engine runs over the column-major representation ([Storage.Column])
-   directly, in 1024-row batches:
+   The production engine. Where the reference interpreter's kernels
+   ([Interp]) work over one boxed [Value.t array] row at a time, this
+   engine's kernels run over the column-major representation
+   ([Storage.Column]) directly, in 1024-row batches:
 
    - a node's output is a {i chunk}: the input columns plus an optional
      selection vector, so filters refine a selvec per batch without
@@ -28,15 +28,14 @@
    - a hash join or aggregation over budget partitions typed key
      blocks to run files and runs the same kernels per partition.
 
-   The memory budget, the SHIP path and the boxed accumulators come
-   from the shared [Runtime], the run files from [Spill], and the
-   engine follows the child-iteration contract documented in
-   runtime.mli (right child first for binary operators, unions
-   left-to-right, rows in relation order, probe matches in reverse
-   build-insertion order). Results,
-   SHIP accounting, profiles and makespans are byte-identical to the
-   reference interpreter — enforced by the differential properties in
-   test/test_exec.ml. *)
+   This module is only those kernels ([kernels] at the bottom). The
+   plan walk is [Runtime.compile]'s: child order, scans' replica gate,
+   SHIPs, profiles, the memory account and the spill decision, and
+   finish times. The kernels visit rows in relation order and emit
+   probe matches in reverse build-insertion order, as the contract in
+   runtime.mli requires. Results, SHIP accounting, profiles and
+   makespans are byte-identical to the reference interpreter —
+   enforced by the differential properties in test/test_exec.ml. *)
 
 open Relalg
 open Runtime
@@ -45,28 +44,10 @@ module Col = Storage.Column
 (* Rows per batch in filter, aggregation and join-residual loops. *)
 let batch_rows = 1024
 
-type ctx = {
-  stats : stats;
-  profile : node_profile list ref;
-  faults : Catalog.Network.Fault.schedule;
-  retry : retry_policy;
-  network : Catalog.Network.t;
-  mem : mem;  (* this execution's byte account *)
-  spill : Spill.t;
-}
-
 (* A batch-at-rest: columns plus an optional selection vector mapping
    logical position -> physical row index. [card] is the logical row
    count (= length of [sel] when present). *)
 type chunk = { cols : Col.t array; card : int; sel : int array option }
-
-(* [exec] returns the chunk, the bytes charged against the memory
-   budget for it (released by the parent once consumed), and the
-   subtree's simulated finish time. *)
-type cnode = { cschema : Attr.t list; exec : ctx -> chunk * int * float }
-type t = cnode
-
-let schema t = t.cschema
 
 (* --- chunk primitives --- *)
 
@@ -1118,7 +1099,7 @@ let null_hash = Value.hash Value.Null
    [Value.hash Null]. An unresolvable key is NULL on every row, so it
    drops every join row and is an all-NULL column in an aggregate's
    blocks. *)
-let write_blocks sp ch (kcols : Col.t option array) ~np ~join (path : int -> string) =
+let write_blocks mem ch (kcols : Col.t option array) ~np ~join (path : int -> string) =
   let hashers = Array.map (function Some c -> part_hash c | None -> fun _ -> -1) kcols in
   let parts = Array.init np (fun _ -> Ivec.create ()) in
   for j = 0 to ch.card - 1 do
@@ -1146,7 +1127,7 @@ let write_blocks sp ch (kcols : Col.t option array) ~np ~join (path : int -> str
           kcols
       in
       let f = path p in
-      Spill.write_block sp f (ps, cols);
+      Spill.write_block mem f (ps, cols);
       f)
     parts
 
@@ -1163,10 +1144,10 @@ let block_chunk pos cols = { cols; card = Array.length pos; sel = None }
    row's matches contiguously, in reverse build-insertion order, so
    counting the matches per probe position, prefix-summing and
    scattering puts them back in the in-memory order in O(n). *)
-let spill_join ctx ~bytes ~lixs ~rixs lch rch emit =
-  let np, path = Spill.begin_op ctx.spill ~bytes in
-  let bpaths = write_blocks ctx.spill rch (key_cols rch rixs) ~np ~join:true (path "b") in
-  let ppaths = write_blocks ctx.spill lch (key_cols lch lixs) ~np ~join:true (path "p") in
+let spill_join mem ~bytes ~lixs ~rixs lch rch emit =
+  let np, path = Spill.begin_op mem ~bytes in
+  let bpaths = write_blocks mem rch (key_cols rch rixs) ~np ~join:true (path "b") in
+  let ppaths = write_blocks mem lch (key_cols lch lixs) ~np ~join:true (path "p") in
   let ids = Array.init (Array.length lixs) Fun.id in
   (* [starts.(l + 1)] counts probe position [l]'s matches, then
      prefix-sums to [starts.(l)] = the index of its first *)
@@ -1175,7 +1156,7 @@ let spill_join ctx ~bytes ~lixs ~rixs lch rch emit =
     Array.init np (fun p ->
         let rpos, rcols = read_keys bpaths.(p) in
         let resident = block_bytes rpos rcols in
-        mem_charge ctx.mem resident;
+        mem_charge mem resident;
         let lpos, lcols = read_keys ppaths.(p) in
         let ml = Ivec.create () and mr = Ivec.create () in
         hash_join_pairs ~lixs:ids ~rixs:ids (block_chunk lpos lcols) (block_chunk rpos rcols)
@@ -1185,8 +1166,8 @@ let spill_join ctx ~bytes ~lixs ~rixs lch rch emit =
             Ivec.push ml l;
             Ivec.push mr rpos.(rj));
         let f = path "m" p in
-        Spill.write_block ctx.spill f (Ivec.to_array ml, Ivec.to_array mr);
-        mem_release ctx.mem resident;
+        Spill.write_block mem f (Ivec.to_array ml, Ivec.to_array mr);
+        mem_release mem resident;
         f)
   in
   for l = 1 to lch.card do
@@ -1214,16 +1195,16 @@ let spill_join ctx ~bytes ~lixs ~rixs lch rch emit =
    memory). Each group takes a slot at its first row's logical
    position, and walking the slots gives first-seen order. A
    partition keeps only its groups' keys and aggregator state. *)
-let spill_agg ctx ~bytes ~kixs ~agg_binds ch =
-  let np, path = Spill.begin_op ctx.spill ~bytes in
-  let paths = write_blocks ctx.spill ch (key_cols ch kixs) ~np ~join:false (path "p") in
+let spill_agg mem ~bytes ~kixs ~agg_binds ch =
+  let np, path = Spill.begin_op mem ~bytes in
+  let paths = write_blocks mem ch (key_cols ch kixs) ~np ~join:false (path "p") in
   let slot = Array.make ch.card (-1) in
   let parts =
     Array.mapi
       (fun p f ->
         let pos, cols = read_keys f in
         let resident = block_bytes pos cols in
-        mem_charge ctx.mem resident;
+        mem_charge mem resident;
         let asel = match ch.sel with Some s -> Array.map (Array.get s) pos | None -> pos in
         let g =
           group_rows ~kcols:(Array.map Option.some cols)
@@ -1231,7 +1212,7 @@ let spill_agg ctx ~bytes ~kixs ~agg_binds ch =
             ~n:(Array.length pos) ~ksel:None ~asel:(Some asel)
         in
         Array.iteri (fun gi j -> slot.(pos.(j)) <- (gi * np) + p) g.firsts;
-        mem_release ctx.mem resident;
+        mem_release mem resident;
         (Array.map (fun c -> Col.gather c g.firsts) cols, g.agg))
       paths
   in
@@ -1268,308 +1249,126 @@ let sort_chunk ~(kix : (int * bool) list) ch =
   Array.stable_sort cmp perm;
   { ch with sel = Some perm }
 
-(* --- plan compilation --- *)
+(* --- the kernels --- *)
 
-let compile ~(db : Storage.Database.t) ~(table_cols : string -> string list)
-    (plan : Pplan.t) : t =
-  (* [rpath] is the node's root-to-node child-index path, reversed.
-     [project] is the parent's item list when the parent is a
-     [Project] (a paged scan decodes only the columns it reads). *)
-  let rec comp ?project (rpath : int list) (p : Pplan.t) : cnode =
-    let label = Pplan.node_label p.Pplan.node and loc = p.Pplan.loc in
-    (* Same bookkeeping and float arithmetic as [Interp]'s per-node
-       epilogue: record the node, charge its output bytes, release the
-       children's charges ([release]) now that they are consumed. *)
-    let book ?bytes ctx ~release ch fin =
-      let bytes = match bytes with Some b -> b | None -> chunk_bytes ch in
-      record_node ~stats:ctx.stats ~profile:ctx.profile ~rpath ~label ~loc ~ship:None
-        ~card:ch.card ~bytes;
-      mem_charge ctx.mem bytes;
-      List.iter (mem_release ctx.mem) release;
-      (ch, bytes, fin +. (float_of_int ch.card *. row_cost_ms))
-    in
-    (* Right child first (see the child-iteration contract in
-       runtime.mli). *)
-    let comp2 l r =
-      let cl = comp (0 :: rpath) l and cr = comp (1 :: rpath) r in
-      ( cl,
-        cr,
-        fun ctx ->
-          let rch, rb, rfin = cr.exec ctx in
-          let lch, lb, lfin = cl.exec ctx in
-          (lch, lb, rch, rb, Float.max lfin rfin) )
-    in
-    match p.Pplan.node, p.Pplan.children with
-    | Pplan.Table_scan { table; alias; partition }, [] ->
-      let r = Storage.Database.find_exn db ~table ~partition () in
-      let cschema =
-        (* re-qualify the stored schema with the query alias *)
-        List.map2
-          (fun (_ : Attr.t) c -> Attr.make ~rel:alias ~name:c)
-          (Storage.Relation.schema r) (table_cols table)
-      in
-      let card = Storage.Relation.cardinality r in
-      (* A paged scan under a [Project] decodes only the columns its
-         items reference, resolved as [Project] resolves them; the rest
-         are zero-length placeholders nothing reads. A resident
-         relation ignores the mask. Either way the scan records and
-         charges the whole relation's bytes ([byte_size] sums the
-         segment footers of a paged one), so profiles, memory charges
-         and spill decisions do not depend on the mask. *)
-      let needed =
-        match project with
-        | Some items when Storage.Relation.is_paged r ->
-          read_mask (Storage.Relation.resolver cschema) (List.length cschema)
-            (List.fold_left (fun s (e, _) -> Attr.Set.union s (Expr.cols e)) Attr.Set.empty items)
-        | _ -> Array.make (List.length cschema) true
-      in
-      {
-        cschema;
-        exec =
-          (fun ctx ->
-            check_replica ~faults:ctx.faults ~table ~partition ~site:loc;
-            (* fetched per execution, not at compile time: paged
-               relations re-read their segments on every access *)
-            let cols = Storage.Relation.read_cols r ~needed in
-            book ctx ~bytes:(Storage.Relation.byte_size r) ~release:[]
-              { cols; card; sel = None } 0.);
-      }
-    | Pplan.Filter pred, [ c ] ->
-      let cc = comp (0 :: rpath) c in
-      let bp = bind_pred (Storage.Relation.resolver cc.cschema) pred in
-      {
-        cschema = cc.cschema;
-        exec =
-          (fun ctx ->
-            let ch, cb, fin = cc.exec ctx in
-            let sel = filter_select ch (bp ch) in
-            book ctx ~release:[ cb ]
-              { ch with card = Array.length sel; sel = Some sel }
-              fin);
-      }
-    | Pplan.Project items, [ c ] ->
-      let project =
-        match c.Pplan.node with Pplan.Table_scan _ -> Some items | _ -> None
-      in
-      let cc = comp ?project (0 :: rpath) c in
-      let rv = Storage.Relation.resolver cc.cschema in
-      let plans =
-        Array.of_list
-          (List.map
-             (fun (e, _) ->
-               match fold_scalar e with
-               | Expr.Col a as e' -> (
-                 match Storage.Relation.resolve rv a with
-                 | Some ix -> `Pass ix (* zero-copy column projection *)
-                 | None -> `Compute (bind_scalar rv e'))
-               | e' -> `Compute (bind_scalar rv e'))
-             items)
-      in
-      {
-        cschema = List.map snd items;
-        exec =
-          (fun ctx ->
-            let ch, cb, fin = cc.exec ctx in
-            let cols =
-              Array.map
-                (function
-                  | `Pass ix -> (
-                    match ch.sel with
-                    | None -> ch.cols.(ix)
-                    | Some sel -> Col.gather ch.cols.(ix) sel)
-                  | `Compute bind ->
-                    let g = bind ch in
-                    let out = Array.make ch.card Value.Null in
-                    (match ch.sel with
-                    | None ->
-                      for i = 0 to ch.card - 1 do
-                        out.(i) <- g i
-                      done
-                    | Some sel ->
-                      for j = 0 to ch.card - 1 do
-                        out.(j) <- g (Array.unsafe_get sel j)
-                      done);
-                    Col.of_values out)
-                plans
-            in
-            book ctx ~release:[ cb ] { cols; card = ch.card; sel = None } fin);
-      }
-    | Pplan.Hash_join { keys; residual }, [ l; r ] ->
-      let cl, cr, exec2 = comp2 l r in
-      let lrv = Storage.Relation.resolver cl.cschema
-      and rrv = Storage.Relation.resolver cr.cschema in
-      let lixs = key_ixs lrv (List.map fst keys)
-      and rixs = key_ixs rrv (List.map snd keys) in
-      let cschema = cl.cschema @ cr.cschema in
-      let residual = bind_residual cschema residual in
-      {
-        cschema;
-        exec =
-          (fun ctx ->
-            let lch, lb, rch, rb, fin = exec2 ctx in
-            let out =
-              (* [rb] is the build side's serialized size — the same
-                 number the row engines see, so the spill decision is
-                 engine-independent *)
-              if should_spill ctx.mem rb then
-                collect_pairs ?residual lch rch (spill_join ctx ~bytes:rb ~lixs ~rixs lch rch)
-              else begin
-                mem_charge ctx.mem rb;
-                let o = collect_pairs ?residual lch rch (hash_join_pairs ~lixs ~rixs lch rch) in
-                mem_release ctx.mem rb;
-                o
-              end
-            in
-            book ctx ~release:[ lb; rb ] out fin);
-      }
-    | Pplan.Nl_join pred, [ l; r ] ->
-      let cl, cr, exec2 = comp2 l r in
-      let cschema = cl.cschema @ cr.cschema in
-      let residual = bind_residual cschema pred in
-      {
-        cschema;
-        exec =
-          (fun ctx ->
-            let lch, lb, rch, rb, fin = exec2 ctx in
-            let out =
-              collect_pairs ?residual lch rch (fun emit ->
-                  iter_logical lch (fun lp -> iter_logical rch (fun rp -> emit lp rp)))
-            in
-            book ctx ~release:[ lb; rb ] out fin);
-      }
-    | Pplan.Hash_agg { keys; aggs }, [ c ] ->
-      let cc = comp (0 :: rpath) c in
-      let rv = Storage.Relation.resolver cc.cschema in
-      let kixs = key_ixs rv keys in
-      let agg_binds = Array.of_list (List.map (bind_agg rv) aggs) in
-      let cschema =
-        keys @ List.map (fun (a : Expr.agg) -> Attr.unqualified a.alias) aggs
-      in
-      {
-        cschema;
-        exec =
-          (fun ctx ->
-            let ch, cb, fin = cc.exec ctx in
-            let out =
-              (* a global aggregate (no keys) is one group of scalar
-                 accumulators — nothing worth spilling *)
-              if Array.length kixs > 0 && should_spill ctx.mem cb then
-                spill_agg ctx ~bytes:cb ~kixs ~agg_binds ch
-              else begin
-                mem_charge ctx.mem cb;
-                let o = hash_agg_chunk ~kixs ~agg_binds ch in
-                mem_release ctx.mem cb;
-                o
-              end
-            in
-            book ctx ~release:[ cb ] out fin);
-      }
-    | Pplan.Sort keys, [ c ] ->
-      let cc = comp (0 :: rpath) c in
-      let rv = Storage.Relation.resolver cc.cschema in
-      let kix = List.map (fun (a, desc) -> (key_ix rv a, desc)) keys in
-      {
-        cschema = cc.cschema;
-        exec =
-          (fun ctx ->
-            let ch, cb, fin = cc.exec ctx in
-            book ctx ~release:[ cb ] (sort_chunk ~kix ch) fin);
-      }
-    | Pplan.Merge_join { keys; residual }, [ l; r ] ->
-      let cl, cr, exec2 = comp2 l r in
-      let lrv = Storage.Relation.resolver cl.cschema
-      and rrv = Storage.Relation.resolver cr.cschema in
-      let lixs = key_ixs lrv (List.map fst keys)
-      and rixs = key_ixs rrv (List.map snd keys) in
-      let cschema = cl.cschema @ cr.cschema in
-      let residual = bind_residual cschema residual in
-      {
-        cschema;
-        exec =
-          (fun ctx ->
-            let lch, lb, rch, rb, fin = exec2 ctx in
-            book ctx ~release:[ lb; rb ]
-              (collect_pairs ?residual lch rch (merge_join_pairs ~lixs ~rixs lch rch))
-              fin);
-      }
-    | Pplan.Union_all, (_ :: _ as children) ->
-      let ccs = List.mapi (fun i c -> comp (i :: rpath) c) children in
-      let cschema = (List.hd ccs).cschema in
-      let width = List.length cschema in
-      {
-        cschema;
-        exec =
-          (fun ctx ->
-            (* children left-to-right, explicitly (ship-order
-               determinism; see runtime.mli) *)
-            let rec run_children fin acc bs = function
-              | [] -> (List.rev acc, List.rev bs, fin)
-              | (c : cnode) :: rest ->
-                let ch, b, f = c.exec ctx in
-                run_children (Float.max fin f) (ch :: acc) (b :: bs) rest
-            in
-            let parts, bs, fin = run_children 0. [] [] ccs in
-            List.iter
-              (fun ch ->
-                if Array.length ch.cols <> width then
-                  fail "union children of unequal width")
-              parts;
-            let mats = List.map materialize parts in
-            let cols =
-              Array.init width (fun j ->
-                  Col.concat (List.map (fun m -> m.(j)) mats))
-            in
-            let card = List.fold_left (fun acc ch -> acc + ch.card) 0 parts in
-            book ctx ~release:bs { cols; card; sel = None } fin);
-      }
-    | Pplan.Ship { from_loc; to_loc }, [ c ] ->
-      let cc = comp (0 :: rpath) c in
-      {
-        cschema = cc.cschema;
-        exec =
-          (fun ctx ->
-            let ch, cb, fin = cc.exec ctx in
-            (* [cb] is [chunk_bytes ch], just computed by the child's
-               [book] *)
-            let bytes = cb in
-            let record =
-              do_ship ~faults:ctx.faults ~retry:ctx.retry ~network:ctx.network
-                ~stats:ctx.stats ~from_loc ~to_loc ~bytes ~rows:ch.card
-            in
-            record_node ~stats:ctx.stats ~profile:ctx.profile ~rpath ~label ~loc
-              ~ship:(Some record) ~card:ch.card ~bytes;
-            (* memory-wise a SHIP is an alias of its child: no charge,
-               no release — the child's bytes stay live for the parent *)
-            (ch, cb, fin +. record.cost_ms));
-      }
-    | node, children ->
-      fail "malformed plan: %s with %d children" (Pplan.node_label node)
-        (List.length children)
-  in
-  comp [] plan
+let join_keys ls rs keys =
+  ( key_ixs (Storage.Relation.resolver ls) (List.map fst keys),
+    key_ixs (Storage.Relation.resolver rs) (List.map snd keys) )
 
-let execute ?(faults = Catalog.Network.Fault.empty) ?(retry = default_retry)
-    ?budget ~(network : Catalog.Network.t) (t : t) : result =
-  let stats = fresh_stats () in
-  let profile = ref [] in
-  let mem =
-    mem_create
-      ~budget:(match budget with Some b -> b | None -> budget_from_env ())
-  in
-  let spill = Spill.create mem in
-  let ctx = { stats; profile; faults; retry; network; mem; spill } in
-  Fun.protect
-    ~finally:(fun () ->
-      Spill.cleanup spill;
-      mem_finish mem)
-    (fun () ->
-      let ch, _bytes, makespan_ms =
-        Obs.Trace.span "exec.run" (fun () -> t.exec ctx)
-      in
-      let relation =
-        Storage.Relation.of_cols ~schema:t.cschema ~card:ch.card (materialize ch)
-      in
-      { relation; stats; profile = List.rev !profile; makespan_ms })
+let kernels : chunk kernels =
+  {
+    scan =
+      (fun r schema ~project ->
+        let card = Storage.Relation.cardinality r in
+        (* A paged scan under a [Project] decodes only the columns its
+           items reference, resolved as [Project] resolves them; the
+           rest are zero-length placeholders nothing reads. A resident
+           relation ignores the mask. *)
+        let needed =
+          match project with
+          | Some items when Storage.Relation.is_paged r ->
+            read_mask (Storage.Relation.resolver schema) (List.length schema)
+              (List.fold_left (fun s (e, _) -> Attr.Set.union s (Expr.cols e)) Attr.Set.empty items)
+          | _ -> Array.make (List.length schema) true
+        in
+        (* fetched per execution, not at compile time: paged relations
+           re-read their segments on every access *)
+        fun () -> { cols = Storage.Relation.read_cols r ~needed; card; sel = None });
+    filter =
+      (fun schema pred ->
+        let bp = bind_pred (Storage.Relation.resolver schema) pred in
+        fun ch ->
+          let sel = filter_select ch (bp ch) in
+          { ch with card = Array.length sel; sel = Some sel });
+    project =
+      (fun schema items ->
+        let rv = Storage.Relation.resolver schema in
+        let plans =
+          Array.of_list
+            (List.map
+               (fun (e, _) ->
+                 match fold_scalar e with
+                 | Expr.Col a as e' -> (
+                   match Storage.Relation.resolve rv a with
+                   | Some ix -> `Pass ix (* zero-copy column projection *)
+                   | None -> `Compute (bind_scalar rv e'))
+                 | e' -> `Compute (bind_scalar rv e'))
+               items)
+        in
+        fun ch ->
+          let cols =
+            Array.map
+              (function
+                | `Pass ix -> (
+                  match ch.sel with None -> ch.cols.(ix) | Some sel -> Col.gather ch.cols.(ix) sel)
+                | `Compute bind ->
+                  let g = bind ch in
+                  let out = Array.make ch.card Value.Null in
+                  (match ch.sel with
+                  | None ->
+                    for i = 0 to ch.card - 1 do
+                      out.(i) <- g i
+                    done
+                  | Some sel ->
+                    for j = 0 to ch.card - 1 do
+                      out.(j) <- g (Array.unsafe_get sel j)
+                    done);
+                  Col.of_values out)
+              plans
+          in
+          { cols; card = ch.card; sel = None });
+    hash_join =
+      (fun ls rs keys residual ->
+        let lixs, rixs = join_keys ls rs keys in
+        let residual = bind_residual (ls @ rs) residual in
+        fun mode lch rch ->
+          collect_pairs ?residual lch rch
+            (match mode with
+            | In_memory -> hash_join_pairs ~lixs ~rixs lch rch
+            | Spilled { mem; bytes } -> spill_join mem ~bytes ~lixs ~rixs lch rch));
+    merge_join =
+      (fun ls rs keys residual ->
+        let lixs, rixs = join_keys ls rs keys in
+        let residual = bind_residual (ls @ rs) residual in
+        fun lch rch -> collect_pairs ?residual lch rch (merge_join_pairs ~lixs ~rixs lch rch));
+    nl_join =
+      (fun ls rs pred ->
+        let residual = bind_residual (ls @ rs) pred in
+        fun lch rch ->
+          collect_pairs ?residual lch rch (fun emit ->
+              iter_logical lch (fun lp -> iter_logical rch (fun rp -> emit lp rp))));
+    hash_agg =
+      (fun schema keys aggs ->
+        let rv = Storage.Relation.resolver schema in
+        let kixs = key_ixs rv keys in
+        let agg_binds = Array.of_list (List.map (bind_agg rv) aggs) in
+        fun mode ch ->
+          match mode with
+          | In_memory -> hash_agg_chunk ~kixs ~agg_binds ch
+          | Spilled { mem; bytes } -> spill_agg mem ~bytes ~kixs ~agg_binds ch);
+    sort =
+      (fun schema keys ->
+        let rv = Storage.Relation.resolver schema in
+        let kix = List.map (fun (a, desc) -> (key_ix rv a, desc)) keys in
+        sort_chunk ~kix);
+    union =
+      (fun schema ->
+        let width = List.length schema in
+        fun parts ->
+          let mats = List.map materialize parts in
+          let cols = Array.init width (fun j -> Col.concat (List.map (fun m -> m.(j)) mats)) in
+          { cols; card = List.fold_left (fun acc ch -> acc + ch.card) 0 parts; sel = None });
+    card = (fun ch -> ch.card);
+    byte_size = chunk_bytes;
+    to_relation =
+      (fun schema ch -> Storage.Relation.of_cols ~schema ~card:ch.card (materialize ch));
+  }
+
+type t = chunk plan
+
+let schema = plan_schema
+let compile ~db ~table_cols plan = Runtime.compile kernels ~db ~table_cols plan
+let execute = Runtime.execute
 
 let run ?faults ?retry ?budget ~network ~db ~table_cols plan =
   execute ?faults ?retry ?budget ~network (compile ~db ~table_cols plan)

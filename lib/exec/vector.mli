@@ -17,10 +17,11 @@
     result rows in the same order, same SHIP records (order, bytes,
     simulated cost, retry fates — ship fates are keyed by ship index,
     so the child-iteration contract in runtime.mli applies), same
-    per-operator profiles and bit-equal makespans. Aggregate
-    accumulators, the memory budget and the SHIP path are shared via
-    {!Runtime}; the invariant is enforced by the differential
-    properties and golden tests in [test/test_exec.ml].
+    per-operator profiles and bit-equal makespans. The engine supplies
+    only its operator kernels: the plan walk, the SHIP path, profiles,
+    the memory account and the spill decision are {!Runtime.compile}'s,
+    shared with {!Interp}. The invariant is enforced by the
+    differential properties and golden tests in [test/test_exec.ml].
     See [docs/EXECUTOR.md]. *)
 
 open Relalg
@@ -33,10 +34,11 @@ val schema : t -> Attr.t list
 
 val compile :
   db:Storage.Database.t -> table_cols:(string -> string list) -> Pplan.t -> t
-(** Compile a placed plan against the column-major base tables: resolve
-    every attribute to a column index, build per-operator binders that
-    specialize on the concrete column representation at execution time,
-    and precompute join/group key index vectors. [table_cols] resolves
+(** Compile a placed plan against the column-major base tables through
+    {!Runtime.compile}: resolve every attribute to a column index, build
+    per-operator binders that specialize on the concrete column
+    representation at execution time, and precompute join/group key
+    index vectors. [table_cols] resolves
     a table's stored column order, used to re-qualify scan schemas with
     the query alias (as in {!Interp.run}). Raises
     {!Runtime.Runtime_error} on malformed plans and [Invalid_argument]

@@ -7,7 +7,6 @@ type acc = { mutable n : int; mutable sum : float }
 
 type t = {
   min_obs : int;
-  threshold : float;
   tables : (string, acc) Hashtbl.t;
   mutable observations : int;
   mutable folds : int;
@@ -16,11 +15,12 @@ type t = {
 let c_observations = Obs.Metrics.counter "cgqp_feedback_observations_total"
 let c_folds = Obs.Metrics.counter "cgqp_feedback_folds_total"
 
-let create ?(min_obs = 3) ?(threshold = 0.5) () =
+(* The relative est-vs-actual gap below which a table is left alone. *)
+let threshold = 0.5
+
+let create ?(min_obs = 3) () =
   if min_obs <= 0 then invalid_arg "Feedback.create: min_obs must be positive";
-  if threshold < 0. then
-    invalid_arg "Feedback.create: threshold must be non-negative";
-  { min_obs; threshold; tables = Hashtbl.create 16; observations = 0; folds = 0 }
+  { min_obs; tables = Hashtbl.create 16; observations = 0; folds = 0 }
 
 let observe t ~cat ~plan ~profile =
   (* per-node profiles are keyed by tree path (child indices from the
@@ -70,7 +70,7 @@ let fold t cat =
         | Some a when a.n >= t.min_obs ->
           let mean = a.sum /. float_of_int a.n in
           let cur = float_of_int e.def.Catalog.Table_def.row_count in
-          if Float.abs (mean -. cur) > t.threshold *. Float.max cur 1.0 then
+          if Float.abs (mean -. cur) > threshold *. Float.max cur 1.0 then
             Some (name, max 1 (int_of_float (Float.round mean)))
           else None
         | _ -> None)
@@ -118,7 +118,7 @@ let converged t ~actual =
         | Some rows ->
           let cur = float_of_int rows in
           Float.abs ((a.sum /. float_of_int a.n) -. cur)
-          <= t.threshold *. Float.max cur 1.0)
+          <= threshold *. Float.max cur 1.0)
     t.tables true
 
 let pending t =

@@ -28,12 +28,12 @@
 
 type t
 
-val create : ?min_obs:int -> ?threshold:float -> unit -> t
+val create : ?min_obs:int -> unit -> t
 (** A fresh store. [min_obs] (default 3) is the per-table observation
-    count required before folding; [threshold] (default 0.5) is the
-    relative est-vs-actual gap — mean implied rows vs catalog
-    [row_count] — below which a table is left alone (re-optimizing on
-    noise would thrash the plan cache). *)
+    count required before folding. A table whose relative
+    est-vs-actual gap — mean implied rows vs catalog [row_count] — is
+    at most 0.5 is left alone (re-optimizing on noise would thrash the
+    plan cache). *)
 
 val observe :
   t ->

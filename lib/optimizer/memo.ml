@@ -192,7 +192,6 @@ type t = {
   table_cols : string -> string list;
   all_locs : Locset.t;  (* every catalog location *)
   mutable next_id : int;
-  max_frontier : int;
   prune : bool;  (* branch-and-bound pruning enabled *)
   mutable naive : bool;  (* phase-A bound seeding: original exprs only *)
   mutable bound : float;  (* best known complete-plan cost U *)
@@ -201,7 +200,7 @@ type t = {
   mutable combos_pruned : int;
 }
 
-let create ?(max_frontier = 8) ?(prune = true) ?(rules = default_rules) ?eval_stats
+let create ?(prune = true) ?(rules = default_rules) ?eval_stats
     ~mode ~cat ~policies () =
   let table_cols name = Catalog.table_cols cat name in
   {
@@ -216,7 +215,6 @@ let create ?(max_frontier = 8) ?(prune = true) ?(rules = default_rules) ?eval_st
     table_cols;
     all_locs = Locset.of_list (Catalog.locations cat);
     next_id = 0;
-    max_frontier;
     prune;
     naive = false;
     bound = Float.infinity;
@@ -801,9 +799,12 @@ let project_order items order =
   in
   go order
 
+(* Most alternatives a group's frontier keeps. *)
+let max_frontier = 8
+
 (* Pareto frontier on (cost, ship_trait): an entry survives unless some
    other entry is no more expensive and ships at least as widely. *)
-let pareto ~cap (entries : entry list) : entry list =
+let pareto (entries : entry list) : entry list =
   let sorted = List.sort (fun a b -> Float.compare a.cost b.cost) entries in
   let kept =
     List.fold_left
@@ -820,7 +821,7 @@ let pareto ~cap (entries : entry list) : entry list =
       [] sorted
   in
   let kept = List.rev kept in
-  if List.length kept <= cap then kept
+  if List.length kept <= max_frontier then kept
   else
     (* keep the cheapest alternatives, but never drop the widest 𝒮 *)
     let widest =
@@ -833,10 +834,10 @@ let pareto ~cap (entries : entry list) : entry list =
             else best)
         None kept
     in
-    let head = List.filteri (fun i _ -> i < cap - 1) kept in
+    let head = List.filteri (fun i _ -> i < max_frontier - 1) kept in
     match widest with
     | Some w when not (List.memq w head) -> head @ [ w ]
-    | _ -> List.filteri (fun i _ -> i < cap) kept
+    | _ -> List.filteri (fun i _ -> i < max_frontier) kept
 
 (* Execution trait of one scan: the sites holding a readable copy of
    the partition. Without an attached replica set this is the primary
@@ -920,7 +921,7 @@ let rec entries_of m (g : group) : entry list =
         end
         else candidates
       in
-      let result = pareto ~cap:m.max_frontier candidates in
+      let result = pareto candidates in
       g.entries <- Some result;
       result
     end

@@ -119,7 +119,6 @@ type prune_stats = {
 type t
 
 val create :
-  ?max_frontier:int ->
   ?prune:bool ->
   ?rules:rules ->
   ?eval_stats:Policy.Evaluator.stats ->

@@ -18,25 +18,18 @@ let fresh_stamp () =
   incr next_stamp;
   !next_stamp
 
-(* splitmix64 finalizer — the same mixing discipline as the fault
-   scheduler, so the fingerprint has no structure an LRU key could
-   accidentally collide on. *)
-let mix64 (x : int64) : int64 =
-  let open Int64 in
-  let x = mul (logxor x (shift_right_logical x 30)) 0xbf58476d1ce4e5b9L in
-  let x = mul (logxor x (shift_right_logical x 27)) 0x94d049bb133111ebL in
-  logxor x (shift_right_logical x 31)
-
 (* Content fingerprint: fold the sorted expression hashes through
-   mix64. Sorting makes it order-insensitive; [make] dedupes, so it is
+   splitmix64 (the fault scheduler's mixing discipline, so the
+   fingerprint has no structure an LRU key could accidentally collide
+   on). Sorting makes it order-insensitive; [make] dedupes, so it is
    also duplicate-insensitive — installing the same statement twice
    leaves the fingerprint (and any cache keyed by it) unchanged. *)
 let fingerprint_of (exprs : Expression.t list) : int =
   let hs = List.sort compare (List.map Expression.hash exprs) in
   let h =
     List.fold_left
-      (fun acc h -> mix64 (Int64.logxor acc (Int64.of_int h)))
-      (mix64 0x9e3779b97f4a7c15L) hs
+      (fun acc h -> Relalg.Splitmix.mix64 (Int64.logxor acc (Int64.of_int h)))
+      (Relalg.Splitmix.mix64 Relalg.Splitmix.gamma) hs
   in
   Int64.to_int h land max_int
 

@@ -32,7 +32,7 @@ type open_session = {
    round-robin over [sessions] sessions, parameters drawn by CDF
    inversion over 1/(k+1)^skew weights from a splitmix64 stream — the
    whole script is a pure function of the arguments. *)
-let zipf_workload ?(skew = 1.1) ?(tenants = []) ~sessions ~statements ~universe
+let zipf_workload ?(skew = 1.1) ~sessions ~statements ~universe
     ~make_statement ~seed () =
   if sessions <= 0 then invalid_arg "Script.zipf_workload: sessions must be positive";
   if statements <= 0 then
@@ -64,12 +64,9 @@ let zipf_workload ?(skew = 1.1) ?(tenants = []) ~sessions ~statements ~universe
   let specs =
     List.init sessions (fun s ->
         let sid = Printf.sprintf "z%02d" (s + 1) in
-        let tenant =
-          match tenants with [] -> sid | ts -> fst (List.nth ts (s mod List.length ts))
-        in
-        { sid; tenant; actions = List.rev acts.(s) })
+        { sid; tenant = sid; actions = List.rev acts.(s) })
   in
-  { seed = Some seed; tenants; sessions = specs }
+  { seed = Some seed; tenants = []; sessions = specs }
 
 let parse text : (t, string) result =
   let error = ref None in

@@ -48,7 +48,6 @@ type t = {
 
 val zipf_workload :
   ?skew:float ->
-  ?tenants:(string * Admission.quota) list ->
   sessions:int ->
   statements:int ->
   universe:int ->

@@ -7,12 +7,8 @@ type t = { mutable state : int64 }
 let create ~seed = { state = Int64.of_int seed }
 
 let next_int64 t =
-  let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
+  t.state <- Int64.add t.state Relalg.Splitmix.gamma;
+  Relalg.Splitmix.mix64 t.state
 
 (* Uniform int in [0, bound). The top two bits are discarded so the
    value fits OCaml's 63-bit native int without going negative. *)

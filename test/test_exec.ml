@@ -998,7 +998,8 @@ let test_spill_counter_parity () =
   (* The spill decision is engine-independent: over the twelve TPC-H
      queries, under a budget small enough to spill, both engines spill
      the same operators into the same number of partitions, really
-     write run files, and give the same reports. *)
+     write run files, reach the same peak of tracked bytes, and give
+     the same reports. *)
   let cat = Tpch.Schema.catalog () in
   let db = Tpch.Datagen.load ~cat (Tpch.Datagen.generate ~sf:0.002 ()) in
   let session = Cgqp.create ~catalog:cat () in
@@ -1007,11 +1008,12 @@ let test_spill_counter_parity () =
   let network = Catalog.network cat and table_cols = Catalog.table_cols cat in
   let budget = 64 * 1024 in
   let counted run =
+    Exec.Runtime.reset_mem_stats ();
     let ops = Exec.Runtime.spilled_operators ()
     and parts = Exec.Runtime.spill_partitions ()
     and bytes = Exec.Runtime.spill_run_bytes () in
     let r = run () in
-    ( result_fp r,
+    ( (result_fp r, Exec.Runtime.peak_tracked_bytes ()),
       Exec.Runtime.spilled_operators () - ops,
       Exec.Runtime.spill_partitions () - parts,
       Exec.Runtime.spill_run_bytes () - bytes )
@@ -1036,11 +1038,77 @@ let test_spill_counter_parity () =
               if vops > 0 && bytes <= 0 then
                 Alcotest.failf "%s: %s spilled but wrote no run bytes" name engine)
             [ ("reference", ibytes); ("vector", vbytes) ];
-          Alcotest.(check bool) (name ^ ": same report") true (ifp = vfp);
+          Alcotest.(check int) (name ^ ": peak tracked bytes") (snd ifp) (snd vfp);
+          Alcotest.(check bool) (name ^ ": same report") true (fst ifp = fst vfp);
           acc + vops)
       0 Tpch.Queries.all_extended
   in
   Alcotest.(check bool) "some operator spilled" true (spilled > 0)
+
+let test_identical_siblings () =
+  (* Sibling subtrees that are structurally identical: the walk keeps
+     each child's charge and finish time apart, so both engines agree
+     on reports and peaks with and without spilling. Under drops the
+     two identical SHIPs draw different fates; the seed is one where
+     the first to run retries more often, so the siblings finish at
+     different times. *)
+  let db = default_db () in
+  let shipped = node (P.Ship { from_loc = "y"; to_loc = "x" }) [ scan ~loc:"y" "t" ] in
+  let self_join c =
+    node (P.Hash_join { keys = [ (attr "t" "k", attr "t" "k") ]; residual = Pred.True }) [ c; c ]
+  in
+  let plans =
+    [
+      ("union of one scan twice", node P.Union_all [ scan "t"; scan "t" ]);
+      ("union of one SHIP twice", node P.Union_all [ shipped; shipped ]);
+      ("hash join of one scan twice", self_join (scan "t"));
+      ("hash join of one SHIP twice", self_join shipped);
+    ]
+  in
+  let flaky seed =
+    Catalog.Network.Fault.make ~seed
+      [ Catalog.Network.Fault.Transient_drop { from_loc = "x"; to_loc = "y"; p = 0.5 } ]
+  in
+  let rec find seed =
+    if seed > 1000 then Alcotest.fail "no seed in 0..1000 retries the first SHIP more"
+    else
+      match
+        Exec.Vector.run ~faults:(flaky seed) ~network ~db ~table_cols
+          (List.assoc "union of one SHIP twice" plans)
+      with
+      | { stats = { ships = [ second; first ]; _ }; _ } when first.attempts > second.attempts ->
+        seed
+      | _ | (exception Exec.Interp.Ship_failed _) -> find (seed + 1)
+  in
+  let faulty = flaky (find 0) in
+  let report ?faults ~budget engine plan =
+    Exec.Runtime.reset_mem_stats ();
+    match Exec.Engine.run ~engine ?faults ~budget ~network ~db ~table_cols plan with
+    | r -> Ok (result_fp r, Exec.Runtime.peak_tracked_bytes ())
+    | exception Exec.Interp.Ship_failed { attempts; _ } -> Error attempts
+  in
+  List.iter
+    (fun (name, plan) ->
+      List.iter
+        (fun budget ->
+          List.iter
+            (fun faults ->
+              let what =
+                Printf.sprintf "%s, budget %s%s" name
+                  (if budget = 0 then "0" else "unlimited")
+                  (if faults = None then "" else ", drops")
+              in
+              let reference = report ?faults ~budget Exec.Engine.Reference plan
+              and vector = report ?faults ~budget Exec.Engine.Vector plan in
+              (match reference, vector with
+              | Ok ((_, _, _, _, _, rm), rpeak), Ok ((_, _, _, _, _, vm), vpeak) ->
+                Alcotest.(check int) (what ^ ": peak") rpeak vpeak;
+                Alcotest.(check (float 0.)) (what ^ ": makespan") rm vm
+              | _ -> ());
+              Alcotest.(check bool) (what ^ ": same report") true (reference = vector))
+            [ None; Some faulty ])
+        [ 0; Exec.Runtime.unlimited_budget ])
+    plans
 
 (* [--mem-budget] / CGQP_MEM_BUDGET parsing: suffixes are powers of
    1024, and a count whose product with its suffix overflows is
@@ -1368,6 +1436,7 @@ let () =
             test_spill_order_and_hash;
           Alcotest.test_case "spill counters agree across engines" `Slow
             test_spill_counter_parity;
+          Alcotest.test_case "identical sibling subtrees" `Quick test_identical_siblings;
           Alcotest.test_case "memory budget parsing" `Quick test_parse_budget;
           Alcotest.test_case "paged scan decodes only projected columns" `Quick
             test_paged_scan_pruning;
