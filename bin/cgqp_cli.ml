@@ -94,6 +94,31 @@ let engine_arg =
            and accounting. Defaults to the CGQP_ENGINE environment variable, \
            else vector.")
 
+let mem_budget_conv =
+  let parse s =
+    match Exec.Runtime.parse_budget s with
+    | Some b -> Ok b
+    | None ->
+      Error
+        (`Msg
+          "memory budget must be a byte count with an optional k/m/g suffix \
+           (e.g. 64m), or `unlimited'")
+  in
+  Arg.conv (parse, fun ppf b -> Fmt.pf ppf "%d" b)
+
+(* An option's value, else the environment variable [name]'s, parsed
+   with the option's converter: a bad value is a usage error (exit 124)
+   before anything runs. *)
+let or_env name conv = function
+  | Some _ as v -> Ok v
+  | None -> (
+    match Sys.getenv_opt name with
+    | None | Some "" -> Ok None
+    | Some s -> (
+      match Arg.conv_parser conv s with
+      | Ok v -> Ok (Some v)
+      | Error (`Msg m) -> Error (Printf.sprintf "%s=%S: %s" name s m)))
+
 let sf_arg =
   Arg.(
     value & opt float 0.01
@@ -332,9 +357,11 @@ let explain_cmd =
   let action set file traditional engine traits dot analyze sf seed faults
       replicas trace metrics query =
     with_obs ~trace ~metrics @@ fun () ->
-    match load_faults ~cli_seed:seed faults with
-    | Error m -> `Error (false, m)
-    | Ok faults -> (
+    match
+      (or_env "CGQP_MEM_BUDGET" mem_budget_conv None, load_faults ~cli_seed:seed faults)
+    with
+    | Error m, _ | _, Error m -> `Error (false, m)
+    | Ok mem_budget, Ok faults -> (
     match
       if analyze then
         make_session ~set ~file ~traditional ?engine ~sf ?seed ?faults ~replicas ()
@@ -342,9 +369,10 @@ let explain_cmd =
     with
     | exception Invalid_argument m -> `Error (false, m)
     | session -> (
+    Option.iter (fun b -> Cgqp.set_mem_budget session (Some b)) mem_budget;
     let sql = resolve_query query in
     (* optimize (and, under --analyze, execute) exactly once *)
-    let outcome =
+    match
       if analyze then
         Result.map
           (fun (r : Cgqp.run_result) ->
@@ -354,8 +382,8 @@ let explain_cmd =
         Result.map
           (fun p -> (p, None, Optimizer.Explain.no_recovery))
           (Cgqp.optimize session sql)
-    in
-    match outcome with
+    with
+    | exception Exec.Runtime.Runtime_error m -> `Error (false, m)
     | Ok (p, interp, recovery) ->
       if dot then print_string (Exec.Pplan.to_dot p.Optimizer.Planner.plan)
       else begin
@@ -387,18 +415,6 @@ let run_explain_arg =
     value & flag
     & info [ "explain" ]
         ~doc:"Also print the EXPLAIN ANALYZE plan tree (actual rows, SHIP bytes).")
-
-let mem_budget_conv =
-  let parse s =
-    match Exec.Runtime.parse_budget s with
-    | Some b -> Ok b
-    | None ->
-      Error
-        (`Msg
-          "memory budget must be a byte count with an optional k/m/g suffix \
-           (e.g. 64m), or `unlimited'")
-  in
-  Arg.conv (parse, fun ppf b -> Fmt.pf ppf "%d" b)
 
 let mem_budget_arg =
   Arg.(
@@ -436,9 +452,11 @@ let run_cmd =
   let action set file traditional engine sf seed faults replicas csv explain
       mem_budget stats trace metrics query =
     with_obs ~trace ~metrics @@ fun () ->
-    match load_faults ~cli_seed:seed faults with
-    | Error m -> `Error (false, m)
-    | Ok faults -> (
+    match
+      (or_env "CGQP_MEM_BUDGET" mem_budget_conv mem_budget, load_faults ~cli_seed:seed faults)
+    with
+    | Error m, _ | _, Error m -> `Error (false, m)
+    | Ok mem_budget, Ok faults -> (
     match
       make_session ~set ~file ~traditional ?engine ~sf ?seed ?faults ~replicas ()
     with
@@ -454,6 +472,7 @@ let run_cmd =
         faults
     end;
     match Cgqp.run session (resolve_query query) with
+    | exception Exec.Runtime.Runtime_error m -> `Error (false, m)
     | Ok r ->
       if csv then print_string (Storage.Relation.to_csv r.Cgqp.relation)
       else begin
@@ -841,6 +860,11 @@ let serve_cmd =
   let action engine sf seed faults no_cache capacity template feedback strict
       json trace metrics script =
     with_obs ~trace ~metrics @@ fun () ->
+    match
+      (or_env "CGQP_ENGINE" engine_conv engine, or_env "CGQP_MEM_BUDGET" mem_budget_conv None)
+    with
+    | Error m, _ | _, Error m -> `Error (false, m)
+    | Ok engine, Ok _ -> (
     match Service.Script.parse_file script with
     | Error m -> `Error (false, Printf.sprintf "%s: %s" script m)
     | Ok wl -> (
@@ -864,6 +888,7 @@ let serve_cmd =
         match Service.Scheduler.run ~env ?seed wl with
         | exception Invalid_argument m ->
           `Error (false, Printf.sprintf "%s: %s" script m)
+        | exception Exec.Runtime.Runtime_error m -> `Error (false, m)
         | report ->
         let wall_s = Unix.gettimeofday () -. t0 in
         if json then
@@ -888,7 +913,7 @@ let serve_cmd =
             Stdlib.exit exit_unsatisfiable
           else if report.Service.Scheduler.rejected > 0 then
             Stdlib.exit exit_rejected;
-        `Ok ())
+        `Ok ()))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -932,23 +957,31 @@ let default_term =
     | None -> `Help (`Pager, None)
     | Some q ->
       with_obs ~trace ~metrics @@ fun () ->
-      let session = make_session ~set ~file ~traditional ?engine ~sf () in
+      match or_env "CGQP_MEM_BUDGET" mem_budget_conv None with
+      | Error m -> `Error (false, m)
+      | Ok mem_budget -> (
+      match make_session ~set ~file ~traditional ?engine ~sf () with
+      | exception Invalid_argument m -> `Error (false, m)
+      | session ->
+      Option.iter (fun b -> Cgqp.set_mem_budget session (Some b)) mem_budget;
       let sql = resolve_query q in
       if explain then (
         match Cgqp.explain_analyze session sql with
+        | exception Exec.Runtime.Runtime_error m -> `Error (false, m)
         | Ok text ->
           print_string text;
           `Ok ()
         | Error e -> fail_with_code e)
       else (
         match Cgqp.run session sql with
+        | exception Exec.Runtime.Runtime_error m -> `Error (false, m)
         | Ok r ->
           Fmt.pr "%a@." (Storage.Relation.pp ~max_rows:25) r.Cgqp.relation;
           Fmt.pr "(%d rows; shipped %d bytes; simulated transfer cost %.2f ms)@."
             (Storage.Relation.cardinality r.Cgqp.relation)
             r.Cgqp.shipped_bytes r.Cgqp.ship_cost_ms;
           `Ok ()
-        | Error e -> fail_with_code e)
+        | Error e -> fail_with_code e))
   in
   let opt_query =
     Arg.(

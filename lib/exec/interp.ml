@@ -3,7 +3,10 @@
    Its kernels work row by row over boxed [Storage.Relation.t]s; the
    plan walk, SHIP accounting, retry/backoff, profiles, the memory
    account and observability are [Runtime]'s, shared with [Vector], so
-   both engines produce byte-identical results and stats. *)
+   both engines produce byte-identical results and stats. Its hash
+   join and aggregation kernels key boxed rows through one [Row_tbl],
+   run over the whole input in memory and per partition under the
+   Grace spill driver ([Spill]). *)
 
 open Relalg
 
@@ -31,33 +34,53 @@ let join_out ls rs residual =
   in
   (emit, fun () -> R.make ~schema ~rows:(Array.of_list (List.rev !out)))
 
+(* --- boxed row keys: the hash kernels' key data, in memory and spilled --- *)
+
+module Row_key = struct
+  type t = Value.t array
+
+  let equal a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b
+  let hash a = Array.fold_left (fun h v -> (h * 31) + Value.hash v) 17 a
+end
+
+module Row_tbl = Hashtbl.Make (Row_key)
+
 let key_of look keys row = Array.of_list (List.map (fun a -> look a row) keys)
 
+(* A relation's [keys] as a spill side: one boxed key tuple per row. *)
+let key_side look keys rows : Row_key.t array Spill.side =
+  {
+    rows = Array.length rows;
+    hashes =
+      Array.of_list
+        (List.map
+           (fun a j -> match look a rows.(j) with Value.Null -> -1 | v -> Value.hash v)
+           keys);
+    gather = Array.map (fun j -> key_of look keys rows.(j));
+    key_bytes = Array.fold_left (Array.fold_left (fun n v -> n + Value.byte_width v)) 0;
+  }
+
+(* Build a table on the build block's keys and probe it with the probe
+   block's: [find_all] yields each probe row's matches in reverse
+   insertion order. A key with a NULL component never joins. *)
+let join_pairs (probe : Row_key.t array Spill.block) (build : Row_key.t array Spill.block)
+    emit =
+  let tbl = Row_tbl.create (max 16 (Array.length build.keys)) in
+  let has_null = Array.exists Value.is_null in
+  Array.iteri (fun j k -> if not (has_null k) then Row_tbl.add tbl k j) build.keys;
+  Array.iteri
+    (fun i k -> if not (has_null k) then List.iter (emit i) (Row_tbl.find_all tbl k))
+    probe.keys
+
 let hash_join ls rs keys residual mode lrel rrel =
-  let llook = R.lookup_of_schema ls and rlook = R.lookup_of_schema rs in
-  let lkeys = List.map fst keys and rkeys = List.map snd keys in
+  let lrows = R.rows lrel and rrows = R.rows rrel in
+  let probe = key_side (R.lookup_of_schema ls) (List.map fst keys) lrows
+  and build = key_side (R.lookup_of_schema rs) (List.map snd keys) rrows in
   let emit, result = join_out ls rs residual in
+  let emit i j = emit lrows.(i) rrows.(j) in
   (match mode with
-  | Spilled { mem; bytes } ->
-    let keyf look keys row =
-      let k = key_of look keys row in
-      if Array.exists Value.is_null k then None else Some k
-    in
-    Spill.join mem ~build_bytes:bytes ~lkey:(keyf llook lkeys) ~rkey:(keyf rlook rkeys) ~emit
-      (R.rows lrel) (R.rows rrel)
-  | In_memory ->
-    let tbl = Row_tbl.create (max 16 (R.cardinality rrel)) in
-    Array.iter
-      (fun row ->
-        let k = key_of rlook rkeys row in
-        if not (Array.exists Value.is_null k) then Row_tbl.add tbl k row)
-      (R.rows rrel);
-    Array.iter
-      (fun lrow ->
-        let k = key_of llook lkeys lrow in
-        if not (Array.exists Value.is_null k) then
-          List.iter (fun rrow -> emit lrow rrow) (Row_tbl.find_all tbl k))
-      (R.rows lrel));
+  | Spilled { mem; bytes } -> Spill.join mem ~bytes ~kernel:join_pairs probe build emit
+  | In_memory -> join_pairs (Spill.whole probe) (Spill.whole build) emit);
   result ()
 
 (* Inputs arrive sorted ascending on their key columns. *)
@@ -104,43 +127,52 @@ let nl_join ls rs pred lrel rrel =
   Array.iter (fun lrow -> Array.iter (fun rrow -> emit lrow rrow) (R.rows rrel)) (R.rows lrel);
   result ()
 
+(* Group a block's rows by key in first-seen order, feeding each
+   group's accumulators its rows ([rows.(pos)]) in order: the groups
+   (key, accumulators) and each one's first block index. *)
+let group_rows ~na ~feed_row rows ({ pos; keys } : Row_key.t array Spill.block) =
+  let tbl = Row_tbl.create 64 and groups = ref [] and firsts = Ivec.create () in
+  Array.iteri
+    (fun j k ->
+      let accs =
+        match Row_tbl.find_opt tbl k with
+        | Some accs -> accs
+        | None ->
+          let accs = Array.init na (fun _ -> fresh_acc ()) in
+          Row_tbl.add tbl k accs;
+          groups := (k, accs) :: !groups;
+          Ivec.push firsts j;
+          accs
+      in
+      feed_row accs rows.(pos.(j)))
+    keys;
+  (Array.of_list (List.rev !groups), Ivec.to_array firsts)
+
 let hash_agg schema keys (aggs : Expr.agg list) mode r =
   let look = R.lookup_of_schema schema in
   let na = List.length aggs in
-  let finish_group k accs =
-    Array.append k (Array.of_list (List.mapi (fun i (a : Expr.agg) -> finish a.fn accs.(i)) aggs))
-  in
   let feed_row accs row =
     List.iteri
       (fun i (a : Expr.agg) -> feed accs.(i) (Expr.eval (fun at -> look at row) a.arg))
       aggs
   in
-  let rows =
+  let finish_group (k, accs) =
+    Array.append k (Array.of_list (List.mapi (fun i (a : Expr.agg) -> finish a.fn accs.(i)) aggs))
+  in
+  let rows = R.rows r in
+  let kernel = group_rows ~na ~feed_row rows and input = key_side look keys rows in
+  let groups =
     match mode with
     | Spilled { mem; bytes } ->
-      let out = ref [] in
-      Spill.agg mem ~input_bytes:bytes ~key:(key_of look keys) ~na ~feed_row
-        ~emit_group:(fun k accs -> out := finish_group k accs :: !out)
-        (R.rows r);
-      Array.of_list (List.rev !out)
-    | In_memory ->
-      let groups : (Value.t array * acc array) Row_tbl.t = Row_tbl.create 64 in
-      let order = ref [] in
-      let group k =
-        match Row_tbl.find_opt groups k with
-        | Some (_, accs) -> accs
-        | None ->
-          let accs = Array.init na (fun _ -> fresh_acc ()) in
-          Row_tbl.add groups k (k, accs);
-          order := k :: !order;
-          accs
-      in
-      Array.iter (fun row -> feed_row (group (key_of look keys row)) row) (R.rows r);
-      (* a global aggregate over an empty input still yields one row *)
-      if keys = [] && Row_tbl.length groups = 0 then ignore (group [||]);
-      List.rev_map (fun k -> finish_group k (snd (Row_tbl.find groups k))) !order |> Array.of_list
+      Array.map (fun (gs, g) -> gs.(g)) (Spill.agg mem ~bytes ~kernel input)
+    | In_memory -> fst (kernel (Spill.whole input))
   in
-  R.make ~schema:(agg_schema keys aggs) ~rows
+  (* a global aggregate over an empty input still yields one row *)
+  let groups =
+    if keys = [] && Array.length groups = 0 then [| ([||], Array.init na (fun _ -> fresh_acc ())) |]
+    else groups
+  in
+  R.make ~schema:(agg_schema keys aggs) ~rows:(Array.map finish_group groups)
 
 let kernels : R.t kernels =
   {

@@ -4,11 +4,10 @@
    run ([compile], at the bottom): SHIP accounting under the message
    cost model with fault injection and retry/backoff, per-operator
    profiles for EXPLAIN ANALYZE, the memory budget and the spill
-   directory, the boxed aggregate accumulators and row keys ([Interp]
-   and its row spill in [Spill] use them; [Vector]'s kernels have
-   unboxed ones), and the metrics/trace emission. The engines supply
-   only operator kernels, which is what makes them byte-identical on
-   stats, profiles and traces. *)
+   directory, the boxed aggregate accumulators ([Interp]'s; [Vector]'s
+   kernels have unboxed ones), and the metrics/trace emission. The
+   engines supply only operator kernels, which is what makes them
+   byte-identical on stats, profiles and traces. *)
 
 open Relalg
 
@@ -252,10 +251,14 @@ let run_dir m =
       | Some d when String.trim d <> "" -> d
       | _ -> Filename.get_temp_dir_name ()
     in
-    let lock = Filename.temp_file ~temp_dir:base "cgqp-spill-" "" in
-    let d = lock ^ ".d" in
-    Sys.mkdir d 0o700;
+    let lock =
+      try Filename.temp_file ~temp_dir:base "cgqp-spill-" ""
+      with Sys_error e -> fail "cannot create a spill directory in %s: %s" base e
+    in
     m.run_lock <- Some lock;
+    let d = lock ^ ".d" in
+    (try Sys.mkdir d 0o700
+     with Sys_error e -> fail "cannot create spill directory %s: %s" d e);
     m.run_dir <- Some d;
     d
 
@@ -324,15 +327,23 @@ let finish (fn : Expr.agg_fn) acc =
 
 (* --- row utilities --- *)
 
-module Row_key = struct
-  type t = Value.t array
+module Ivec = struct
+  type t = { mutable a : int array; mutable n : int }
 
-  let equal a b = Array.length a = Array.length b && Array.for_all2 Value.equal a b
+  let create () = { a = Array.make 64 0; n = 0 }
+  let length v = v.n
 
-  let hash a = Array.fold_left (fun h v -> (h * 31) + Value.hash v) 17 a
+  let push v x =
+    if v.n = Array.length v.a then begin
+      let na = Array.make (2 * v.n) 0 in
+      Array.blit v.a 0 na 0 v.n;
+      v.a <- na
+    end;
+    Array.unsafe_set v.a v.n x;
+    v.n <- v.n + 1
+
+  let to_array v = Array.sub v.a 0 v.n
 end
-
-module Row_tbl = Hashtbl.Make (Row_key)
 
 (* --- shared SHIP path --- *)
 

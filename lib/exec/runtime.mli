@@ -9,13 +9,12 @@
     vectorized executor ({!Vector}) supply only {!kernels}, the
     operators over their own output type — which is what makes their
     stats, profiles and observability output byte-identical by
-    construction (see [docs/EXECUTOR.md]). The boxed aggregate
-    accumulators ({!acc}, {!feed}, {!finish}) and the row-key table
-    ({!Row_tbl}) serve {!Interp} and its row spill ({!Spill.join},
-    {!Spill.agg}); {!Vector}'s kernels, in memory and spilled, use
-    their own unboxed key table and typed accumulators, which fold in
-    the same order and finish as {!finish} does, and take {!acc} only
-    for a non-numeric aggregate argument. Predicate and scalar
+    construction (see [docs/EXECUTOR.md]). Over budget, both engines'
+    hash kernels run under the one Grace spill driver ({!Spill}). The
+    boxed aggregate accumulators ({!acc}, {!feed}, {!finish}) serve
+    {!Interp}; {!Vector}'s kernels use typed accumulators, which fold
+    in the same order and finish as {!finish} does, and take {!acc}
+    only for a non-numeric aggregate argument. Predicate and scalar
     evaluation is per engine: {!Interp} evaluates the AST row by row,
     {!Vector} binds it to typed columns.
 
@@ -38,7 +37,7 @@
 
     - visit input rows in relation order (index [0] upward), emitting
       join matches for each probe row in the build table's
-      reverse-insertion order (what [Row_tbl.find_all] yields);
+      reverse-insertion order (what [Hashtbl.find_all] yields);
     - key batch-local work off absolute row indices, so batching (the
       vectorized engine's 1024-row chunks) never reorders emission.
 
@@ -152,7 +151,8 @@ val total_traffic_bytes : stats -> int
     attempt count. Equals {!total_ship_bytes} on a retry-free run. *)
 
 exception Runtime_error of string
-(** Malformed plans (wrong arity, missing relations). *)
+(** Malformed plans (wrong arity, missing relations), or a spill
+    directory that cannot be created. *)
 
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Runtime_error} with a formatted message. *)
@@ -204,7 +204,9 @@ val parse_budget : string -> int option
 
 val run_dir : mem -> string
 (** The execution's spill directory, created on first call: a unique
-    directory under [CGQP_SPILL_DIR] (default: the system temp dir). *)
+    directory under [CGQP_SPILL_DIR] (default: the system temp dir).
+    Raises {!Runtime_error} naming the directory when it cannot be
+    created. *)
 
 val peak_tracked_bytes : unit -> int
 (** Process-wide high-water mark of tracked bytes (across executions
@@ -236,14 +238,15 @@ val finish : Expr.agg_fn -> acc -> Value.t
 
 (** {2 Row utilities} *)
 
-module Row_key : sig
-  type t = Value.t array
+(** A growable int vector: row positions and match lists. *)
+module Ivec : sig
+  type t
 
-  val equal : t -> t -> bool
-  val hash : t -> int
+  val create : unit -> t
+  val length : t -> int
+  val push : t -> int -> unit
+  val to_array : t -> int array
 end
-
-module Row_tbl : Hashtbl.S with type key = Value.t array
 
 (** {2 The plan walk}
 

@@ -9,53 +9,66 @@
    byte-identical whether or not an operator spilled (locked by the
    qcheck differential in [test/test_exec.ml]).
 
-   This module counts spilled operators and owns the run-file format;
-   the run files live in the execution's directory
-   ([Runtime.run_dir]). [Vector] partitions typed key columns itself and writes one
-   block per partition ([begin_op], [write_block], [read_block]).
-   [join] and [agg] below are [Interp]'s row implementation: rows are
-   hash-partitioned by [Runtime.Row_key.hash], one [Marshal] record
-   per row.
+   Both engines run this one algorithm; an engine supplies only its
+   key data (a [side]) and its in-memory kernels. The run files live in
+   the execution's directory ([Runtime.run_dir]), one block per
+   partition: the partition's ascending logical positions and the
+   side's key data gathered at them, written with one [Marshal] call
+   (exact for first-order data, float bits included). A partition's
+   resident bytes — its key bytes plus an 8-byte position per row —
+   are charged while it is processed.
 
-   Order preservation in the row implementation, the part worth being
-   careful about:
+   Order preservation:
 
-   - All rows of one key land in one partition, in their original
-     relative order. A partition's hash table therefore answers
-     [find_all] with exactly the list the in-memory table would
-     (reverse insertion order per key).
-   - Join: probe rows are partitioned tagged with their global input
-     index [gi]; per-partition match lists are written to run files
-     and a final k-way merge replays them in ascending [gi] — the
-     in-memory probe order. ([gi] is unique across partitions, so the
-     merge has no ties.)
-   - Agg: groups accumulate per partition (feeding each group its rows
-     in input order, so non-commutative float rounding is preserved),
-     are run-filed tagged with the group's first-seen input index, and
-     merge back in ascending first-seen order — the in-memory
-     emission order.
+   - All rows of one key land in one partition, in ascending logical
+     order, so each partition's kernel reproduces its share of the
+     in-memory emission exactly.
+   - Join: a partition emits each probe row's matches contiguously, in
+     reverse build-insertion order, and writes them as logical
+     (probe, build) position arrays. Counting the matches per probe
+     position, prefix-summing and scattering puts them back in the
+     in-memory order in O(n).
+   - Agg: each group takes a slot at its first row's logical position
+     (a group's rows share its partition and arrive in input order, so
+     it folds exactly as in memory); walking the slots gives the
+     first-seen order. *)
 
-   Run files use [Marshal] (exact for the first-order [Value.t],
-   accumulator and column records, including float bits). *)
+module Ivec = Runtime.Ivec
 
-open Relalg
+type 'k side = {
+  rows : int;
+  hashes : (int -> int) array;
+  gather : int array -> 'k;
+  key_bytes : 'k -> int;
+}
 
-(* --- run-file plumbing --- *)
+type 'k block = { pos : int array; keys : 'k }
 
-let marshal_to oc v = Marshal.to_channel oc v []
+let whole side =
+  let pos = Array.init side.rows Fun.id in
+  { pos; keys = side.gather pos }
 
-let read_next (ic : in_channel) : 'a option =
-  match Marshal.from_channel ic with
-  | v -> Some v
-  | exception End_of_file -> None
+(* --- run files --- *)
 
-let row_bytes (row : Value.t array) =
-  Array.fold_left (fun a v -> a + Value.byte_width v) 0 row
+let write (mem : Runtime.mem) path v =
+  let oc = open_out_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      Marshal.to_channel oc v [];
+      mem.spill_run_bytes <- mem.spill_run_bytes + pos_out oc;
+      close_out oc)
 
-let remove_quiet p = try Sys.remove p with Sys_error _ -> ()
+(* Untyped like [Marshal.from_channel]: each caller annotates the type
+   it wrote. *)
+let read path =
+  let ic = open_in_bin path in
+  let v = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Marshal.from_channel ic) in
+  (try Sys.remove path with Sys_error _ -> ());
+  v
 
-(* Start a spilled operator: bump counters, lay out per-partition run
-   file paths. *)
+(* Start a spilled operator: count it and its fan-out [np], and lay out
+   its run-file paths ([path kind p]: partition [p]'s block of [kind]). *)
 let begin_op (mem : Runtime.mem) ~bytes =
   let np = Runtime.spill_partitions_for mem ~bytes in
   let seq = mem.spill_ops in
@@ -65,211 +78,114 @@ let begin_op (mem : Runtime.mem) ~bytes =
   let path kind p = Filename.concat dir (Printf.sprintf "op%d-%s%d.run" seq kind p) in
   (np, path)
 
-let part np (k : Value.t array) = Runtime.Row_key.hash k land max_int mod np
+let null_hash = Relalg.Value.hash Relalg.Value.Null
 
-(* --- typed blocks --- *)
-
-let write_block (mem : Runtime.mem) path v =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      marshal_to oc v;
-      mem.spill_run_bytes <- mem.spill_run_bytes + pos_out oc;
-      close_out oc)
-
-let read_block path =
-  let ic = open_in_bin path in
-  let v = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Marshal.from_channel ic) in
-  remove_quiet path;
-  v
-
-let close_outs (mem : Runtime.mem) ocs =
-  Array.iter
-    (fun oc ->
-      mem.spill_run_bytes <- mem.spill_run_bytes + pos_out oc;
-      close_out oc)
-    ocs
-
-(* --- spilling hash join --- *)
-
-(* [lkey]/[rkey] box a row's join key, [None] if any component is NULL
-   (such rows never join, and are dropped during partitioning exactly
-   as the in-memory build/probe drops them). [emit] receives (left
-   row, build-table match) pairs in the same sequence the in-memory
-   kernel produces: probe rows in input order, matches per probe row
-   in the build table's reverse-insertion order. *)
-let join mem ~build_bytes ~lkey ~rkey ~emit (lrows : Value.t array array)
-    (rrows : Value.t array array) =
-  let np, path = begin_op mem ~bytes:build_bytes in
-  (* phase 1: partition the build side, and the probe side tagged with
-     the global probe index *)
-  let bpaths = Array.init np (path "b") and ppaths = Array.init np (path "p") in
-  let bocs = Array.map open_out_bin bpaths in
-  Array.iter
-    (fun row ->
-      match rkey row with
-      | None -> ()
-      | Some k -> marshal_to bocs.(part np k) (k, row))
-    rrows;
-  close_outs mem bocs;
-  let pocs = Array.map open_out_bin ppaths in
-  Array.iteri
-    (fun gi row ->
-      match lkey row with
-      | None -> ()
-      | Some k -> marshal_to pocs.(part np k) (gi, k, row))
-    lrows;
-  close_outs mem pocs;
-  (* phase 2: per partition, build a table over only that partition's
-     build rows, probe, and run-file the match lists *)
-  let mpaths = Array.init np (path "m") in
-  for p = 0 to np - 1 do
-    let tbl = Runtime.Row_tbl.create 256 in
-    let resident = ref 0 in
-    let bic = open_in_bin bpaths.(p) in
-    let rec load () =
-      match read_next bic with
-      | None -> ()
-      | Some ((k : Value.t array), (row : Value.t array)) ->
-        Runtime.Row_tbl.add tbl k row;
-        resident := !resident + row_bytes row;
-        load ()
-    in
-    load ();
-    close_in bic;
-    Runtime.mem_charge mem !resident;
-    let pic = open_in_bin ppaths.(p) and moc = open_out_bin mpaths.(p) in
-    let rec probe () =
-      match read_next pic with
-      | None -> ()
-      | Some ((gi : int), (k : Value.t array), (row : Value.t array)) ->
-        (match Runtime.Row_tbl.find_all tbl k with
-        | [] -> ()
-        | ms -> marshal_to moc (gi, row, ms));
-        probe ()
-    in
-    probe ();
-    close_in pic;
-    close_outs mem [| moc |];
-    Runtime.mem_release mem !resident;
-    remove_quiet bpaths.(p);
-    remove_quiet ppaths.(p)
-  done;
-  (* phase 3: k-way merge of the match files by ascending probe index
-     (unique across partitions — no ties) *)
-  let mics = Array.map open_in_bin mpaths in
-  let heads :
-      (int * Value.t array * Value.t array list) option array =
-    Array.map read_next mics
-  in
-  let rec merge () =
-    let best = ref (-1) in
-    Array.iteri
-      (fun j h ->
-        match h with
-        | Some (gi, _, _) ->
-          if
-            !best < 0
-            ||
-            match heads.(!best) with
-            | Some (bgi, _, _) -> gi < bgi
-            | None -> true
-          then best := j
-        | None -> ())
-      heads;
-    if !best >= 0 then begin
-      (match heads.(!best) with
-      | Some (_, lrow, ms) -> List.iter (fun rrow -> emit lrow rrow) ms
-      | None -> assert false);
-      heads.(!best) <- read_next mics.(!best);
-      merge ()
+(* Partition [side]'s logical positions by the hash of the boxed key
+   ([h * 31 + component hash] from 17, as a row key hashes), write
+   partition [p]'s block to [path p], and return the paths. With
+   [join], a row with a NULL key component is dropped (it never
+   joins); otherwise NULL hashes as [Value.hash Null]. *)
+let write_blocks mem side ~np ~join path =
+  let part = Array.make side.rows (-1) and counts = Array.make np 0 in
+  let nk = Array.length side.hashes in
+  for j = 0 to side.rows - 1 do
+    let h = ref 17 and keep = ref true in
+    for k = 0 to nk - 1 do
+      let x = (Array.unsafe_get side.hashes k) j in
+      if x < 0 then begin
+        if join then keep := false;
+        h := (!h * 31) + null_hash
+      end
+      else h := (!h * 31) + x
+    done;
+    if !keep then begin
+      let p = (!h land max_int) mod np in
+      part.(j) <- p;
+      counts.(p) <- counts.(p) + 1
     end
-  in
-  merge ();
-  Array.iter close_in mics;
-  Array.iter remove_quiet mpaths
-
-(* --- spilling hash aggregation --- *)
-
-(* [key] boxes a row's group key (NULL components are legal group
-   values). [feed_row accs row] folds one row into a group's
-   accumulators; [emit_group k accs] is called per group in first-seen
-   input order — exactly the in-memory kernel's emission order. *)
-let agg mem ~input_bytes ~key ~na ~feed_row ~emit_group
-    (rows : Value.t array array) =
-  let np, path = begin_op mem ~bytes:input_bytes in
-  (* phase 1: partition the input tagged with the global row index *)
-  let ppaths = Array.init np (path "p") in
-  let pocs = Array.map open_out_bin ppaths in
-  Array.iteri
-    (fun gi row ->
-      let k = key row in
-      marshal_to pocs.(part np k) (gi, k, row))
-    rows;
-  close_outs mem pocs;
-  (* phase 2: accumulate per partition (rows arrive in input order, so
-     per-group accumulation order is preserved), then run-file each
-     group tagged with its first-seen index *)
-  let gpaths = Array.init np (path "g") in
-  for p = 0 to np - 1 do
-    let tbl : (int * Runtime.acc array) Runtime.Row_tbl.t =
-      Runtime.Row_tbl.create 256
-    in
-    let order = ref [] in
-    let resident = ref 0 in
-    let pic = open_in_bin ppaths.(p) in
-    let rec load () =
-      match read_next pic with
-      | None -> ()
-      | Some ((gi : int), (k : Value.t array), (row : Value.t array)) ->
-        Runtime.mem_charge mem (row_bytes row);
-        resident := !resident + row_bytes row;
-        (match Runtime.Row_tbl.find_opt tbl k with
-        | Some (_, accs) -> feed_row accs row
-        | None ->
-          let accs = Array.init na (fun _ -> Runtime.fresh_acc ()) in
-          Runtime.Row_tbl.add tbl k (gi, accs);
-          order := (gi, k, accs) :: !order;
-          feed_row accs row);
-        load ()
-    in
-    load ();
-    close_in pic;
-    let goc = open_out_bin gpaths.(p) in
-    List.iter (fun g -> marshal_to goc g) (List.rev !order);
-    close_outs mem [| goc |];
-    Runtime.mem_release mem !resident;
-    remove_quiet ppaths.(p)
   done;
-  (* phase 3: merge groups back in ascending first-seen index *)
-  let gics = Array.map open_in_bin gpaths in
-  let heads : (int * Value.t array * Runtime.acc array) option array =
-    Array.map read_next gics
+  let pos = Array.map (fun c -> Array.make c 0) counts in
+  let fill = Array.make np 0 in
+  Array.iteri
+    (fun j p ->
+      if p >= 0 then begin
+        pos.(p).(fill.(p)) <- j;
+        fill.(p) <- fill.(p) + 1
+      end)
+    part;
+  Array.mapi
+    (fun p pos ->
+      let f = path p in
+      write mem f { pos; keys = side.gather pos };
+      f)
+    pos
+
+(* Read back a block and charge it as resident; the caller releases
+   the returned byte count. *)
+let load (type k) mem (side : k side) f =
+  let (b : k block) = read f in
+  let resident = side.key_bytes b.keys + (8 * Array.length b.pos) in
+  Runtime.mem_charge mem resident;
+  (b, resident)
+
+let join (type k) mem ~bytes ~kernel (probe : k side) (build : k side) emit =
+  let np, path = begin_op mem ~bytes in
+  let bpaths = write_blocks mem build ~np ~join:true (path "b") in
+  let ppaths = write_blocks mem probe ~np ~join:true (path "p") in
+  let n = probe.rows in
+  (* [starts.(l + 1)] counts probe position [l]'s matches, then
+     prefix-sums to [starts.(l)] = the index of its first *)
+  let starts = Array.make (n + 1) 0 in
+  let mpaths =
+    Array.init np (fun p ->
+        let b, resident = load mem build bpaths.(p) in
+        let (l : k block) = read ppaths.(p) in
+        let ml = Ivec.create () and mr = Ivec.create () in
+        kernel l b (fun i j ->
+            let lp = l.pos.(i) in
+            starts.(lp + 1) <- starts.(lp + 1) + 1;
+            Ivec.push ml lp;
+            Ivec.push mr b.pos.(j));
+        let f = path "m" p in
+        write mem f (Ivec.to_array ml, Ivec.to_array mr);
+        Runtime.mem_release mem resident;
+        f)
   in
-  let rec merge () =
-    let best = ref (-1) in
-    Array.iteri
-      (fun j h ->
-        match h with
-        | Some (gi, _, _) ->
-          if
-            !best < 0
-            ||
-            match heads.(!best) with
-            | Some (bgi, _, _) -> gi < bgi
-            | None -> true
-          then best := j
-        | None -> ())
-      heads;
-    if !best >= 0 then begin
-      (match heads.(!best) with
-      | Some (_, k, accs) -> emit_group k accs
-      | None -> assert false);
-      heads.(!best) <- read_next gics.(!best);
-      merge ()
-    end
+  for l = 1 to n do
+    starts.(l) <- starts.(l) + starts.(l - 1)
+  done;
+  let matched = Array.make starts.(n) 0 and next = Array.sub starts 0 n in
+  Array.iter
+    (fun f ->
+      let (ml : int array), (mr : int array) = read f in
+      Array.iteri
+        (fun k l ->
+          matched.(next.(l)) <- mr.(k);
+          next.(l) <- next.(l) + 1)
+        ml)
+    mpaths;
+  for l = 0 to n - 1 do
+    for x = starts.(l) to starts.(l + 1) - 1 do
+      emit l matched.(x)
+    done
+  done
+
+let agg mem ~bytes ~kernel input =
+  let np, path = begin_op mem ~bytes in
+  let paths = write_blocks mem input ~np ~join:false (path "p") in
+  (* [slot.(l)]: [g * np + p] when position [l] is the first row of
+     group [g] of partition [p], else -1 *)
+  let slot = Array.make input.rows (-1) in
+  let parts =
+    Array.mapi
+      (fun p f ->
+        let b, resident = load mem input f in
+        let groups, firsts = kernel b in
+        Array.iteri (fun g j -> slot.(b.pos.(j)) <- (g * np) + p) firsts;
+        Runtime.mem_release mem resident;
+        groups)
+      paths
   in
-  merge ();
-  Array.iter close_in gics;
-  Array.iter remove_quiet gpaths
+  let order = Ivec.create () in
+  Array.iter (fun v -> if v >= 0 then Ivec.push order v) slot;
+  Array.map (fun v -> (parts.(v mod np), v / np)) (Ivec.to_array order)

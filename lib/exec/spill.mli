@@ -1,67 +1,71 @@
-(** Grace-style spill-to-disk for hash join and hash aggregation.
+(** Grace-style spill-to-disk for hash join and hash aggregation: the
+    one implementation both engines run.
 
     When {!Runtime.should_spill} says an operator's scratch state would
     trip the execution's memory budget, the plan walk ({!Runtime.compile})
-    runs the engine's spilled kernel, which hash-partitions its inputs
-    into on-disk run files here, process each partition with
-    only its own state resident, and re-emit outputs in {e exactly}
-    the in-memory kernel's order (probe rows by input position,
-    matches in reverse insertion order; groups in first-seen order,
-    each fed its rows in input order) — so spilling is byte-invisible
-    to results, SHIP ledgers, profiles and EXPLAIN ANALYZE.
+    runs the engine's spilled kernel, which calls {!join} or {!agg}
+    here. They hash-partition the input's logical row positions into
+    {!Runtime.spill_partitions_for} run files, one block per partition
+    (its positions and the engine's key data gathered at them), run
+    the engine's in-memory kernel on one partition at a time with only
+    that partition resident, and put the output back in {e exactly} the
+    in-memory kernel's order (probe rows by position, matches in
+    reverse insertion order; groups in first-seen order, each fed its
+    rows in input order) — so spilling is byte-invisible to results,
+    SHIP ledgers, profiles and EXPLAIN ANALYZE.
 
-    Two users, one directory and byte account: {!Interp} hands boxed
-    rows to {!join} and {!agg}, which partition by
-    {!Runtime.Row_key.hash} and write one [Marshal] record per row;
-    {!Vector} partitions typed key columns itself and writes one
-    block per partition through {!begin_op}, {!write_block} and
-    {!read_block}. See [docs/STORAGE.md] and the differentials in
-    [test/test_exec.ml]. *)
+    Everything but the key data and the kernels is this module's: the
+    partitioning, the run-file format, the resident charge (a
+    partition's key bytes plus 8 per row, under either engine) and the
+    order restore. An engine describes each input as a {!side} and
+    supplies its kernel over {!block}s. See [docs/STORAGE.md] and the
+    differentials in [test/test_exec.ml]. *)
 
-open Relalg
+type 'k side = {
+  rows : int;  (** logical row count *)
+  hashes : (int -> int) array;
+      (** one per key component: [Value.hash] of the component at a
+          logical position, or [-1] for NULL *)
+  gather : int array -> 'k;  (** the key data at the given logical positions *)
+  key_bytes : 'k -> int;  (** the [Value.byte_width] sum of gathered key data *)
+}
+(** One input of a spilled operator, as its engine sees it. *)
 
-val begin_op : Runtime.mem -> bytes:int -> int * (string -> int -> string)
-(** [begin_op mem ~bytes] starts one spilled operator whose state is
-    [bytes]: counts it and its {!Runtime.spill_partitions_for} fan-out
-    [np] in [mem], and returns [np] with [path kind p], the run file of
-    partition [p] for the operator's [kind] of block, in
-    {!Runtime.run_dir}. *)
+type 'k block = {
+  pos : int array;  (** ascending logical positions *)
+  keys : 'k;  (** the side's key data gathered at [pos] *)
+}
+(** One partition of a side, or a whole side ({!whole}). *)
 
-val write_block : Runtime.mem -> string -> 'a -> unit
-(** [write_block mem path v] writes [v] to run file [path] with one
-    [Marshal] call and counts its bytes; the channel is closed on every
-    path. *)
-
-val read_block : string -> 'a
-(** [read_block path] reads back the value {!write_block} wrote to
-    [path] and removes the file. Like [Marshal.from_channel] it is
-    untyped: annotate the result with the type that was written. *)
+val whole : 'k side -> 'k block
+(** All of a side's rows as one block: an in-memory kernel's input. *)
 
 val join :
   Runtime.mem ->
-  build_bytes:int ->
-  lkey:(Value.t array -> Value.t array option) ->
-  rkey:(Value.t array -> Value.t array option) ->
-  emit:(Value.t array -> Value.t array -> unit) ->
-  Value.t array array ->
-  Value.t array array ->
+  bytes:int ->
+  kernel:('k block -> 'k block -> (int -> int -> unit) -> unit) ->
+  'k side ->
+  'k side ->
+  (int -> int -> unit) ->
   unit
-(** [join mem ~build_bytes ~lkey ~rkey ~emit lrows rrows] hash-joins
-    probe side [lrows] against build side [rrows] with run files,
-    calling [emit lrow rrow] in the in-memory kernel's exact sequence.
-    [lkey]/[rkey] box a row's key ([None] = NULL component, row drops
-    out); [build_bytes] sizes the partition fan-out. *)
+(** [join mem ~bytes ~kernel probe build emit] hash-joins [probe]
+    against [build] with run files and calls [emit l r] with logical
+    probe and build positions in the in-memory kernel's sequence. Rows
+    with a NULL key component never join and are dropped while
+    partitioning. [kernel p b e] is the engine's in-memory hash join of
+    probe block [p] against build block [b]: it calls [e i j] with
+    indices into the blocks, probe rows in order, each one's matches in
+    reverse build order. [bytes] (the build side's) sizes the fan-out. *)
 
 val agg :
   Runtime.mem ->
-  input_bytes:int ->
-  key:(Value.t array -> Value.t array) ->
-  na:int ->
-  feed_row:(Runtime.acc array -> Value.t array -> unit) ->
-  emit_group:(Value.t array -> Runtime.acc array -> unit) ->
-  Value.t array array ->
-  unit
-(** [agg mem ~input_bytes ~key ~na ~feed_row ~emit_group rows] groups
-    [rows] by [key] with run files, calling [emit_group] per group in
-    first-seen input order, accumulators fed in input order ([na]
-    accumulators per group). *)
+  bytes:int ->
+  kernel:('k block -> 'g * int array) ->
+  'k side ->
+  ('g * int) array
+(** [agg mem ~bytes ~kernel input] groups [input] with run files.
+    [kernel b] is the engine's in-memory grouping of block [b]: its
+    groups, and for each group id (dense, first-seen order) the block
+    index of the group's first row. The result names every group as
+    its partition's groups and its id there, in first-seen input
+    order. A NULL key component is a group value like any other. *)

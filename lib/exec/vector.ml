@@ -25,8 +25,9 @@
      arguments feed a boxed [Runtime.acc] per group;
    - sort produces a permutation selvec over the input columns instead
      of moving rows;
-   - a hash join or aggregation over budget partitions typed key
-     blocks to run files and runs the same kernels per partition.
+   - a hash join or aggregation over budget hands its typed key
+     columns to the Grace spill driver ([Spill]), which runs the same
+     kernels on one partition's key block at a time.
 
    This module is only those kernels ([kernels] at the bottom). The
    plan walk is [Runtime.compile]'s: child order, scans' replica gate,
@@ -353,24 +354,6 @@ let filter_select ch (t : tester) : int array =
   Array.sub out 0 !n
 
 (* --- join machinery --- *)
-
-(* Growable row-index pair accumulator. *)
-module Ivec = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create () = { a = Array.make 64 0; n = 0 }
-
-  let push v x =
-    if v.n = Array.length v.a then begin
-      let na = Array.make (2 * v.n) 0 in
-      Array.blit v.a 0 na 0 v.n;
-      v.a <- na
-    end;
-    Array.unsafe_set v.a v.n x;
-    v.n <- v.n + 1
-
-  let to_array v = Array.sub v.a 0 v.n
-end
 
 (* A join residual bound against the joined schema (left columns, then
    right): the positions it reads and its column binder. [None] when it
@@ -1030,7 +1013,7 @@ let group_rows ~(kcols : Col.t option array) ~(aggs : aggregator array) ~n ~ksel
           else codes.(k) <- (Array.unsafe_get encs k) i
         done;
         let g = Keytab.lookup tab codes ~insert:true in
-        if g = firsts.Ivec.n then Ivec.push firsts (!b + j);
+        if g = Ivec.length firsts then Ivec.push firsts (!b + j);
         Array.unsafe_set gids j g
       end
     done;
@@ -1059,20 +1042,12 @@ let hash_agg_chunk ~(kixs : int array) ~(agg_binds : (chunk -> aggregator) array
   let g = group_rows ~kcols:(key_cols ch kixs) ~aggs ~n:ch.card ~ksel:ch.sel ~asel:ch.sel in
   groups_chunk ~nk:(Array.length kixs) ~na:(Array.length aggs) g.ngroups ~key:g.key ~agg:g.agg
 
-(* --- Grace spill over typed blocks ---
+(* --- Grace spill: typed key blocks for [Spill] ---
 
-   When a hash join's build side or an aggregation's input would trip
-   the memory budget, the operator hash-partitions its key columns
-   into [Runtime.spill_partitions_for] run files, one typed block per
-   partition (its logical positions and its key columns gathered at
-   them, one [Marshal] each), and runs the in-memory kernels above on
-   one partition at a time. All rows of one key land in one partition
-   in ascending logical order, so each partition reproduces its share
-   of the in-memory emission exactly; the output is put back in order
-   by logical position (never physical row: under a [Sort] the
-   selection vector is a permutation). A partition's resident bytes —
-   its key values plus an 8-byte position per row — are charged while
-   it is processed. *)
+   Over budget, [Spill] partitions a chunk's logical positions, writes
+   its key columns gathered per partition, and runs the kernels above
+   on one partition's block at a time. Positions are logical, never
+   physical: under a [Sort] the selection vector is a permutation. *)
 
 (* A key column's partition hash of physical row [i]: [Value.hash] of
    its value, so values that are [Value.equal] hash equal across
@@ -1089,142 +1064,59 @@ let part_hash (c : Col.t) : int -> int =
   | Col.Floats _ | Col.Bools _ | Col.Values _ ->
     fun i -> ( match Col.get c i with Value.Null -> -1 | v -> Value.hash v)
 
-let null_hash = Value.hash Value.Null
+(* The physical rows of logical positions [pos]. *)
+let physical ch pos = match ch.sel with Some s -> Array.map (Array.get s) pos | None -> pos
 
-(* Partition a chunk's logical positions on [kcols] by
-   [Runtime.Row_key.hash] of the boxed key, computed column-typed, and
-   write partition [p] as the block [(positions, key columns)] to
-   [path p], returning the paths. With [join], a row with a NULL key
-   component is dropped (it never joins); otherwise NULL hashes as
-   [Value.hash Null]. An unresolvable key is NULL on every row, so it
-   drops every join row and is an all-NULL column in an aggregate's
-   blocks. *)
-let write_blocks mem ch (kcols : Col.t option array) ~np ~join (path : int -> string) =
-  let hashers = Array.map (function Some c -> part_hash c | None -> fun _ -> -1) kcols in
-  let parts = Array.init np (fun _ -> Ivec.create ()) in
-  for j = 0 to ch.card - 1 do
-    let i = at ch.sel j in
-    let h = ref 17 and keep = ref true in
-    for k = 0 to Array.length hashers - 1 do
-      let x = (Array.unsafe_get hashers k) i in
-      if x < 0 then begin
-        if join then keep := false;
-        h := (!h * 31) + null_hash
-      end
-      else h := (!h * 31) + x
-    done;
-    if !keep then Ivec.push parts.((!h land max_int) mod np) j
-  done;
-  Array.mapi
-    (fun p part ->
-      let ps = Ivec.to_array part in
-      let ix = match ch.sel with Some s -> Array.map (Array.get s) ps | None -> ps in
-      let cols =
+(* A chunk's key columns [ixs] as a spill side. An unresolvable key is
+   NULL on every row: it drops every join row and is an all-NULL column
+   in an aggregate's blocks. *)
+let spill_side ch (ixs : int array) : Col.t array Spill.side =
+  let kcols = key_cols ch ixs in
+  let logical h = match ch.sel with None -> h | Some s -> fun j -> h (Array.unsafe_get s j) in
+  {
+    rows = ch.card;
+    hashes = Array.map (function Some c -> logical (part_hash c) | None -> fun _ -> -1) kcols;
+    gather =
+      (fun pos ->
+        let ix = physical ch pos in
         Array.map
           (function
             | Some c -> Col.gather c ix
-            | None -> Col.of_value_array (Array.make (Array.length ps) Value.Null))
-          kcols
-      in
-      let f = path p in
-      Spill.write_block mem f (ps, cols);
-      f)
-    parts
+            | None -> Col.of_value_array (Array.make (Array.length pos) Value.Null))
+          kcols);
+    key_bytes = Array.fold_left (fun a c -> a + Col.byte_size c) 0;
+  }
 
-let read_keys path : int array * Col.t array = Spill.read_block path
+let block_chunk ({ pos; keys } : Col.t array Spill.block) =
+  { cols = keys; card = Array.length pos; sel = None }
 
-let block_bytes pos cols =
-  Array.fold_left (fun a c -> a + Col.byte_size c) (8 * Array.length pos) cols
-
-let block_chunk pos cols = { cols; card = Array.length pos; sel = None }
-
-(* Spilled hash join: each partition's probe block joins its build
-   block through [hash_join_pairs], and its matches are written as
-   logical (probe, build) position arrays. A partition emits each probe
-   row's matches contiguously, in reverse build-insertion order, so
-   counting the matches per probe position, prefix-summing and
-   scattering puts them back in the in-memory order in O(n). *)
 let spill_join mem ~bytes ~lixs ~rixs lch rch emit =
-  let np, path = Spill.begin_op mem ~bytes in
-  let bpaths = write_blocks mem rch (key_cols rch rixs) ~np ~join:true (path "b") in
-  let ppaths = write_blocks mem lch (key_cols lch lixs) ~np ~join:true (path "p") in
   let ids = Array.init (Array.length lixs) Fun.id in
-  (* [starts.(l + 1)] counts probe position [l]'s matches, then
-     prefix-sums to [starts.(l)] = the index of its first *)
-  let starts = Array.make (lch.card + 1) 0 in
-  let mpaths =
-    Array.init np (fun p ->
-        let rpos, rcols = read_keys bpaths.(p) in
-        let resident = block_bytes rpos rcols in
-        mem_charge mem resident;
-        let lpos, lcols = read_keys ppaths.(p) in
-        let ml = Ivec.create () and mr = Ivec.create () in
-        hash_join_pairs ~lixs:ids ~rixs:ids (block_chunk lpos lcols) (block_chunk rpos rcols)
-          (fun lj rj ->
-            let l = lpos.(lj) in
-            starts.(l + 1) <- starts.(l + 1) + 1;
-            Ivec.push ml l;
-            Ivec.push mr rpos.(rj));
-        let f = path "m" p in
-        Spill.write_block mem f (Ivec.to_array ml, Ivec.to_array mr);
-        mem_release mem resident;
-        f)
-  in
-  for l = 1 to lch.card do
-    starts.(l) <- starts.(l) + starts.(l - 1)
-  done;
-  let build = Array.make starts.(lch.card) 0 and next = Array.sub starts 0 lch.card in
-  Array.iter
-    (fun f ->
-      let (ml : int array), (mr : int array) = Spill.read_block f in
-      Array.iteri
-        (fun k l ->
-          build.(next.(l)) <- mr.(k);
-          next.(l) <- next.(l) + 1)
-        ml)
-    mpaths;
-  for l = 0 to lch.card - 1 do
-    for x = starts.(l) to starts.(l + 1) - 1 do
-      emit (at lch.sel l) (at rch.sel build.(x))
-    done
-  done
+  Spill.join mem ~bytes
+    ~kernel:(fun l r -> hash_join_pairs ~lixs:ids ~rixs:ids (block_chunk l) (block_chunk r))
+    (spill_side lch lixs) (spill_side rch rixs)
+    (fun l r -> emit (at lch.sel l) (at rch.sel r))
 
-(* Spilled hash aggregation: each partition's rows group through
-   [group_rows] with fresh typed aggregators (a group's rows share its
-   partition and arrive in input order, so it folds exactly as in
-   memory). Each group takes a slot at its first row's logical
-   position, and walking the slots gives first-seen order. A
-   partition keeps only its groups' keys and aggregator state. *)
+(* A partition's groups keep only their keys and aggregator state. *)
 let spill_agg mem ~bytes ~kixs ~agg_binds ch =
-  let np, path = Spill.begin_op mem ~bytes in
-  let paths = write_blocks mem ch (key_cols ch kixs) ~np ~join:false (path "p") in
-  let slot = Array.make ch.card (-1) in
-  let parts =
-    Array.mapi
-      (fun p f ->
-        let pos, cols = read_keys f in
-        let resident = block_bytes pos cols in
-        mem_charge mem resident;
-        let asel = match ch.sel with Some s -> Array.map (Array.get s) pos | None -> pos in
+  let groups =
+    Spill.agg mem ~bytes
+      ~kernel:(fun { pos; keys } ->
         let g =
-          group_rows ~kcols:(Array.map Option.some cols)
+          group_rows ~kcols:(Array.map Option.some keys)
             ~aggs:(Array.map (fun b -> b ch) agg_binds)
-            ~n:(Array.length pos) ~ksel:None ~asel:(Some asel)
+            ~n:(Array.length pos) ~ksel:None ~asel:(Some (physical ch pos))
         in
-        Array.iteri (fun gi j -> slot.(pos.(j)) <- (gi * np) + p) g.firsts;
-        mem_release mem resident;
-        (Array.map (fun c -> Col.gather c g.firsts) cols, g.agg))
-      paths
+        ((Array.map (fun c -> Col.gather c g.firsts) keys, g.agg), g.firsts))
+      (spill_side ch kixs)
   in
-  let order = Ivec.create () in
-  Array.iter (fun v -> if v >= 0 then Ivec.push order v) slot;
-  let group o f =
-    let v = order.Ivec.a.(o) in
-    f parts.(v mod np) (v / np)
-  in
-  groups_chunk ~nk:(Array.length kixs) ~na:(Array.length agg_binds) order.Ivec.n
-    ~key:(fun k o -> group o (fun (keys, _) g -> Col.get keys.(k) g))
-    ~agg:(fun a o -> group o (fun (_, agg) g -> agg a g))
+  groups_chunk ~nk:(Array.length kixs) ~na:(Array.length agg_binds) (Array.length groups)
+    ~key:(fun k o ->
+      let (keys, _), g = groups.(o) in
+      Col.get keys.(k) g)
+    ~agg:(fun a o ->
+      let (_, agg), g = groups.(o) in
+      agg a g)
 
 (* --- sort: a permutation selvec, no row movement --- *)
 

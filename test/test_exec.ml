@@ -23,6 +23,7 @@ let table_cols = function
   | "r" -> [ "a"; "b" ]
   | "s" -> [ "a"; "c" ]
   | "t" -> [ "k"; "f"; "d"; "w" ]
+  | "w" -> [ "k"; "g"; "pad" ]
   | t -> Alcotest.failf "unknown table %s" t
 
 (* A table past one 1024-row batch and a 64-group key table, for the
@@ -926,6 +927,46 @@ let test_spill_cleanup () =
             fun ~budget p -> Exec.Vector.run ~faults ~budget ~network ~db ~table_cols p );
         ])
 
+let test_spill_dir_missing () =
+  (* A spill directory that cannot be created is a [Runtime_error]
+     naming it, on either engine, and leaves no lock file behind and no
+     descriptor open. *)
+  let parent = Filename.temp_file "cgqp-spilltest-" "" in
+  Sys.remove parent;
+  let parent = parent ^ ".d" in
+  Unix.mkdir parent 0o700;
+  let missing = Filename.concat parent "missing" in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "CGQP_SPILL_DIR" "";
+      Array.iter (fun f -> Sys.remove (Filename.concat parent f)) (Sys.readdir parent);
+      Unix.rmdir parent)
+    (fun () ->
+      Unix.putenv "CGQP_SPILL_DIR" missing;
+      let db = default_db () in
+      let plan =
+        node
+          (P.Hash_join { keys = [ (attr "r" "a", attr "s" "a") ]; residual = Pred.True })
+          [ scan "r"; scan "s" ]
+      in
+      let fds () =
+        if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd")
+        else 0
+      in
+      let fds0 = fds () in
+      List.iter
+        (fun engine ->
+          let name = Exec.Engine.to_string engine in
+          (match Exec.Engine.run ~engine ~budget:0 ~network ~db ~table_cols plan with
+          | _ -> Alcotest.failf "%s: a missing spill directory must raise" name
+          | exception Exec.Runtime.Runtime_error m ->
+            Alcotest.(check bool)
+              (name ^ ": the error names the directory") true
+              (Astring.String.is_infix ~affix:missing m));
+          Alcotest.(check (array string)) (name ^ ": no lock file") [||] (Sys.readdir parent);
+          Alcotest.(check int) (name ^ ": no leaked descriptors") fds0 (fds ()))
+        [ Exec.Engine.Reference; Exec.Engine.Vector ])
+
 let test_spill_order_and_hash () =
   (* The spill path partitions typed key columns and restores the
      in-memory order by logical position. Over a [Sort] the selection
@@ -995,18 +1036,14 @@ let test_spill_order_and_hash () =
               t_rows)))
 
 let test_spill_counter_parity () =
-  (* The spill decision is engine-independent: over the twelve TPC-H
-     queries, under a budget small enough to spill, both engines spill
-     the same operators into the same number of partitions, really
-     write run files, reach the same peak of tracked bytes, and give
-     the same reports. *)
-  let cat = Tpch.Schema.catalog () in
-  let db = Tpch.Datagen.load ~cat (Tpch.Datagen.generate ~sf:0.002 ()) in
-  let session = Cgqp.create ~catalog:cat () in
-  Cgqp.add_policies session Tpch.Policies.unrestricted;
-  Cgqp.attach_database session db;
-  let network = Catalog.network cat and table_cols = Catalog.table_cols cat in
-  let budget = 64 * 1024 in
+  (* The spill decision and the memory account are engine-independent:
+     under budgets small enough to spill, both engines spill the same
+     operators into the same number of partitions, really write run
+     files, reach the same peak of tracked bytes, and give the same
+     reports. First two spill-dominated plans, whose peaks are the
+     spill path's own partition charges: a build side of wide rows
+     that never matches, and 300 groups over wide rows. Then the
+     twelve TPC-H queries. *)
   let counted run =
     Exec.Runtime.reset_mem_stats ();
     let ops = Exec.Runtime.spilled_operators ()
@@ -1018,29 +1055,72 @@ let test_spill_counter_parity () =
       Exec.Runtime.spill_partitions () - parts,
       Exec.Runtime.spill_run_bytes () - bytes )
   in
+  (* Both engines on [plan]: how many operators spilled. *)
+  let agree name ~network ~db ~table_cols ~budget plan =
+    let ifp, iops, iparts, ibytes =
+      counted (fun () -> Exec.Interp.run ~budget ~network ~db ~table_cols plan)
+    in
+    let vfp, vops, vparts, vbytes =
+      counted (fun () -> Exec.Vector.run ~budget ~network ~db ~table_cols plan)
+    in
+    Alcotest.(check int) (name ^ ": spilled operators") iops vops;
+    Alcotest.(check int) (name ^ ": spill partitions") iparts vparts;
+    List.iter
+      (fun (engine, bytes) ->
+        if vops > 0 && bytes <= 0 then
+          Alcotest.failf "%s: %s spilled but wrote no run bytes" name engine)
+      [ ("reference", ibytes); ("vector", vbytes) ];
+    Alcotest.(check int) (name ^ ": peak tracked bytes") (snd ifp) (snd vfp);
+    Alcotest.(check bool) (name ^ ": same report") true (fst ifp = fst vfp);
+    vops
+  in
+  let wide =
+    db_with
+      [
+        ( "w",
+          [ "k"; "g"; "pad" ],
+          List.init 500 (fun i ->
+              [| Value.Int (1000 + i); Value.Int (i mod 300); Value.Str (String.make 200 'p') |]) );
+        ("r", [ "a"; "b" ], [ [| Value.Int 1; Value.Str "one" |]; [| Value.Int 2; Value.Str "two" |] ]);
+      ]
+  in
+  List.iter
+    (fun (name, plan) ->
+      List.iter
+        (fun budget ->
+          let name = Printf.sprintf "%s, budget %d" name budget in
+          if agree name ~network ~db:wide ~table_cols ~budget plan = 0 then
+            Alcotest.failf "%s: nothing spilled" name)
+        [ 0; 64 * 1024; 200_000 ])
+    [
+      ( "wide build, no matches",
+        node
+          (P.Hash_join { keys = [ (attr "r" "a", attr "w" "k") ]; residual = Pred.True })
+          [ scan "r"; scan "w" ] );
+      ( "300 groups of wide rows",
+        node
+          (P.Hash_agg
+             {
+               keys = [ attr "w" "g" ];
+               aggs = [ { Expr.fn = Expr.Max; arg = col "w" "pad"; alias = "m" } ];
+             })
+          [ scan "w" ] );
+    ];
+  let cat = Tpch.Schema.catalog () in
+  let db = Tpch.Datagen.load ~cat (Tpch.Datagen.generate ~sf:0.002 ()) in
+  let session = Cgqp.create ~catalog:cat () in
+  Cgqp.add_policies session Tpch.Policies.unrestricted;
+  Cgqp.attach_database session db;
+  let network = Catalog.network cat and table_cols = Catalog.table_cols cat in
   let spilled =
     List.fold_left
       (fun acc (name, sql) ->
         match Cgqp.optimize session sql with
         | Error e -> Alcotest.failf "%s failed to optimize: %s" name (Cgqp.error_to_string e)
         | Ok planned ->
-          let plan = planned.Optimizer.Planner.plan in
-          let ifp, iops, iparts, ibytes =
-            counted (fun () -> Exec.Interp.run ~budget ~network ~db ~table_cols plan)
-          in
-          let vfp, vops, vparts, vbytes =
-            counted (fun () -> Exec.Vector.run ~budget ~network ~db ~table_cols plan)
-          in
-          Alcotest.(check int) (name ^ ": spilled operators") iops vops;
-          Alcotest.(check int) (name ^ ": spill partitions") iparts vparts;
-          List.iter
-            (fun (engine, bytes) ->
-              if vops > 0 && bytes <= 0 then
-                Alcotest.failf "%s: %s spilled but wrote no run bytes" name engine)
-            [ ("reference", ibytes); ("vector", vbytes) ];
-          Alcotest.(check int) (name ^ ": peak tracked bytes") (snd ifp) (snd vfp);
-          Alcotest.(check bool) (name ^ ": same report") true (fst ifp = fst vfp);
-          acc + vops)
+          acc
+          + agree name ~network ~db ~table_cols ~budget:(64 * 1024)
+              planned.Optimizer.Planner.plan)
       0 Tpch.Queries.all_extended
   in
   Alcotest.(check bool) "some operator spilled" true (spilled > 0)
@@ -1432,6 +1512,8 @@ let () =
             test_differential_spill;
           Alcotest.test_case "spill dir cleanup on all exit paths" `Quick
             test_spill_cleanup;
+          Alcotest.test_case "spill directory that cannot be created" `Quick
+            test_spill_dir_missing;
           Alcotest.test_case "spill restores logical order, hashes by Value.equal" `Quick
             test_spill_order_and_hash;
           Alcotest.test_case "spill counters agree across engines" `Slow
