@@ -12,9 +12,11 @@
    Both engines run this one algorithm; an engine supplies only its
    key data (a [side]) and its in-memory kernels. The run files live in
    the execution's directory ([Runtime.run_dir]), one block per
-   partition: the partition's ascending logical positions and the
-   side's key data gathered at them, written with one [Marshal] call
-   (exact for first-order data, float bits included). A partition's
+   non-empty partition: the partition's ascending logical positions
+   and the side's key data gathered at them, written with one
+   [Marshal] call (exact for first-order data, float bits included).
+   A join skips a partition that has no build or no probe rows, and
+   writes no match file for a partition without matches. A partition's
    resident bytes — its key bytes plus an 8-byte position per row —
    are charged while it is processed.
 
@@ -81,11 +83,11 @@ let begin_op (mem : Runtime.mem) ~bytes =
 let null_hash = Relalg.Value.hash Relalg.Value.Null
 
 (* Partition [side]'s logical positions by the hash of the boxed key
-   ([h * 31 + component hash] from 17, as a row key hashes), write
-   partition [p]'s block to [path p], and return the paths. With
-   [join], a row with a NULL key component is dropped (it never
-   joins); otherwise NULL hashes as [Value.hash Null]. *)
-let write_blocks mem side ~np ~join path =
+   ([h * 31 + component hash] from 17, as a row key hashes): partition
+   [p]'s ascending positions. With [join], a row with a NULL key
+   component is dropped (it never joins); otherwise NULL hashes as
+   [Value.hash Null]. *)
+let partition side ~np ~join =
   let part = Array.make side.rows (-1) and counts = Array.make np 0 in
   let nk = Array.length side.hashes in
   for j = 0 to side.rows - 1 do
@@ -113,12 +115,11 @@ let write_blocks mem side ~np ~join path =
         fill.(p) <- fill.(p) + 1
       end)
     part;
-  Array.mapi
-    (fun p pos ->
-      let f = path p in
-      write mem f { pos; keys = side.gather pos };
-      f)
-    pos
+  pos
+
+let nonempty pos = Array.length pos > 0
+
+let write_block mem side f pos = write mem f { pos; keys = side.gather pos }
 
 (* Read back a block and charge it as resident; the caller releases
    the returned byte count. *)
@@ -130,32 +131,41 @@ let load (type k) mem (side : k side) f =
 
 let join (type k) mem ~bytes ~kernel (probe : k side) (build : k side) emit =
   let np, path = begin_op mem ~bytes in
-  let bpaths = write_blocks mem build ~np ~join:true (path "b") in
-  let ppaths = write_blocks mem probe ~np ~join:true (path "p") in
+  let bpos = partition build ~np ~join:true and ppos = partition probe ~np ~join:true in
+  (* a partition with no build or no probe rows has no matches: it
+     writes, reads and charges nothing *)
+  let live = List.filter (fun p -> nonempty bpos.(p) && nonempty ppos.(p)) (List.init np Fun.id) in
+  List.iter (fun p -> write_block mem build (path "b" p) bpos.(p)) live;
+  List.iter (fun p -> write_block mem probe (path "p" p) ppos.(p)) live;
   let n = probe.rows in
   (* [starts.(l + 1)] counts probe position [l]'s matches, then
      prefix-sums to [starts.(l)] = the index of its first *)
   let starts = Array.make (n + 1) 0 in
   let mpaths =
-    Array.init np (fun p ->
-        let b, resident = load mem build bpaths.(p) in
-        let (l : k block) = read ppaths.(p) in
+    List.filter_map
+      (fun p ->
+        let b, resident = load mem build (path "b" p) in
+        let (l : k block) = read (path "p" p) in
         let ml = Ivec.create () and mr = Ivec.create () in
         kernel l b (fun i j ->
             let lp = l.pos.(i) in
             starts.(lp + 1) <- starts.(lp + 1) + 1;
             Ivec.push ml lp;
             Ivec.push mr b.pos.(j));
-        let f = path "m" p in
-        write mem f (Ivec.to_array ml, Ivec.to_array mr);
         Runtime.mem_release mem resident;
-        f)
+        if Ivec.length ml = 0 then None
+        else begin
+          let f = path "m" p in
+          write mem f (Ivec.to_array ml, Ivec.to_array mr);
+          Some f
+        end)
+      live
   in
   for l = 1 to n do
     starts.(l) <- starts.(l) + starts.(l - 1)
   done;
   let matched = Array.make starts.(n) 0 and next = Array.sub starts 0 n in
-  Array.iter
+  List.iter
     (fun f ->
       let (ml : int array), (mr : int array) = read f in
       Array.iteri
@@ -172,20 +182,25 @@ let join (type k) mem ~bytes ~kernel (probe : k side) (build : k side) emit =
 
 let agg mem ~bytes ~kernel input =
   let np, path = begin_op mem ~bytes in
-  let paths = write_blocks mem input ~np ~join:false (path "p") in
+  let pos = partition input ~np ~join:false in
   (* [slot.(l)]: [g * np + p] when position [l] is the first row of
-     group [g] of partition [p], else -1 *)
+     group [g] of partition [p], else -1; an empty partition writes
+     no block and has no groups *)
   let slot = Array.make input.rows (-1) in
+  Array.iteri (fun p pos -> if nonempty pos then write_block mem input (path "p" p) pos) pos;
   let parts =
     Array.mapi
-      (fun p f ->
-        let b, resident = load mem input f in
-        let groups, firsts = kernel b in
-        Array.iteri (fun g j -> slot.(b.pos.(j)) <- (g * np) + p) firsts;
-        Runtime.mem_release mem resident;
-        groups)
-      paths
+      (fun p pos ->
+        if not (nonempty pos) then None
+        else begin
+          let b, resident = load mem input (path "p" p) in
+          let groups, firsts = kernel b in
+          Array.iteri (fun g j -> slot.(b.pos.(j)) <- (g * np) + p) firsts;
+          Runtime.mem_release mem resident;
+          Some groups
+        end)
+      pos
   in
   let order = Ivec.create () in
   Array.iter (fun v -> if v >= 0 then Ivec.push order v) slot;
-  Array.map (fun v -> (parts.(v mod np), v / np)) (Ivec.to_array order)
+  Array.map (fun v -> (Option.get parts.(v mod np), v / np)) (Ivec.to_array order)

@@ -5,8 +5,10 @@
     trip the execution's memory budget, the plan walk ({!Runtime.compile})
     runs the engine's spilled kernel, which calls {!join} or {!agg}
     here. They hash-partition the input's logical row positions into
-    {!Runtime.spill_partitions_for} run files, one block per partition
-    (its positions and the engine's key data gathered at them), run
+    {!Runtime.spill_partitions_for} partitions, one run file per
+    non-empty partition (its positions and the engine's key data
+    gathered at them; a join skips a partition with no build or no
+    probe rows), run
     the engine's in-memory kernel on one partition at a time with only
     that partition resident, and put the output back in {e exactly} the
     in-memory kernel's order (probe rows by position, matches in
