@@ -39,7 +39,7 @@
       join matches for each probe row in the build table's
       reverse-insertion order (what [Hashtbl.find_all] yields);
     - key batch-local work off absolute row indices, so batching (the
-      vectorized engine's 1024-row chunks) never reorders emission.
+      vectorized engine's batches) never reorders emission.
 
     [test/test_exec.ml]'s "ship order contract" unit test asserts the
     child-order half of this against all engines; the differential
