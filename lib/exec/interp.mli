@@ -122,8 +122,8 @@ val total_traffic_bytes : stats -> int
 
 exception Runtime_error of string
 (** Malformed plans (wrong arity, missing relations), or a spill
-    directory that cannot be created; same constructor as
-    {!Runtime.Runtime_error}. *)
+    directory in which a run file cannot be created; same constructor
+    as {!Runtime.Runtime_error}. *)
 
 val run :
   ?faults:Catalog.Network.Fault.schedule ->
@@ -147,5 +147,5 @@ val run :
     plus an explicit schedule, or a pre-masked network and no schedule,
     never both. Emits trace events and metrics per operator and per
     SHIP (see [docs/TRACING.md]); raises {!Runtime_error} on malformed
-    plans and on a spill directory that cannot be created, and
-    {!Ship_failed} on permanent transfer failures. *)
+    plans and on a spill directory in which a run file cannot be
+    created, and {!Ship_failed} on permanent transfer failures. *)

@@ -4,7 +4,7 @@
    run ([compile], at the bottom): SHIP accounting under the message
    cost model with fault injection and retry/backoff, per-operator
    profiles for EXPLAIN ANALYZE, the memory budget and the spill
-   directory, the boxed aggregate accumulators ([Interp]'s; [Vector]'s
+   decision, the boxed aggregate accumulators ([Interp]'s; [Vector]'s
    kernels have unboxed ones), and the metrics/trace emission. The
    engines supply only operator kernels, which is what makes them
    byte-identical on stats, profiles and traces. *)
@@ -162,16 +162,13 @@ type mem = {
   mutable peak : int;
   mutable spill_ops : int;  (* operators that took the spill path *)
   mutable spill_parts : int;  (* Grace partitions across those *)
-  mutable spill_run_bytes : int;  (* bytes written to run files *)
-  mutable run_dir : string option;  (* created on first spill *)
-  mutable run_lock : string option;  (* unique temp file reserving the name *)
+  mutable spill_run_bytes : int;  (* bytes appended to run files *)
 }
 
 let unlimited_budget = max_int
 
 let mem_create ~budget =
-  { budget; tracked = 0; peak = 0; spill_ops = 0; spill_parts = 0;
-    spill_run_bytes = 0; run_dir = None; run_lock = None }
+  { budget; tracked = 0; peak = 0; spill_ops = 0; spill_parts = 0; spill_run_bytes = 0 }
 
 let mem_charge m b =
   if m.budget <> unlimited_budget then begin
@@ -186,17 +183,10 @@ let mem_release m b =
 let should_spill m b =
   m.budget <> unlimited_budget && b > 0 && m.tracked + b > m.budget
 
-(* Grace fan-out: enough partitions that one partition of [bytes]
-   plausibly fits in a quarter of the budget, clamped to [2, 64]. *)
-let spill_partitions_for m ~bytes =
-  if m.budget <= 0 then 64
-  else
-    let per = max 1 (m.budget / 4) in
-    min 64 (max 2 ((bytes / per) + 1))
-
 (* "64m"-style byte counts: plain bytes, or a k/m/g suffix (powers of
-   1024); "unlimited" / empty / unset mean no budget. A count whose
-   product with its suffix overflows is rejected rather than wrapped. *)
+   1024); "unlimited" / "none" / "inf" / empty / unset mean no budget.
+   A count whose product with its suffix overflows is rejected rather
+   than wrapped. *)
 let parse_budget s =
   let s = String.trim (String.lowercase_ascii s) in
   match s with
@@ -238,47 +228,8 @@ let () =
   Obs.Metrics.gauge "cgqp_storage_segment_page_reads" (fun () ->
       float_of_int (Storage.Segment.page_reads ()))
 
-(* The execution's spill directory, created on first use:
-   [Filename.temp_file] atomically reserves a fresh name under
-   [CGQP_SPILL_DIR] (default: the system temp dir), kept as a lock file
-   until [mem_finish], and the directory lives beside it. *)
-let run_dir m =
-  match m.run_dir with
-  | Some d -> d
-  | None ->
-    let base =
-      match Sys.getenv_opt "CGQP_SPILL_DIR" with
-      | Some d when String.trim d <> "" -> d
-      | _ -> Filename.get_temp_dir_name ()
-    in
-    let lock =
-      try Filename.temp_file ~temp_dir:base "cgqp-spill-" ""
-      with Sys_error e -> fail "cannot create a spill directory in %s: %s" base e
-    in
-    m.run_lock <- Some lock;
-    let d = lock ^ ".d" in
-    (try Sys.mkdir d 0o700
-     with Sys_error e -> fail "cannot create spill directory %s: %s" d e);
-    m.run_dir <- Some d;
-    d
-
-let remove_run_dir m =
-  let quietly f x = try f x with Sys_error _ -> () in
-  Option.iter
-    (fun d ->
-      quietly
-        (fun d -> Array.iter (fun f -> quietly Sys.remove (Filename.concat d f)) (Sys.readdir d))
-        d;
-      quietly Sys.rmdir d)
-    m.run_dir;
-  Option.iter (quietly Sys.remove) m.run_lock;
-  m.run_dir <- None;
-  m.run_lock <- None
-
-(* Remove the spill directory and fold a finished execution's account
-   into the process-wide stats. *)
+(* Fold a finished execution's account into the process-wide stats. *)
 let mem_finish m =
-  remove_run_dir m;
   peak_tracked := max !peak_tracked m.peak;
   if m.spill_ops > 0 then begin
     Obs.Metrics.inc ~by:m.spill_ops c_spill_ops;

@@ -152,7 +152,7 @@ val total_traffic_bytes : stats -> int
 
 exception Runtime_error of string
 (** Malformed plans (wrong arity, missing relations), or a spill
-    directory that cannot be created. *)
+    directory in which a run file cannot be created. *)
 
 val fail : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Runtime_error} with a formatted message. *)
@@ -177,10 +177,10 @@ type mem = {
   mutable peak : int;
   mutable spill_ops : int;  (** operators that took the spill path *)
   mutable spill_parts : int;  (** Grace partitions across those *)
-  mutable spill_run_bytes : int;  (** bytes written to run files *)
-  mutable run_dir : string option;  (** the spill directory, once created *)
-  mutable run_lock : string option;  (** the temp file reserving its name *)
+  mutable spill_run_bytes : int;  (** bytes appended to run files *)
 }
+(** One execution's byte account and spill counters. It holds no
+    files: each spilled operator owns its run file ({!Spill}). *)
 
 val unlimited_budget : int
 (** [max_int]: disables accounting (budget-free runs pay nothing). *)
@@ -192,21 +192,12 @@ val should_spill : mem -> int -> bool
 (** Would charging this many more bytes exceed the budget? Always
     [false] under {!unlimited_budget}. *)
 
-val spill_partitions_for : mem -> bytes:int -> int
-(** Grace fan-out for spilling [bytes] of state: enough partitions
-    that one plausibly fits in a quarter of the budget, in [2, 64]. *)
-
 val parse_budget : string -> int option
 (** ["64m"]-style byte counts: plain bytes or a [k]/[m]/[g] suffix
-    (powers of 1024); ["unlimited"]/[""] mean no budget. [None] =
+    (powers of 1024); ["unlimited"], ["none"], ["inf"] and [""] mean
+    no budget (case and surrounding blanks ignored). [None] =
     unparseable, negative, or too large for an [int] once multiplied
     out. *)
-
-val run_dir : mem -> string
-(** The execution's spill directory, created on first call: a unique
-    directory under [CGQP_SPILL_DIR] (default: the system temp dir).
-    Raises {!Runtime_error} naming the directory when it cannot be
-    created. *)
 
 val peak_tracked_bytes : unit -> int
 (** Process-wide high-water mark of tracked bytes (across executions
@@ -340,6 +331,7 @@ val execute :
     (default: [CGQP_MEM_BUDGET], else unlimited) is the byte-accounted
     memory budget; [faults] (default empty) injects deterministic
     failures per SHIP attempt on top of the network's own schedule.
-    On every exit path the spill directory is removed and the
-    execution's peak and spill counts are folded into the process-wide
-    stats. Raises {!Ship_failed} and {!Replica_stale}. *)
+    On every exit path the execution's peak and spill counts are
+    folded into the process-wide stats (each spilled operator has
+    already closed and removed its own run file). Raises
+    {!Ship_failed} and {!Replica_stale}. *)

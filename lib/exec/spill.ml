@@ -1,8 +1,8 @@
 (* Grace-style spill-to-disk for hash join and hash aggregation.
 
    When an execution's memory budget trips ([Runtime.should_spill]),
-   hash join and aggregation partition their inputs into on-disk run
-   files instead of building the full hash table in memory, process
+   hash join and aggregation partition their inputs into an on-disk
+   run file instead of building the full hash table in memory, process
    each partition with only its own state resident, and re-emit the
    output in the exact order the in-memory kernel would have produced
    — so results, profiles, SHIP ledgers and EXPLAIN ANALYZE stay
@@ -10,15 +10,17 @@
    qcheck differential in [test/test_exec.ml]).
 
    Both engines run this one algorithm; an engine supplies only its
-   key data (a [side]) and its in-memory kernels. The run files live in
-   the execution's directory ([Runtime.run_dir]), one block per
-   non-empty partition: the partition's ascending logical positions
-   and the side's key data gathered at them, written with one
-   [Marshal] call (exact for first-order data, float bits included).
-   A join skips a partition that has no build or no probe rows, and
-   writes no match file for a partition without matches. A partition's
-   resident bytes — its key bytes plus an 8-byte position per row —
-   are charged while it is processed.
+   key data (a [side]) and its in-memory kernels. Each spilled
+   operator owns one run file under [CGQP_SPILL_DIR] (default: the
+   system temp dir), created when it starts and closed and removed on
+   every exit path. The file holds one block per non-empty partition
+   and side, appended at a remembered offset: the partition's
+   ascending logical positions and the side's key data gathered at
+   them, written with one [Marshal] call (exact for first-order data,
+   float bits included). A join skips a partition that has no build or
+   no probe rows, and appends no match block for a partition without
+   matches. A partition's resident bytes — its key bytes plus an
+   8-byte position per row — are charged while it is processed.
 
    Order preservation:
 
@@ -50,35 +52,71 @@ let whole side =
   let pos = Array.init side.rows Fun.id in
   { pos; keys = side.gather pos }
 
-(* --- run files --- *)
+(* --- the run file --- *)
 
-let write (mem : Runtime.mem) path v =
-  let oc = open_out_bin path in
+type run = {
+  mem : Runtime.mem;
+  path : string;
+  oc : out_channel;
+  mutable ic : in_channel option;  (* opened on the first read *)
+}
+
+(* Run [f] over a fresh run file, closed and removed on every exit
+   path. *)
+let with_run mem f =
+  let dir =
+    match Sys.getenv_opt "CGQP_SPILL_DIR" with
+    | Some d when String.trim d <> "" -> d
+    | _ -> Filename.get_temp_dir_name ()
+  in
+  let path, oc =
+    try Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:dir "cgqp-run-" ""
+    with Sys_error e -> Runtime.fail "cannot create a spill run file in %s: %s" dir e
+  in
+  let run = { mem; path; oc; ic = None } in
   Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Marshal.to_channel oc v [];
-      mem.spill_run_bytes <- mem.spill_run_bytes + pos_out oc;
-      close_out oc)
+    ~finally:(fun () ->
+      close_out_noerr oc;
+      Option.iter close_in_noerr run.ic;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f run)
+
+(* Append [v] and return its offset. *)
+let write run v =
+  let off = pos_out run.oc in
+  Marshal.to_channel run.oc v [];
+  run.mem.spill_run_bytes <- run.mem.spill_run_bytes + (pos_out run.oc - off);
+  off
 
 (* Untyped like [Marshal.from_channel]: each caller annotates the type
    it wrote. *)
-let read path =
-  let ic = open_in_bin path in
-  let v = Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> Marshal.from_channel ic) in
-  (try Sys.remove path with Sys_error _ -> ());
-  v
+let read run off =
+  flush run.oc;
+  let ic =
+    match run.ic with
+    | Some ic -> ic
+    | None ->
+      let ic = open_in_bin run.path in
+      run.ic <- Some ic;
+      ic
+  in
+  seek_in ic off;
+  Marshal.from_channel ic
 
-(* Start a spilled operator: count it and its fan-out [np], and lay out
-   its run-file paths ([path kind p]: partition [p]'s block of [kind]). *)
+(* Grace fan-out: enough partitions that one partition of [bytes]
+   plausibly fits in a quarter of the budget, clamped to [2, 64]. *)
+let partitions_for (mem : Runtime.mem) ~bytes =
+  if mem.budget <= 0 then 64
+  else
+    let per = max 1 (mem.budget / 4) in
+    min 64 (max 2 ((bytes / per) + 1))
+
+(* Start a spilled operator: count it and its fan-out. *)
 let begin_op (mem : Runtime.mem) ~bytes =
-  let np = Runtime.spill_partitions_for mem ~bytes in
-  let seq = mem.spill_ops in
-  mem.spill_ops <- seq + 1;
+  let np = partitions_for mem ~bytes in
+  mem.spill_ops <- mem.spill_ops + 1;
   mem.spill_parts <- mem.spill_parts + np;
-  let dir = Runtime.run_dir mem in
-  let path kind p = Filename.concat dir (Printf.sprintf "op%d-%s%d.run" seq kind p) in
-  (np, path)
+  np
 
 let null_hash = Relalg.Value.hash Relalg.Value.Null
 
@@ -119,33 +157,34 @@ let partition side ~np ~join =
 
 let nonempty pos = Array.length pos > 0
 
-let write_block mem side f pos = write mem f { pos; keys = side.gather pos }
+let write_block run side pos = write run { pos; keys = side.gather pos }
 
 (* Read back a block and charge it as resident; the caller releases
    the returned byte count. *)
-let load (type k) mem (side : k side) f =
-  let (b : k block) = read f in
+let load (type k) run (side : k side) off =
+  let (b : k block) = read run off in
   let resident = side.key_bytes b.keys + (8 * Array.length b.pos) in
-  Runtime.mem_charge mem resident;
+  Runtime.mem_charge run.mem resident;
   (b, resident)
 
 let join (type k) mem ~bytes ~kernel (probe : k side) (build : k side) emit =
-  let np, path = begin_op mem ~bytes in
+  let np = begin_op mem ~bytes in
+  with_run mem @@ fun run ->
   let bpos = partition build ~np ~join:true and ppos = partition probe ~np ~join:true in
   (* a partition with no build or no probe rows has no matches: it
      writes, reads and charges nothing *)
   let live = List.filter (fun p -> nonempty bpos.(p) && nonempty ppos.(p)) (List.init np Fun.id) in
-  List.iter (fun p -> write_block mem build (path "b" p) bpos.(p)) live;
-  List.iter (fun p -> write_block mem probe (path "p" p) ppos.(p)) live;
+  let boffs = List.map (fun p -> write_block run build bpos.(p)) live in
+  let poffs = List.map (fun p -> write_block run probe ppos.(p)) live in
   let n = probe.rows in
   (* [starts.(l + 1)] counts probe position [l]'s matches, then
      prefix-sums to [starts.(l)] = the index of its first *)
   let starts = Array.make (n + 1) 0 in
-  let mpaths =
+  let moffs =
     List.filter_map
-      (fun p ->
-        let b, resident = load mem build (path "b" p) in
-        let (l : k block) = read (path "p" p) in
+      (fun (boff, poff) ->
+        let b, resident = load run build boff in
+        let (l : k block) = read run poff in
         let ml = Ivec.create () and mr = Ivec.create () in
         kernel l b (fun i j ->
             let lp = l.pos.(i) in
@@ -154,26 +193,22 @@ let join (type k) mem ~bytes ~kernel (probe : k side) (build : k side) emit =
             Ivec.push mr b.pos.(j));
         Runtime.mem_release mem resident;
         if Ivec.length ml = 0 then None
-        else begin
-          let f = path "m" p in
-          write mem f (Ivec.to_array ml, Ivec.to_array mr);
-          Some f
-        end)
-      live
+        else Some (write run (Ivec.to_array ml, Ivec.to_array mr)))
+      (List.combine boffs poffs)
   in
   for l = 1 to n do
     starts.(l) <- starts.(l) + starts.(l - 1)
   done;
   let matched = Array.make starts.(n) 0 and next = Array.sub starts 0 n in
   List.iter
-    (fun f ->
-      let (ml : int array), (mr : int array) = read f in
+    (fun off ->
+      let (ml : int array), (mr : int array) = read run off in
       Array.iteri
         (fun k l ->
           matched.(next.(l)) <- mr.(k);
           next.(l) <- next.(l) + 1)
         ml)
-    mpaths;
+    moffs;
   for l = 0 to n - 1 do
     for x = starts.(l) to starts.(l + 1) - 1 do
       emit l matched.(x)
@@ -181,25 +216,26 @@ let join (type k) mem ~bytes ~kernel (probe : k side) (build : k side) emit =
   done
 
 let agg mem ~bytes ~kernel input =
-  let np, path = begin_op mem ~bytes in
+  let np = begin_op mem ~bytes in
+  with_run mem @@ fun run ->
   let pos = partition input ~np ~join:false in
   (* [slot.(l)]: [g * np + p] when position [l] is the first row of
      group [g] of partition [p], else -1; an empty partition writes
      no block and has no groups *)
   let slot = Array.make input.rows (-1) in
-  Array.iteri (fun p pos -> if nonempty pos then write_block mem input (path "p" p) pos) pos;
+  let offs =
+    Array.map (fun pos -> if nonempty pos then Some (write_block run input pos) else None) pos
+  in
   let parts =
     Array.mapi
-      (fun p pos ->
-        if not (nonempty pos) then None
-        else begin
-          let b, resident = load mem input (path "p" p) in
-          let groups, firsts = kernel b in
-          Array.iteri (fun g j -> slot.(b.pos.(j)) <- (g * np) + p) firsts;
-          Runtime.mem_release mem resident;
-          Some groups
-        end)
-      pos
+      (fun p ->
+        Option.map (fun off ->
+            let b, resident = load run input off in
+            let groups, firsts = kernel b in
+            Array.iteri (fun g j -> slot.(b.pos.(j)) <- (g * np) + p) firsts;
+            Runtime.mem_release mem resident;
+            groups))
+      offs
   in
   let order = Ivec.create () in
   Array.iter (fun v -> if v >= 0 then Ivec.push order v) slot;

@@ -4,20 +4,27 @@
     When {!Runtime.should_spill} says an operator's scratch state would
     trip the execution's memory budget, the plan walk ({!Runtime.compile})
     runs the engine's spilled kernel, which calls {!join} or {!agg}
-    here. They hash-partition the input's logical row positions into
-    {!Runtime.spill_partitions_for} partitions, one run file per
-    non-empty partition (its positions and the engine's key data
-    gathered at them; a join skips a partition with no build or no
-    probe rows), run
-    the engine's in-memory kernel on one partition at a time with only
-    that partition resident, and put the output back in {e exactly} the
-    in-memory kernel's order (probe rows by position, matches in
-    reverse insertion order; groups in first-seen order, each fed its
-    rows in input order) — so spilling is byte-invisible to results,
-    SHIP ledgers, profiles and EXPLAIN ANALYZE.
+    here. They hash-partition the input's logical row positions into up
+    to 64 partitions (enough that one plausibly fits in a quarter of
+    the budget) and append one block per non-empty partition (its
+    positions and the engine's key data gathered at them; a join skips
+    a partition with no build or no probe rows) to the operator's one
+    run file. They then run the engine's in-memory kernel on one
+    partition at a time with only that partition resident, and put the
+    output back in {e exactly} the in-memory kernel's order (probe rows
+    by position, matches in reverse insertion order; groups in
+    first-seen order, each fed its rows in input order) — so spilling
+    is byte-invisible to results, SHIP ledgers, profiles and EXPLAIN
+    ANALYZE.
+
+    The run file is created under [CGQP_SPILL_DIR] (default: the system
+    temp dir) when the operator starts, and closed and removed on every
+    exit path, a raising kernel or [gather] included; a directory in
+    which it cannot be created raises {!Runtime.Runtime_error} naming
+    it.
 
     Everything but the key data and the kernels is this module's: the
-    partitioning, the run-file format, the resident charge (a
+    partitioning, the run file, the resident charge (a
     partition's key bytes plus 8 per row, under either engine) and the
     order restore. An engine describes each input as a {!side} and
     supplies its kernel over {!block}s. See [docs/STORAGE.md] and the

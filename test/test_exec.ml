@@ -793,19 +793,19 @@ let test_differential_under_faults () =
        (QCheck.pair Plangen.arbitrary_plan QCheck.small_nat)
        prop)
 
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
 (* A fresh directory for segment files, removed with everything in it
    once [f] returns or raises. *)
 let with_segment_dir f =
   let dir = Filename.temp_file "cgqp-pagedtest-" "" in
   Sys.remove dir;
   let dir = dir ^ ".d" in
-  let rec rm_rf path =
-    if Sys.is_directory path then begin
-      Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-      Unix.rmdir path
-    end
-    else Sys.remove path
-  in
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir) (fun () -> f dir)
 
 let test_differential_spill () =
@@ -889,20 +889,33 @@ let test_paged_scan_pruning () =
   Alcotest.(check bool) "same report as resident" true
     (result_fp v = result_fp (Exec.Vector.run ~network ~db:resident ~table_cols plan))
 
-let test_spill_cleanup () =
-  (* Spill run files must vanish on every exit path: normal completion
-     and a Ship_failed unwind alike leave CGQP_SPILL_DIR empty. *)
+(* Run [f] with [CGQP_SPILL_DIR] set to [dir], then restore its value
+   (unset reads as empty: the system temp dir). *)
+let with_spill_env dir f =
+  let prev = Option.value (Sys.getenv_opt "CGQP_SPILL_DIR") ~default:"" in
+  Unix.putenv "CGQP_SPILL_DIR" dir;
+  Fun.protect ~finally:(fun () -> Unix.putenv "CGQP_SPILL_DIR" prev) f
+
+(* A fresh directory as CGQP_SPILL_DIR while [f] runs, removed with
+   everything in it once [f] returns or raises. *)
+let with_spill_dir f =
   let dir = Filename.temp_file "cgqp-spilltest-" "" in
   Sys.remove dir;
   let dir = dir ^ ".d" in
   Unix.mkdir dir 0o700;
   Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "CGQP_SPILL_DIR" "";
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () ->
-      Unix.putenv "CGQP_SPILL_DIR" dir;
+    ~finally:(fun () -> rm_rf dir)
+    (fun () -> with_spill_env dir (fun () -> f dir))
+
+(* Open descriptors, where /proc/self/fd lists them: a run file left
+   open on any path shows up here. *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd") else 0
+
+let test_spill_cleanup () =
+  (* Spill run files must vanish on every exit path: normal completion
+     and a Ship_failed unwind alike leave CGQP_SPILL_DIR empty. *)
+  with_spill_dir (fun dir ->
       let db = default_db () in
       let spilling_join ?loc () =
         node ?loc
@@ -918,17 +931,11 @@ let test_spill_cleanup () =
              })
           [ spilling_join () ]
       in
-      (* open descriptors, where /proc/self/fd lists them: a run file
-         left open on any path shows up here *)
-      let fds () =
-        if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd")
-        else 0
-      in
-      let fds0 = fds () in
+      let fds0 = open_fds () in
       let check_empty ctx =
         Alcotest.(check (array string))
           (ctx ^ ": spill dir empty") [||] (Sys.readdir dir);
-        Alcotest.(check int) (ctx ^ ": no leaked descriptors") fds0 (fds ())
+        Alcotest.(check int) (ctx ^ ": no leaked descriptors") fds0 (open_fds ())
       in
       List.iter
         (fun (name, exec) ->
@@ -970,43 +977,154 @@ let test_spill_cleanup () =
 
 let test_spill_dir_missing () =
   (* A spill directory that cannot be created is a [Runtime_error]
-     naming it, on either engine, and leaves no lock file behind and no
+     naming it, on either engine, and leaves no file behind and no
      descriptor open. *)
-  let parent = Filename.temp_file "cgqp-spilltest-" "" in
-  Sys.remove parent;
-  let parent = parent ^ ".d" in
-  Unix.mkdir parent 0o700;
+  with_spill_dir @@ fun parent ->
   let missing = Filename.concat parent "missing" in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "CGQP_SPILL_DIR" "";
-      Array.iter (fun f -> Sys.remove (Filename.concat parent f)) (Sys.readdir parent);
-      Unix.rmdir parent)
-    (fun () ->
-      Unix.putenv "CGQP_SPILL_DIR" missing;
-      let db = default_db () in
-      let plan =
-        node
-          (P.Hash_join { keys = [ (attr "r" "a", attr "s" "a") ]; residual = Pred.True })
-          [ scan "r"; scan "s" ]
-      in
-      let fds () =
-        if Sys.file_exists "/proc/self/fd" then Array.length (Sys.readdir "/proc/self/fd")
-        else 0
-      in
-      let fds0 = fds () in
-      List.iter
-        (fun engine ->
-          let name = Exec.Engine.to_string engine in
-          (match Exec.Engine.run ~engine ~budget:0 ~network ~db ~table_cols plan with
-          | _ -> Alcotest.failf "%s: a missing spill directory must raise" name
-          | exception Exec.Runtime.Runtime_error m ->
-            Alcotest.(check bool)
-              (name ^ ": the error names the directory") true
-              (Astring.String.is_infix ~affix:missing m));
-          Alcotest.(check (array string)) (name ^ ": no lock file") [||] (Sys.readdir parent);
-          Alcotest.(check int) (name ^ ": no leaked descriptors") fds0 (fds ()))
-        [ Exec.Engine.Reference; Exec.Engine.Vector ])
+  with_spill_env missing @@ fun () ->
+  let db = default_db () in
+  let plan =
+    node
+      (P.Hash_join { keys = [ (attr "r" "a", attr "s" "a") ]; residual = Pred.True })
+      [ scan "r"; scan "s" ]
+  in
+  let fds0 = open_fds () in
+  List.iter
+    (fun engine ->
+      let name = Exec.Engine.to_string engine in
+      (match Exec.Engine.run ~engine ~budget:0 ~network ~db ~table_cols plan with
+      | _ -> Alcotest.failf "%s: a missing spill directory must raise" name
+      | exception Exec.Runtime.Runtime_error m ->
+        Alcotest.(check bool)
+          (name ^ ": the error names the directory") true
+          (Astring.String.is_infix ~affix:missing m));
+      Alcotest.(check (array string)) (name ^ ": nothing created") [||] (Sys.readdir parent);
+      Alcotest.(check int) (name ^ ": no leaked descriptors") fds0 (open_fds ()))
+    [ Exec.Engine.Reference; Exec.Engine.Vector ]
+
+(* [Exec.Spill] driven directly, at budget 0 (64 partitions), over int
+   keys with in-memory kernels that emit as the engines' do: probe rows
+   in order, each one's matches in reverse build order; groups in
+   first-seen order. *)
+let spill_mem () =
+  { Exec.Runtime.budget = 0; tracked = 0; peak = 0; spill_ops = 0; spill_parts = 0;
+    spill_run_bytes = 0 }
+
+let int_side keys =
+  {
+    Exec.Spill.rows = Array.length keys;
+    hashes = [| (fun j -> Value.hash (Value.Int keys.(j))) |];
+    gather = (fun pos -> Array.map (fun j -> keys.(j)) pos);
+    key_bytes = (fun k -> 8 * Array.length k);
+  }
+
+let spill_keys = Array.init 500 (fun i -> i * 7 mod 97)
+
+let int_join_kernel (p : int array Exec.Spill.block) (b : int array Exec.Spill.block) e =
+  Array.iteri
+    (fun i k ->
+      for j = Array.length b.keys - 1 downto 0 do
+        if b.keys.(j) = k then e i j
+      done)
+    p.keys
+
+let int_agg_kernel (b : int array Exec.Spill.block) =
+  let seen = Hashtbl.create 16 and firsts = Queue.create () in
+  Array.iteri
+    (fun j k ->
+      if not (Hashtbl.mem seen k) then begin
+        Hashtbl.add seen k ();
+        Queue.add j firsts
+      end)
+    b.keys;
+  let firsts = Array.of_seq (Queue.to_seq firsts) in
+  (Array.map (fun j -> b.keys.(j)) firsts, firsts)
+
+exception Injected
+
+let test_spill_injected_failures () =
+  (* A failure inside a spilled operator, while it writes its run file
+     (a side's [gather] raises on its second call) or while it reads
+     blocks back (the kernel raises on its second call, after a match
+     block has been appended), propagates unchanged and leaves no file
+     and no open descriptor behind. *)
+  with_spill_dir @@ fun dir ->
+  let fds0 = open_fds () in
+  let second_call_raises () =
+    let calls = ref 0 in
+    fun () ->
+      incr calls;
+      if !calls = 2 then raise Injected
+  in
+  let failing_gather () =
+    let tick = second_call_raises () and side = int_side spill_keys in
+    { side with gather = (fun pos -> tick (); side.gather pos) }
+  in
+  let side = int_side spill_keys and ignore2 _ _ = () in
+  List.iter
+    (fun (name, run) ->
+      (match run () with
+      | () -> Alcotest.failf "%s: the injected failure must propagate" name
+      | exception Injected -> ());
+      Alcotest.(check (array string)) (name ^ ": spill dir empty") [||] (Sys.readdir dir);
+      Alcotest.(check int) (name ^ ": no leaked descriptors") fds0 (open_fds ()))
+    [
+      ( "join, mid-write",
+        fun () ->
+          Exec.Spill.join (spill_mem ()) ~bytes:0 ~kernel:int_join_kernel side
+            (failing_gather ()) ignore2 );
+      ( "join, mid-read",
+        fun () ->
+          let tick = second_call_raises () in
+          Exec.Spill.join (spill_mem ()) ~bytes:0
+            ~kernel:(fun p b e ->
+              tick ();
+              int_join_kernel p b e)
+            side side ignore2 );
+      ( "agg, mid-write",
+        fun () ->
+          ignore (Exec.Spill.agg (spill_mem ()) ~bytes:0 ~kernel:int_agg_kernel (failing_gather ()))
+      );
+      ( "agg, mid-read",
+        fun () ->
+          let tick = second_call_raises () in
+          ignore
+            (Exec.Spill.agg (spill_mem ()) ~bytes:0
+               ~kernel:(fun b ->
+                 tick ();
+                 int_agg_kernel b)
+               side) );
+    ]
+
+let test_spill_one_run_file () =
+  (* A spilled operator holds exactly one file in CGQP_SPILL_DIR while
+     its kernels run, and emits as the in-memory kernel does. *)
+  with_spill_dir @@ fun dir ->
+  let side = int_side spill_keys and whole = Exec.Spill.whole (int_side spill_keys) in
+  let seen = ref [] in
+  let listing kernel =
+    seen := [];
+    fun b ->
+      seen := Array.length (Sys.readdir dir) :: !seen;
+      kernel b
+  in
+  let check_one name =
+    Alcotest.(check bool) (name ^ ": the kernel ran") true (!seen <> []);
+    Alcotest.(check (list int)) (name ^ ": one file while it runs")
+      (List.map (fun _ -> 1) !seen) !seen
+  in
+  let pairs = Queue.create () and expected = Queue.create () in
+  Exec.Spill.join (spill_mem ()) ~bytes:0 ~kernel:(listing int_join_kernel) side side (fun l r ->
+      Queue.add (l, r) pairs);
+  check_one "join";
+  int_join_kernel whole whole (fun l r -> Queue.add (l, r) expected);
+  Alcotest.(check (list (pair int int))) "join: in-memory order"
+    (List.of_seq (Queue.to_seq expected)) (List.of_seq (Queue.to_seq pairs));
+  let groups = Exec.Spill.agg (spill_mem ()) ~bytes:0 ~kernel:(listing int_agg_kernel) side in
+  check_one "agg";
+  Alcotest.(check (array int)) "agg: first-seen order"
+    (fst (int_agg_kernel whole))
+    (Array.map (fun (g, i) -> g.(i)) groups)
 
 let test_spill_order_and_hash () =
   (* The spill path partitions typed key columns and restores the
@@ -1772,6 +1890,10 @@ let () =
             test_spill_cleanup;
           Alcotest.test_case "spill directory that cannot be created" `Quick
             test_spill_dir_missing;
+          Alcotest.test_case "spill: injected failures inside an operator" `Quick
+            test_spill_injected_failures;
+          Alcotest.test_case "spill: one run file per operator" `Quick
+            test_spill_one_run_file;
           Alcotest.test_case "spill restores logical order, hashes by Value.equal" `Quick
             test_spill_order_and_hash;
           Alcotest.test_case "spill counters agree across engines" `Slow
