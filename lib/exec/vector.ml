@@ -7,7 +7,8 @@
 
    - a node's output is a {i chunk}: the input columns plus an optional
      selection vector, so filters refine a selvec per batch without
-     materializing anything;
+     materializing anything (a filter every row passes returns its
+     input);
    - a predicate binds once per execution to a {i view} of typed
      columns and becomes a {i refiner}, which narrows a batch's list of
      positions: each atom whose operands have a typed representation
@@ -19,8 +20,12 @@
    - hash joins and aggregations share one unboxed key table: each key
      component becomes an int code (the value itself, or a string or
      boxed-value dictionary code) and the code tuple maps to a dense
-     id by open addressing over flat int arrays; joins encode a batch
-     of rows one key component at a time, then look the batch up;
+     id. When every component is an int value and the product of the
+     components' ranges is at most max(4,096, 4 * rows), the id sits
+     at the tuple's mixed-radix offset into one int array (direct
+     layout); otherwise open addressing over flat int arrays finds it
+     (hashed layout). Joins and groupings encode a batch of rows one
+     key component at a time, then look the batch up;
    - hash joins chain build rows per id, collect matching row-index
      pairs, and materialize the output once with [Column.gather]; a
      join residual refines candidate pairs a batch at a time through
@@ -624,28 +629,96 @@ let bind_residual (cschema : Attr.t list) (p : Pred.t) =
 
    Hash joins and aggregations encode each key component of a row as
    an int code (see the encoders below) and map the [nk]-tuple of codes
-   to a dense id, 0, 1, 2, ... in first-insertion order. Open
-   addressing with linear probing over flat int arrays: nothing is
-   boxed, and only growth allocates. *)
+   to a dense id, 0, 1, 2, ... in first-insertion order. Ids live in
+   one flat [int array] of slots (-1 = empty), and the table's layout,
+   chosen when it is created, is how a code tuple finds its slot:
+
+   - direct: when every component's codes are int values in a known
+     range (a join's [Raw_key]s, a grouping's [Ints]/[Dates] keys) and
+     the product of the ranges' widths is within [direct_bound], the
+     slot is the tuple's mixed-radix offset: no hash, no probe, and a
+     code outside its component's range misses before any load;
+   - hashed: otherwise (dictionary codes, wide ranges), a multiplicative
+     hash and linear probing, with the codes of each id kept in a
+     second flat array to compare against.
+
+   Nothing is boxed, and only the hashed layout's growth allocates. *)
 module Keytab = struct
   type t = {
     nk : int;
-    mutable slots : int array;  (* an id, or -1 = empty; power-of-two length *)
-    mutable keys : int array;  (* id's codes at [id * nk], ..., [id * nk + nk - 1] *)
+    mutable slots : int array;  (* an id, or -1 = empty *)
     mutable n : int;  (* ids assigned *)
+    direct : bool;
+    (* direct: component [k]'s codes run from [lo.(k)] over [width.(k)] values *)
+    lo : int array;
+    width : int array;
+    (* hashed: [slots] has a power-of-two length, and id's codes sit at
+       [keys.(id * nk)], ..., [keys.(id * nk + nk - 1)] *)
+    mutable keys : int array;
   }
 
   let rec pow2_above c n = if c > n then c else pow2_above (2 * c) n
 
-  (* Room for [size] ids before the first growth. *)
-  let create ~nk size =
+  (* The hashed layout, with room for [size] ids before the first
+     growth: at least [2 size] slots plus [size * nk] keys. *)
+  let hashed ~nk size =
     let size = max 8 size in
     {
       nk;
       slots = Array.make (pow2_above 16 (2 * size)) (-1);
-      keys = Array.make (size * nk) 0;
       n = 0;
+      direct = false;
+      lo = [||];
+      width = [||];
+      keys = Array.make (size * nk) 0;
     }
+
+  (* The direct layout's slot budget over [rows] input rows: at most
+     four words a row (a key column itself takes one), with a floor of
+     4,096 words (32 KB) for small inputs. The hashed layout takes at
+     least [2n] slots plus [n * nk] keys for room for [n] ids. A join
+     makes room for its [n] build rows, so once [n] passes 1,024 its
+     direct table takes at most 4/3 of the hashed one's words at
+     [nk = 1], and no more at [nk >= 2]. A grouping's hashed table
+     grows with its groups instead, so a few groups spread over a wide
+     range can take more words direct, but never more than four a
+     row. *)
+  let direct_bound rows = max 4096 (4 * rows)
+
+  (* The number of values from [lo] to [hi]: 0 when [lo > hi] (no
+     value seen), [max_int] when it has no int: [hi - lo] wraps
+     negative past [max_int] (keys at [min_int] and [max_int]), and
+     [max_int] has no successor. *)
+  let width lo hi =
+    if lo > hi then 0
+    else
+      let span = hi - lo in
+      if span < 0 || span = max_int then max_int else span + 1
+
+  (* The direct layout over components whose codes run from [lo] over
+     [width] values, one [(lo, width)] pair each, or [None] when the
+     widths' product passes [direct_bound rows]. The product is tested
+     by division, so it never overflows. *)
+  let direct ~rows ranges =
+    let lo = Array.map fst ranges and width = Array.map snd ranges in
+    let bound = direct_bound rows in
+    let size =
+      Array.fold_left
+        (fun p w -> if p > bound || (w > 0 && p > bound / w) then bound + 1 else p * w)
+        1 width
+    in
+    if size > bound then None
+    else
+      Some
+        {
+          nk = Array.length width;
+          slots = Array.make size (-1);
+          n = 0;
+          direct = true;
+          lo;
+          width;
+          keys = [||];
+        }
 
   let length t = t.n
 
@@ -664,9 +737,21 @@ module Keytab = struct
     || Array.unsafe_get keys (base + k) = Array.unsafe_get codes (at + k)
        && same keys base codes at nk (k + 1)
 
+  (* The direct slot of the codes at [codes.(at)]: component [k]'s
+     digit is [code - lo.(k)], or -1 for the whole tuple when the digit
+     falls outside [0, width.(k)). The subtraction may wrap, but ints
+     add modulo 2^63, so the digit lands in range exactly when the code
+     does. *)
+  let rec offset lo width (codes : int array) at nk k o =
+    if k = nk then o
+    else
+      let d = Array.unsafe_get codes (at + k) - Array.unsafe_get lo k
+      and w = Array.unsafe_get width k in
+      if d < 0 || d >= w then -1 else offset lo width codes at nk (k + 1) ((o * w) + d)
+
   (* Assign the next id to the codes at [codes.(at)], which probed to
-     the empty slot [s]; past half load, double the slots and re-place
-     every id. *)
+     the empty hashed slot [s]; past half load, double the slots and
+     re-place every id. *)
   let add t (codes : int array) at s =
     let id = t.n and nk = t.nk in
     let base = id * nk in
@@ -694,19 +779,57 @@ module Keytab = struct
     end;
     id
 
+  (* The next id, for the empty direct slot [s]. *)
+  let fill t s =
+    let id = t.n in
+    Array.unsafe_set t.slots s id;
+    t.n <- id + 1;
+    id
+
   (* The id of the [nk] codes at [codes.(at)]: -1 when absent, unless
-     [insert], which assigns the next id. *)
+     [insert], which assigns the next id. Inserted codes are in range
+     in the direct layout: its ranges cover every row inserted. *)
   let lookup t (codes : int array) at ~insert =
-    let slots = t.slots in
-    let mask = Array.length slots - 1 in
-    let s = ref (hash t.nk codes at land mask) and found = ref (-2) in
-    while !found = -2 do
-      let id = Array.unsafe_get slots !s in
-      if id < 0 then found := if insert then add t codes at !s else -1
-      else if same t.keys (id * t.nk) codes at t.nk 0 then found := id
-      else s := (!s + 1) land mask
-    done;
-    !found
+    if t.direct then begin
+      let s = offset t.lo t.width codes at t.nk 0 0 in
+      if s < 0 then -1
+      else
+        let id = Array.unsafe_get t.slots s in
+        if id >= 0 || not insert then id else fill t s
+    end
+    else begin
+      let slots = t.slots in
+      let mask = Array.length slots - 1 in
+      let s = ref (hash t.nk codes at land mask) and found = ref (-2) in
+      while !found = -2 do
+        let id = Array.unsafe_get slots !s in
+        if id < 0 then found := if insert then add t codes at !s else -1
+        else if same t.keys (id * t.nk) codes at t.nk 0 then found := id
+        else s := (!s + 1) land mask
+      done;
+      !found
+    end
+
+  (* [lookup] for the batch positions [pos.(0)], ..., [pos.(m - 1)],
+     whose codes sit at [codes.(pos.(i) * nk)], into [ids], in order.
+     The layout is tested once per batch; a one-component direct table
+     subtracts and tests the range inline. *)
+  let lookup_batch t (codes : int array) (pos : int array) m (ids : int array) ~insert =
+    if t.direct && t.nk = 1 then begin
+      let lo = t.lo.(0) and w = t.width.(0) and slots = t.slots in
+      for i = 0 to m - 1 do
+        let s = Array.unsafe_get codes (Array.unsafe_get pos i) - lo in
+        Array.unsafe_set ids i
+          (if s < 0 || s >= w then -1
+           else
+             let id = Array.unsafe_get slots s in
+             if id >= 0 || not insert then id else fill t s)
+      done
+    end
+    else
+      for i = 0 to m - 1 do
+        Array.unsafe_set ids i (lookup t codes (Array.unsafe_get pos i * t.nk) ~insert)
+      done
 end
 
 (* Dense codes for strings and for boxed values, in first-insertion
@@ -740,41 +863,19 @@ module Vdict = Dict (struct
   let hash = Value.hash
 end)
 
-(* A group-key component's encoder for non-NULL row [i]: two rows get
-   the same code iff their values are [Value.equal]. [Ints]/[Dates]
-   values are their own codes, strings go through a string dictionary,
-   everything else through a boxed-value dictionary. *)
-let group_encoder (c : Col.t) : int -> int =
-  match c.Col.data with
-  | Col.Ints a | Col.Dates a -> fun i -> Array.unsafe_get a i
-  | Col.Strs a ->
-    (* group keys repeat: remember the last string's code *)
-    let d = Sdict.create 64 in
-    let last = ref "" and last_code = ref (Sdict.code d "") in
-    fun i ->
-      let x = Array.unsafe_get a i in
-      if x == !last || String.equal x !last then !last_code
-      else begin
-        let c = Sdict.code d x in
-        last := x;
-        last_code := c;
-        c
-      end
-  | Col.Floats _ | Col.Bools _ | Col.Values _ ->
-    let d = Vdict.create 64 in
-    fun i -> Vdict.code d (Col.get c i)
-
-(* A join-key component, chosen once per execution from the two key
-   columns' representations. Raw values serve as codes only when both
-   sides are the same int-backed variant: Int-vs-Date never compares
-   equal, and Int-vs-Float compares numerically, so mixed pairs take
-   the boxed dictionary and [Value] semantics. *)
-type join_key =
+(* A key component, chosen once per execution from a key column pair's
+   representations: a join's probe (left) and build (right) columns, or
+   a group-key column paired with itself. Raw values serve as codes
+   only when both sides are the same int-backed variant: Int-vs-Date
+   never compares equal, and Int-vs-Float compares numerically, so
+   mixed pairs take the boxed dictionary and [Value] semantics. Either
+   way two values get the same code iff they are [Value.equal]. *)
+type key =
   | Raw_key of int array * int array  (* probe (left), build (right) *)
   | Str_key of string array * string array * int Sdict.t
   | Boxed_key of Col.t * Col.t * int Vdict.t
 
-let join_key (lc : Col.t) (rc : Col.t) ~build_rows =
+let key_of (lc : Col.t) (rc : Col.t) ~build_rows =
   match lc.Col.data, rc.Col.data with
   | Col.Ints la, Col.Ints ra | Col.Dates la, Col.Dates ra -> Raw_key (la, ra)
   | Col.Strs la, Col.Strs ra -> Str_key (la, ra, Sdict.create (max 16 build_rows))
@@ -793,9 +894,16 @@ let encode key ~build (phys : int array) m (codes : int array) ~nk ~k =
       Array.unsafe_set codes ((j * nk) + k) (Array.unsafe_get a (Array.unsafe_get phys j))
     done
   | Str_key (_, r, d) when build ->
+    (* build keys repeat (group keys most): remember the last string's
+       code *)
+    let last = ref "" and code = ref (-1) in
     for j = 0 to m - 1 do
-      Array.unsafe_set codes ((j * nk) + k)
-        (Sdict.code d (Array.unsafe_get r (Array.unsafe_get phys j)))
+      let x = Array.unsafe_get r (Array.unsafe_get phys j) in
+      if !code < 0 || not (x == !last || String.equal x !last) then begin
+        last := x;
+        code := Sdict.code d x
+      end;
+      Array.unsafe_set codes ((j * nk) + k) !code
     done
   | Str_key (l, _, d) ->
     for j = 0 to m - 1 do
@@ -829,11 +937,28 @@ let rec any_null (cols : Col.t array) i k =
 
 let resolved ixs = Array.for_all (fun ix -> ix >= 0) ixs
 
+(* The lowest value of [a] at the logical rows [0 .. n - 1] under [sel]
+   and the width of its range ([Keytab.width]), skipping the rows where
+   a column of [nulls] is NULL. *)
+let int_range (a : int array) sel n nulls =
+  let lo = ref max_int and hi = ref min_int in
+  for j = 0 to n - 1 do
+    let i = at sel j in
+    if not (any_null nulls i 0) then begin
+      let x = Array.unsafe_get a i in
+      if x < !lo then lo := x;
+      if x > !hi then hi := x
+    end
+  done;
+  (!lo, Keytab.width !lo !hi)
+
 (* Build on the right, probe from the left, through one key table, a
    batch at a time: each batch's physical rows are encoded into flat
-   code buffers one key component at a time, then looked up row by
-   row. The build side chains its logical positions per key id, newest
-   first, so each probe row emits its matches in the build side's
+   code buffers one key component at a time, then the batch's rows
+   without a NULL key are looked up. The table is direct when every component is a [Raw_key] and the
+   ranges of the build side's live keys fit ([Keytab.direct]). The
+   build side chains its logical positions per key id, newest first,
+   so each probe row emits its matches in the build side's
    reverse-insertion order, as the contract requires. Rows with a NULL
    key component never join, and an unresolvable key reads NULL on
    every row. *)
@@ -843,7 +968,7 @@ let hash_join_pairs ~(lixs : int array) ~(rixs : int array) lch rch emit =
     let nk = Array.length lixs in
     let lcols = Array.map (fun ix -> lch.cols.(ix)) lixs
     and rcols = Array.map (fun ix -> rch.cols.(ix)) rixs in
-    let keys = Array.init nk (fun k -> join_key lcols.(k) rcols.(k) ~build_rows:n) in
+    let keys = Array.init nk (fun k -> key_of lcols.(k) rcols.(k) ~build_rows:n) in
     let size = min (batch_rows / max 1 nk) (max n lch.card) in
     let phys = Array.make size 0 and live = Array.make size 0 in
     let codes = Array.make (size * nk) 0 in
@@ -875,17 +1000,27 @@ let hash_join_pairs ~(lixs : int array) ~(rixs : int array) lch rch emit =
         !n
       end
     in
-    let tab = Keytab.create ~nk n in
+    let rnulls = nullable rcols and lnulls = nullable lcols in
+    let tab =
+      let raws = all_of (function Raw_key (_, r) -> Some r | _ -> None) (Array.to_list keys) in
+      match
+        Option.bind raws (fun rs ->
+            Keytab.direct ~rows:n (Array.map (fun r -> int_range r rch.sel n rnulls) rs))
+      with
+      | Some t -> t
+      | None -> Keytab.hashed ~nk n
+    in
     (* [head.(id)]: the newest build position with key [id];
        [next.(j)]: the next older one after position [j]; -1 ends *)
     let head = Array.make n (-1) and next = Array.make n (-1) in
-    let rnulls = nullable rcols and lnulls = nullable lcols in
+    let ids = Array.make size 0 in
     let b = ref 0 in
     while !b < n do
       let m = min size (n - !b) in
-      for t = 0 to batch rch ~build:true rnulls !b m - 1 do
-        let j = Array.unsafe_get live t in
-        let id = Keytab.lookup tab codes (j * nk) ~insert:true and pos = !b + j in
+      let live_n = batch rch ~build:true rnulls !b m in
+      Keytab.lookup_batch tab codes live live_n ids ~insert:true;
+      for t = 0 to live_n - 1 do
+        let id = Array.unsafe_get ids t and pos = !b + Array.unsafe_get live t in
         next.(pos) <- head.(id);
         head.(id) <- pos
       done;
@@ -894,11 +1029,12 @@ let hash_join_pairs ~(lixs : int array) ~(rixs : int array) lch rch emit =
     let b = ref 0 in
     while !b < lch.card do
       let m = min size (lch.card - !b) in
-      for t = 0 to batch lch ~build:false lnulls !b m - 1 do
-        let j = Array.unsafe_get live t in
-        let id = Keytab.lookup tab codes (j * nk) ~insert:false in
+      let live_n = batch lch ~build:false lnulls !b m in
+      Keytab.lookup_batch tab codes live live_n ids ~insert:false;
+      for t = 0 to live_n - 1 do
+        let id = Array.unsafe_get ids t in
         if id >= 0 then begin
-          let lp = Array.unsafe_get phys j and r = ref head.(id) in
+          let lp = Array.unsafe_get phys (Array.unsafe_get live t) and r = ref head.(id) in
           while !r >= 0 do
             emit lp (at rch.sel !r);
             r := next.(!r)
@@ -1234,11 +1370,7 @@ let groups_chunk ~nk ~na ngroups ~(key : int -> int -> Value.t) ~(agg : int -> i
    every row) and aggregated at physical row [asel j] of the chunk
    [aggs] were bound to (a [None] selection is the identity). Group
    ids are dense in first-seen order; [firsts.(g)] is the visit index
-   of group [g]'s first row, whose key is the group's output key. A
-   NULL key component (the bitmap of a typed column) codes as 0 and
-   sets its bit in a trailing null-mask code, one per 62 nullable key
-   columns; a boxed column's dictionary holds NULL like any other
-   value. *)
+   of group [g]'s first row, whose key is the group's output key. *)
 type groups = {
   ngroups : int;
   firsts : int array;
@@ -1249,52 +1381,90 @@ type groups = {
 (* What an unresolvable key column holds: it is never read. *)
 let unread = Col.of_value_array [||]
 
+(* Each key column is a [key] paired with itself, encoded a batch at a
+   time as a join's build side is; an unresolvable key is the one code
+   0. The key table is direct when every resolvable key is
+   [Ints]/[Dates] and the ranges of the key columns fit
+   ([Keytab.direct]), found in one pass over each key column. A NULL
+   key component (the bitmap of a typed column) codes as NULL's own
+   slot in the direct layout: one above the component's values, at
+   [lo + width - 1], which may wrap at [max_int] ([Keytab.offset]
+   subtracts modulo 2^63). In the hashed layout it codes as 0 and sets
+   its bit in a trailing null-mask code, one per 62 nullable key
+   columns. A boxed column's dictionary holds NULL like any other
+   value. *)
 let group_rows ~(kcols : Col.t option array) ~(aggs : aggregator array) ~n ~ksel ~asel =
   let nk = Array.length kcols in
   let kc = Array.map (Option.value ~default:unread) kcols in
-  (* an unresolvable key is one constant code *)
-  let encs = Array.map (function Some c -> group_encoder c | None -> fun _ -> 0) kcols in
-  (* [nbit.(k)]: key [k]'s bit among the nullable keys, -1 if never NULL *)
-  let nbit = Array.make nk (-1) and nnull = ref 0 in
-  Array.iteri
-    (fun k c ->
-      if Col.has_nulls c then begin
-        nbit.(k) <- !nnull;
-        incr nnull
-      end)
-    kc;
-  let ncodes = nk + ((!nnull + 61) / 62) in
-  let tab = Keytab.create ~nk:ncodes 64 in
-  let codes = Array.make ncodes 0 in
+  let keys = Array.map (Option.map (fun c -> key_of c c ~build_rows:64)) kcols in
+  let nullable = List.filter (fun k -> Col.has_nulls kc.(k)) (List.init nk Fun.id) in
+  let direct =
+    if Array.for_all (function None | Some (Raw_key _) -> true | Some _ -> false) keys then
+      Keytab.direct ~rows:n
+        (Array.mapi
+           (fun k -> function
+             | Some (Raw_key (a, _)) ->
+               let c = kc.(k) in
+               let lo, w = int_range a ksel n (if Col.has_nulls c then [| c |] else [||]) in
+               (* NULL's slot *)
+               (lo, if Col.has_nulls c && w < max_int then w + 1 else w)
+             | _ -> (0, 1))
+           keys)
+    else None
+  in
+  let tab, ncodes, null_code =
+    match direct with
+    | Some t -> (t, nk, fun k -> t.Keytab.lo.(k) + t.Keytab.width.(k) - 1)
+    | None ->
+      let ncodes = nk + ((List.length nullable + 61) / 62) in
+      (Keytab.hashed ~nk:ncodes 64, ncodes, fun _ -> 0)
+  in
+  (* per nullable key: its column, NULL's code and its null-mask bit *)
+  let nulls = Array.of_list (List.mapi (fun q k -> (k, kc.(k), null_code k, q)) nullable) in
+  (* batches keep [codes] within [batch_rows] words; an unresolvable
+     key's codes stay 0 *)
+  let size = max 1 (batch_rows / max 1 ncodes) in
+  let codes = Array.make (size * ncodes) 0 in
   let firsts = Ivec.create () in
-  let gids = Array.make batch_rows 0 and phys = Array.make batch_rows 0 in
+  let gids = Array.make size 0 and phys = Array.make size 0 and kphys = Array.make size 0 in
   (* a global aggregate is one group, even over an empty input *)
   let ngroups () = if nk = 0 then 1 else Keytab.length tab in
   if nk = 0 then Array.iter (fun a -> a.grow 1) aggs;
   let b = ref 0 in
   while !b < n do
-    let m = min batch_rows (n - !b) in
+    let m = min size (n - !b) in
     for j = 0 to m - 1 do
-      Array.unsafe_set phys j (at asel (!b + j));
-      if nk > 0 then begin
-        let i = at ksel (!b + j) in
-        for w = nk to ncodes - 1 do
-          codes.(w) <- 0
-        done;
-        for k = 0 to nk - 1 do
-          let q = Array.unsafe_get nbit k in
-          if q >= 0 && Col.is_null (Array.unsafe_get kc k) i then begin
-            codes.(k) <- 0;
-            let w = nk + (q / 62) in
-            codes.(w) <- codes.(w) lor (1 lsl (q mod 62))
-          end
-          else codes.(k) <- (Array.unsafe_get encs k) i
-        done;
-        let g = Keytab.lookup tab codes 0 ~insert:true in
-        if g = Ivec.length firsts then Ivec.push firsts (!b + j);
-        Array.unsafe_set gids j g
-      end
+      Array.unsafe_set phys j (at asel (!b + j))
     done;
+    if nk > 0 then begin
+      for j = 0 to m - 1 do
+        Array.unsafe_set kphys j (at ksel (!b + j))
+      done;
+      Array.iteri
+        (fun k -> Option.iter (fun key -> encode key ~build:true kphys m codes ~nk:ncodes ~k))
+        keys;
+      for w = nk to ncodes - 1 do
+        for j = 0 to m - 1 do
+          codes.((j * ncodes) + w) <- 0
+        done
+      done;
+      Array.iter
+        (fun (k, c, code, q) ->
+          for j = 0 to m - 1 do
+            if Col.is_null c (Array.unsafe_get kphys j) then begin
+              codes.((j * ncodes) + k) <- code;
+              if ncodes > nk then begin
+                let w = (j * ncodes) + nk + (q / 62) in
+                codes.(w) <- codes.(w) lor (1 lsl (q mod 62))
+              end
+            end
+          done)
+        nulls;
+      Keytab.lookup_batch tab codes all_positions m gids ~insert:true;
+      for j = 0 to m - 1 do
+        if Array.unsafe_get gids j = Ivec.length firsts then Ivec.push firsts (!b + j)
+      done
+    end;
     Array.iter
       (fun a ->
         a.grow (ngroups ());
@@ -1458,13 +1628,15 @@ let kernels : chunk kernels =
         let bind = bind_pred (Storage.Relation.resolver schema) pred in
         fun ch ->
           (* every column reads through [phys], the batch's physical
-             rows; survivors are appended to the output selvec *)
+             rows; survivors are appended to the output selvec, which
+             is allocated at the first rejected row: a filter every row
+             passes returns its input *)
           let size = min ch.card batch_rows in
           let phys = Array.make size 0 in
           let rows = Array.make (Array.length ch.cols) phys in
           let refine = bind { vcols = ch.cols; rows; size } in
           let keep = Array.make size 0 in
-          let out = Array.make (max 1 ch.card) 0 and n = ref 0 and b = ref 0 in
+          let out = ref [||] and n = ref 0 and b = ref 0 in
           while !b < ch.card do
             let m = min batch_rows (ch.card - !b) in
             (match ch.sel with
@@ -1473,13 +1645,24 @@ let kernels : chunk kernels =
               for j = 0 to m - 1 do
                 Array.unsafe_set phys j (!b + j)
               done);
-            for t = 0 to refine all_positions m keep - 1 do
-              Array.unsafe_set out !n (Array.unsafe_get phys (Array.unsafe_get keep t));
-              incr n
-            done;
+            let kept = refine all_positions m keep in
+            if !n = !b && kept = m then n := !n + m
+            else begin
+              if !n = !b then begin
+                (* the first rejection: the rows before this batch passed *)
+                out := Array.make ch.card 0;
+                for j = 0 to !b - 1 do
+                  Array.unsafe_set !out j (at ch.sel j)
+                done
+              end;
+              for t = 0 to kept - 1 do
+                Array.unsafe_set !out !n (Array.unsafe_get phys (Array.unsafe_get keep t));
+                incr n
+              done
+            end;
             b := !b + m
           done;
-          { ch with card = !n; sel = Some (Array.sub out 0 !n) });
+          if !n = ch.card then ch else { ch with card = !n; sel = Some (Array.sub !out 0 !n) });
     project =
       (fun schema items ->
         let rv = Storage.Relation.resolver schema in

@@ -5,9 +5,11 @@
     at a time, this engine executes over the column-major storage
     ({!Storage.Column}) directly in batches of up to 256 rows. Filters refine
     per-batch selection vectors without materializing, hash joins build
-    and probe a batch of key codes at a time and materialize once with
-    typed gathers, join residuals refine candidate pairs a batch at a
-    time through the same predicate loops filters use, aggregation runs
+    and probe a batch of key codes at a time (through a key table
+    addressed directly when the keys span a small int range, hashed
+    otherwise) and materialize once with typed gathers, join residuals
+    refine candidate pairs a batch at a time through the same predicate
+    loops filters use, aggregation runs
     fused accumulator loops bound to the columns per batch, and sort
     produces a permutation selvec instead of moving rows. Predicate
     atoms over typed columns (against a constant, a same-variant

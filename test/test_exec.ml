@@ -22,16 +22,19 @@ let db_with tables =
 let table_cols = function
   | "r" -> [ "a"; "b" ]
   | "s" -> [ "a"; "c" ]
-  | "t" -> [ "k"; "f"; "d"; "w" ]
+  | "t" -> [ "k"; "f"; "d"; "w"; "z" ]
   | "w" -> [ "k"; "g"; "pad" ]
   | "p" | "q" -> [ "k"; "i"; "d"; "f"; "s"; "v" ]
+  | "e" | "g" -> [ "x"; "n"; "a"; "b"; "c1"; "c2"; "c3"; "m"; "mq"; "d"; "h"; "l" ]
   | t -> Alcotest.failf "unknown table %s" t
 
 (* A table past several 256-row batches and a 64-group key table, for the
    differentials: [k] Ints with NULLs; [f] Floats holding [0.0] and
    [-0.0] (which compare equal) and integer-valued floats equal to
    some [k]; [d] Dates with the same numbers as [k] (never equal to
-   them); [w] Strs with NULLs. Group [k = 50] sums [-0.0]s only. *)
+   them); [w] Strs with NULLs; [z] Ints with NULLs spread over
+   -50,000 .. 50,002, past the direct key tables' bound, where [k]'s
+   400 values fit it. Group [k = 50] sums [-0.0]s only. *)
 let t_rows =
   List.init 1100 (fun i ->
       [|
@@ -41,6 +44,7 @@ let t_rows =
          else Value.Float (float_of_int i +. 0.25));
         Value.Date (i mod 400);
         (if i mod 17 = 0 then Value.Null else Value.Str (Printf.sprintf "w%d" (i mod 300)));
+        (if i mod 29 = 0 then Value.Null else Value.Int ((i * 7919 mod 100_003) - 50_000));
       |])
 
 let default_db () =
@@ -61,7 +65,7 @@ let default_db () =
           [| Value.Int 3; Value.Int 30 |];
           [| Value.Int 4; Value.Int 40 |];
         ] );
-      ("t", [ "k"; "f"; "d"; "w" ], t_rows);
+      ("t", table_cols "t", t_rows);
     ]
 
 let node ?(loc = "x") ?(est = { P.est_rows = 1.; est_width = 8. }) n children =
@@ -599,8 +603,10 @@ module Plangen = struct
     Gen.list_size (Gen.int_range 1 3) (Gen.pair (Gen.oneofl lattrs) (Gen.oneofl rattrs))
 
   (* 1-3 key pairs joining [t] with itself: each column with itself,
-     and the Int-vs-Float ([k], [f]) and Int-vs-Date ([k], [d]) pairs,
-     which must follow [Value] equality (the latter never matches). *)
+     the Int-vs-Float ([k], [f]) and Int-vs-Date ([k], [d]) pairs,
+     which must follow [Value] equality (the latter never matches), and
+     the dense [k] against the spread [z], whose key tables are direct
+     over a [k] build side and hashed over a [z] one. *)
   let t_key_pairs_gen =
     Gen.list_size (Gen.int_range 1 3)
       (Gen.oneofl
@@ -609,6 +615,7 @@ module Plangen = struct
             [
               ("k", "k"); ("f", "f"); ("d", "d"); ("w", "w");
               ("k", "f"); ("f", "k"); ("k", "d"); ("d", "k");
+              ("z", "z"); ("k", "z"); ("z", "k");
             ]))
 
   (* A generated subplan, the attributes its output carries, and
@@ -1813,6 +1820,157 @@ let test_atoms_on_every_variant () =
              (node (P.Hash_join { keys; residual }) [ scan "p"; scan "q" ])))
     (cross @ mixed)
 
+(* --- key tables at their edges ---
+
+   Hash joins and aggregations address their key table directly when
+   every key is int-backed and the product of the key ranges' widths is
+   at most max(4,096, 4 * rows), and hash it otherwise. Tables [e]
+   (700 rows, the probe side) and [g] (1,000 rows, the build side, so
+   the bound is 4,096 for a join and for a grouping over [g]) hold one
+   column per edge:
+   - [x]: [min_int], [max_int] and their neighbours, with NULLs: a width
+     that overflows an int, hashed;
+   - [n]: negative keys, each repeated on the build side (emission
+     order); the probe side adds [min_int] and [max_int], which miss
+     the range;
+   - [a]: 0 .. 4,095 on [g], a width exactly at the bound, direct;
+     [b]: 0 .. 4,096, one past it, hashed;
+   - [c1], [c2], [c3]: 0 .. 63, 0 .. 63 and 0 .. 64 on [g]: ([c1], [c2])
+     has width 4,096, direct, and ([c1], [c3]) 4,160, hashed;
+   - [m]: 0 .. 4,094 with NULLs, at the bound as a group key (NULL takes
+     one slot), and [mq]: 0 .. 4,095 with NULLs, one past it;
+   - [d]: Dates with [n]'s numbers, which never equal an Int;
+   - [h] and [l]: the hundred values up to [max_int] and from
+     [min_int], direct, [h] with NULLs (NULL's slot wraps past
+     [max_int]).
+   The probe side's values run past the build side's ranges. *)
+let edge_row ~rows i =
+  let pick l = List.nth l (i mod List.length l) in
+  let null_if b v = if b then Value.Null else v in
+  let spread hi = i * hi / (rows - 1) in
+  let int k = Value.Int k in
+  [|
+    null_if (i mod 9 = 4)
+      (if i mod 3 = 0 then int (pick [ min_int; max_int; 0; -5; 7; min_int + 1; max_int - 1; -1 ])
+       else int ((i mod 200) - 100));
+    int (-1000 - (i mod 250));
+    int (spread 4095);
+    int (spread 4096);
+    int (i mod 64);
+    int (i * 7 mod 64);
+    int (i * 11 mod 65);
+    null_if (i mod 7 = 3) (int (spread 4094));
+    null_if (i mod 7 = 3) (int (spread 4095));
+    Value.Date (-1000 - (i mod 250));
+    null_if (i mod 11 = 2) (int (max_int - (i mod 100)));
+    int (min_int + (i mod 100));
+  |]
+
+let edge_db () =
+  let probe i =
+    let r = edge_row ~rows:700 i in
+    let shift k d = match r.(k) with Value.Int v -> r.(k) <- Value.Int (v + d) | _ -> () in
+    (* run past the build side's ranges at both ends *)
+    shift 2 ((i mod 5 * 40) - 80);
+    shift 3 ((i mod 3 * 60) - 60);
+    shift 4 ((i mod 3) - 1);
+    shift 5 ((i mod 4) - 1);
+    shift 6 ((i mod 5) - 2);
+    shift 7 ((i mod 3 * 30) - 30);
+    shift 8 ((i mod 3 * 30) - 30);
+    if i mod 23 = 0 then r.(1) <- Value.Int (if i mod 2 = 0 then min_int else max_int);
+    if i mod 13 = 5 then r.(1) <- Value.Null;
+    r
+  in
+  db_with
+    [
+      ("e", table_cols "e", List.init 700 probe);
+      ("g", table_cols "g", List.init 1000 (edge_row ~rows:1000));
+    ]
+
+let test_key_table_edges () =
+  let db = edge_db () in
+  let c rel name = attr rel name in
+  (* [x >= 0] keeps 0 .. [max_int]: a span of exactly [max_int] *)
+  let upper child =
+    node (P.Filter (Pred.Atom (Pred.Cmp (Pred.Ge, col "g" "x", Expr.Const (Value.Int 0)))))
+      [ child ]
+  in
+  let join ?(sorted = false) ?(build = scan "g") pairs =
+    let build = if sorted then node (P.Sort [ (c "g" "a", true) ]) [ build ] else build in
+    node
+      (P.Hash_join
+         { keys = List.map (fun (l, r) -> (c "e" l, c "g" r)) pairs; residual = Pred.True })
+      [ scan "e"; build ]
+  and agg ?input rel keys =
+    node
+      (P.Hash_agg
+         {
+           keys = List.map (c rel) keys;
+           aggs =
+             [
+               { Expr.fn = Expr.Count; arg = col rel "n"; alias = "cnt" };
+               { Expr.fn = Expr.Sum; arg = col rel "a"; alias = "s" };
+             ];
+         })
+      [ Option.value input ~default:(scan rel) ]
+  in
+  let card budget plan = Storage.Relation.cardinality (vector_checked ~budget ~db plan) in
+  let joins =
+    [
+      ("x = x", join [ ("x", "x") ], `Some);
+      ("n = n", join [ ("n", "n") ], `Some);
+      ("x = n", join [ ("x", "n") ], `None);
+      ("x = x, x >= 0", join ~build:(upper (scan "g")) [ ("x", "x") ], `Some);
+      ("a = a", join [ ("a", "a") ], `Some);
+      ("a = a, sorted build", join ~sorted:true [ ("a", "a") ], `Some);
+      ("b = b", join [ ("b", "b") ], `Some);
+      ("c1, c2", join [ ("c1", "c1"); ("c2", "c2") ], `Some);
+      ("c1, c3", join [ ("c1", "c1"); ("c3", "c3") ], `Some);
+      ("m = m", join [ ("m", "m") ], `Some);
+      ("d = d", join [ ("d", "d") ], `Some);
+      ("d = n", join [ ("d", "n") ], `None);
+      ("n = d", join [ ("n", "d") ], `None);
+      ("h = h", join [ ("h", "h") ], `Some);
+      ("l = l", join [ ("l", "l") ], `Some);
+      ("h, l", join [ ("h", "h"); ("l", "l") ], `Some);
+    ]
+  and groups =
+    List.concat_map
+      (fun rel ->
+        List.map
+          (fun keys -> (rel ^ " by " ^ String.concat ", " keys, agg rel keys))
+          [
+            [ "x" ]; [ "n" ]; [ "a" ]; [ "b" ]; [ "c1"; "c2" ]; [ "c1"; "c3" ]; [ "m" ];
+            [ "mq" ]; [ "d" ]; [ "h" ]; [ "l" ]; [ "m"; "h" ]; [ "d"; "n" ];
+          ])
+      [ "g"; "e" ]
+    @ [ ("g by x, x >= 0", agg ~input:(upper (scan "g")) "g" [ "x" ]) ]
+  in
+  List.iter
+    (fun budget ->
+      List.iter
+        (fun (name, plan, expect) ->
+          let n = card budget plan in
+          match expect with
+          | `Some when n = 0 -> Alcotest.failf "join %s: no rows" name
+          | `None when n > 0 -> Alcotest.failf "join %s: %d rows, expected none" name n
+          | _ -> ())
+        joins;
+      List.iter (fun (_, plan) -> ignore (card budget plan)) groups)
+    [ Exec.Runtime.unlimited_budget; 0 ];
+  (* NULL is one group, and a NULL join key matches nothing *)
+  let rows plan = Storage.Relation.rows (vector_checked ~db plan) in
+  let null_groups keys =
+    Array.fold_left (fun k r -> if Value.is_null r.(0) then k + 1 else k) 0 (rows (agg "g" keys))
+  in
+  Alcotest.(check int) "one NULL group (direct)" 1 (null_groups [ "h" ]);
+  Alcotest.(check int) "one NULL group (hashed)" 1 (null_groups [ "x" ]);
+  Alcotest.(check int) "h groups: a hundred values and NULL" 101
+    (Array.length (rows (agg "g" [ "h" ])));
+  Alcotest.(check bool) "NULL keys do not join" true
+    (Array.for_all (fun r -> not (Value.is_null r.(0))) (rows (join [ ("x", "x") ])))
+
 let test_vector_reuse () =
   (* one compiled vectorized plan, executed twice: identical both times *)
   let db = default_db () in
@@ -1866,6 +2024,7 @@ let () =
           Alcotest.test_case "empty global agg" `Quick test_global_agg_empty_input;
           Alcotest.test_case "union all" `Quick test_union_all;
           Alcotest.test_case "null join keys" `Quick test_null_join_keys;
+          Alcotest.test_case "key tables at their edges" `Quick test_key_table_edges;
         ] );
       ( "ships",
         [
