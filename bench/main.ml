@@ -612,12 +612,7 @@ let ablation () =
       | Optimizer.Planner.Rejected _ -> "REJECTED")
   in
   let opt ?rules policies sql =
-    optimize ~mode:Optimizer.Memo.Compliant ~cat ~policies sql |> fun full ->
-    match rules with
-    | None -> full
-    | Some rules ->
-      Optimizer.Planner.optimize_sql ~mode:Optimizer.Memo.Compliant ~rules ~cat
-        ~policies sql
+    Optimizer.Planner.optimize_sql ~mode:Optimizer.Memo.Compliant ?rules ~cat ~policies sql
   in
   Fmt.pr "@.Q3 under CR+A (lineitem pricing must be aggregated towards L1):@.";
   show "all rules" (opt cra Tpch.Queries.q3);
@@ -653,19 +648,6 @@ let ablation () =
 
 (* ------------------------------------------------------------------ *)
 (* serve -- serving layer: plan cache + admission under a session mix *)
-
-let resolve_query q =
-  match List.assoc_opt (String.uppercase_ascii q) Tpch.Queries.all_extended with
-  | Some sql -> sql
-  | None -> q
-
-let resolve_policy_set name =
-  match String.lowercase_ascii name with
-  | "t" -> Some (Tpch.Policies.texts Tpch.Policies.T)
-  | "c" -> Some (Tpch.Policies.texts Tpch.Policies.C)
-  | "cr" -> Some (Tpch.Policies.texts Tpch.Policies.CR)
-  | "cra" | "cr+a" -> Some (Tpch.Policies.texts Tpch.Policies.CRA)
-  | _ -> None
 
 (* A closed-loop TPC-H session mix: [sessions] sessions across two
    tenants (one rate-limited, one unlimited), each cycling through the
@@ -724,8 +706,8 @@ let serve_bench ?sessions ?statements () =
   let script = serve_script ~sessions ~statements in
   let run_with cache =
     let env =
-      Service.Scheduler.env ~catalog:cat ~database:db ?cache ~resolve_query
-        ~resolve_policy_set ()
+      Service.Scheduler.env ~catalog:cat ~database:db ?cache
+        ~resolve_query:Tpch.Queries.resolve ~resolve_policy_set:Tpch.Policies.texts_of_string ()
     in
     Service.Scheduler.run ~env ~seed:sd script
   in
@@ -869,8 +851,8 @@ let feedback_bench () =
     let fb = Cgqp.Feedback.create () in
     let env =
       Service.Scheduler.env ~catalog:cat ~database:db
-        ~cache:(Cgqp.Plan_cache.create ()) ~template ~feedback:fb ~resolve_query
-        ~resolve_policy_set ()
+        ~cache:(Cgqp.Plan_cache.create ()) ~template ~feedback:fb
+        ~resolve_query:Tpch.Queries.resolve ~resolve_policy_set:Tpch.Policies.texts_of_string ()
     in
     (Service.Scheduler.run ~env ~seed:sd script, fb)
   in

@@ -46,12 +46,8 @@ let fail_with_code (e : Cgqp.error) =
 
 let policy_set_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "t" -> Ok Tpch.Policies.T
-    | "c" -> Ok Tpch.Policies.C
-    | "cr" -> Ok Tpch.Policies.CR
-    | "cra" | "cr+a" -> Ok Tpch.Policies.CRA
-    | _ -> Error (`Msg "policy set must be one of: T, C, CR, CR+A")
+    Option.to_result (Tpch.Policies.set_name_of_string s)
+      ~none:(`Msg "policy set must be one of: T, C, CR, CR+A")
   in
   Arg.conv (parse, fun ppf s -> Fmt.string ppf (Tpch.Policies.set_name_to_string s))
 
@@ -256,11 +252,6 @@ let query_arg =
     & info [] ~docv:"QUERY"
         ~doc:"SQL text, or one of the built-in names Q2, Q3, Q5, Q8, Q9, Q10.")
 
-let resolve_query q =
-  match List.assoc_opt (String.uppercase_ascii q) Tpch.Queries.all_extended with
-  | Some sql -> sql
-  | None -> q
-
 let load_policies session set file =
   let texts =
     match file with
@@ -370,7 +361,7 @@ let explain_cmd =
     | exception Invalid_argument m -> `Error (false, m)
     | session -> (
     Option.iter (fun b -> Cgqp.set_mem_budget session (Some b)) mem_budget;
-    let sql = resolve_query query in
+    let sql = Tpch.Queries.resolve query in
     (* optimize (and, under --analyze, execute) exactly once *)
     match
       if analyze then
@@ -471,7 +462,7 @@ let run_cmd =
         (fun f -> Fmt.epr "fault seed: %d@." (Catalog.Network.Fault.seed f))
         faults
     end;
-    match Cgqp.run session (resolve_query query) with
+    match Cgqp.run session (Tpch.Queries.resolve query) with
     | exception Exec.Runtime.Runtime_error m -> `Error (false, m)
     | Ok r ->
       if csv then print_string (Storage.Relation.to_csv r.Cgqp.relation)
@@ -516,7 +507,7 @@ let run_cmd =
 let check_cmd =
   let action set file query =
     let session = make_session ~set ~file ~traditional:false () in
-    match Cgqp.optimize session (resolve_query query) with
+    match Cgqp.optimize session (Tpch.Queries.resolve query) with
     | Ok p ->
       Fmt.pr "LEGAL: a compliant plan exists (ship cost %.2f ms, %d memo groups)@."
         p.Optimizer.Planner.ship_cost p.Optimizer.Planner.groups;
@@ -848,14 +839,6 @@ let json_arg =
     value & flag
     & info [ "json" ] ~doc:"Print the report as JSON instead of the text summary.")
 
-let resolve_policy_set name =
-  match String.lowercase_ascii name with
-  | "t" -> Some (Tpch.Policies.texts Tpch.Policies.T)
-  | "c" -> Some (Tpch.Policies.texts Tpch.Policies.C)
-  | "cr" -> Some (Tpch.Policies.texts Tpch.Policies.CR)
-  | "cra" | "cr+a" -> Some (Tpch.Policies.texts Tpch.Policies.CRA)
-  | _ -> None
-
 let serve_cmd =
   let action engine sf seed faults no_cache capacity template feedback strict
       json trace metrics script =
@@ -882,7 +865,8 @@ let serve_cmd =
         let fb = if feedback then Some (Cgqp.Feedback.create ()) else None in
         let env =
           Service.Scheduler.env ~catalog:cat ~database ?cache ?template
-            ?feedback:fb ?faults ?engine ~resolve_query ~resolve_policy_set ()
+            ?feedback:fb ?faults ?engine ~resolve_query:Tpch.Queries.resolve
+            ~resolve_policy_set:Tpch.Policies.texts_of_string ()
         in
         let t0 = Unix.gettimeofday () in
         match Service.Scheduler.run ~env ?seed wl with
@@ -964,7 +948,7 @@ let default_term =
       | exception Invalid_argument m -> `Error (false, m)
       | session ->
       Option.iter (fun b -> Cgqp.set_mem_budget session (Some b)) mem_budget;
-      let sql = resolve_query q in
+      let sql = Tpch.Queries.resolve q in
       if explain then (
         match Cgqp.explain_analyze session sql with
         | exception Exec.Runtime.Runtime_error m -> `Error (false, m)

@@ -19,13 +19,15 @@
      boxed row behind the same interface;
    - hash joins and aggregations share one unboxed key table: each key
      component becomes an int code (the value itself, or a string or
-     boxed-value dictionary code) and the code tuple maps to a dense
-     id. When every component is an int value and the product of the
+     boxed-value dictionary code; a group key holding a NULL takes the
+     boxed dictionary) and the code tuple maps to a dense id. When
+     every component is an int value and the product of the
      components' ranges is at most max(4,096, 4 * rows), the id sits
      at the tuple's mixed-radix offset into one int array (direct
      layout); otherwise open addressing over flat int arrays finds it
-     (hashed layout). Joins and groupings encode a batch of rows one
-     key component at a time, then look the batch up;
+     (hashed layout). A join's build and probe and a grouping run one
+     key loop: encode a batch of rows one key component at a time,
+     drop a join's NULL keys, then look the batch up;
    - hash joins chain build rows per id, collect matching row-index
      pairs, and materialize the output once with [Column.gather]; a
      join residual refines candidate pairs a batch at a time through
@@ -634,7 +636,8 @@ let bind_residual (cschema : Attr.t list) (p : Pred.t) =
    chosen when it is created, is how a code tuple finds its slot:
 
    - direct: when every component's codes are int values in a known
-     range (a join's [Raw_key]s, a grouping's [Ints]/[Dates] keys) and
+     range ([Raw_key]s: a join's, or a grouping's NULL-free
+     [Ints]/[Dates] keys) and
      the product of the ranges' widths is within [direct_bound], the
      slot is the tuple's mixed-radix offset: no hash, no probe, and a
      code outside its component's range misses before any load;
@@ -952,97 +955,98 @@ let int_range (a : int array) sel n nulls =
   done;
   (!lo, Keytab.width !lo !hi)
 
-(* Build on the right, probe from the left, through one key table, a
-   batch at a time: each batch's physical rows are encoded into flat
-   code buffers one key component at a time, then the batch's rows
-   without a NULL key are looked up. The table is direct when every component is a [Raw_key] and the
-   ranges of the build side's live keys fit ([Keytab.direct]). The
-   build side chains its logical positions per key id, newest first,
-   so each probe row emits its matches in the build side's
-   reverse-insertion order, as the contract requires. Rows with a NULL
-   key component never join, and an unresolvable key reads NULL on
-   every row. *)
+(* The key table for [keys] over the logical rows [0 .. n - 1] under
+   [sel], skipping the rows where a column of [drop] is NULL: direct
+   when every component is a [Raw_key] and the ranges of its build
+   values fit ([Keytab.direct]), else hashed with room for [hint] ids. *)
+let key_table keys ~drop ~sel ~n ~hint =
+  let raws = all_of (function Raw_key (_, r) -> Some r | _ -> None) (Array.to_list keys) in
+  match
+    Option.bind raws (fun rs ->
+        Keytab.direct ~rows:n (Array.map (fun r -> int_range r sel n drop) rs))
+  with
+  | Some t -> t
+  | None -> Keytab.hashed ~nk:(Array.length keys) hint
+
+(* The one key loop of hash joins and groupings, over the logical rows
+   [0 .. n - 1] under [sel], a batch at a time: fill the batch's
+   physical rows into [phys], encode each component of [keys] into flat
+   codes ([build]: from the build columns, assigning dictionary codes),
+   keep the batch positions whose row has no NULL in a column of [drop]
+   (every position when [drop] is empty), look those up in [tab]
+   (inserting when [build]; with no table every id stays 0), and call
+   [f b phys live l ids]: the batch starts at logical row [b], and its
+   live position [live.(t)], [t < l], is physical row
+   [phys.(live.(t))] with id [ids.(t)]. *)
+let key_loop keys ~build ~drop tab ~sel ~n f =
+  let nk = Array.length keys in
+  let size = max 1 (min (batch_rows / max 1 nk) n) in
+  let phys = Array.make size 0 and ids = Array.make size 0 in
+  let live = if Array.length drop = 0 then all_positions else Array.make size 0 in
+  let codes = Array.make (size * nk) 0 in
+  let b = ref 0 in
+  while !b < n do
+    let m = min size (n - !b) in
+    (match sel with
+    | Some s -> Array.blit s !b phys 0 m
+    | None ->
+      for j = 0 to m - 1 do
+        Array.unsafe_set phys j (!b + j)
+      done);
+    Array.iteri (fun k key -> encode key ~build phys m codes ~nk ~k) keys;
+    let l =
+      if Array.length drop = 0 then m
+      else begin
+        let l = ref 0 in
+        for j = 0 to m - 1 do
+          if not (any_null drop (Array.unsafe_get phys j) 0) then begin
+            Array.unsafe_set live !l j;
+            incr l
+          end
+        done;
+        !l
+      end
+    in
+    Option.iter (fun t -> Keytab.lookup_batch t codes live l ids ~insert:build) tab;
+    f !b phys live l ids;
+    b := !b + m
+  done
+
+(* Build on the right, probe from the left, through one key table and
+   the key loop. The build side chains its logical positions per key
+   id, newest first, so each probe row emits its matches in the build
+   side's reverse-insertion order, as the contract requires. Rows with
+   a NULL key component never join, and an unresolvable key reads NULL
+   on every row. *)
 let hash_join_pairs ~(lixs : int array) ~(rixs : int array) lch rch emit =
   let n = rch.card in
   if n > 0 && lch.card > 0 && resolved lixs && resolved rixs then begin
-    let nk = Array.length lixs in
     let lcols = Array.map (fun ix -> lch.cols.(ix)) lixs
     and rcols = Array.map (fun ix -> rch.cols.(ix)) rixs in
-    let keys = Array.init nk (fun k -> key_of lcols.(k) rcols.(k) ~build_rows:n) in
-    let size = min (batch_rows / max 1 nk) (max n lch.card) in
-    let phys = Array.make size 0 and live = Array.make size 0 in
-    let codes = Array.make (size * nk) 0 in
-    (* Encode [ch]'s logical rows [b .. b + m - 1]; the batch positions
-       without a NULL key component go to [live], and their count is
-       returned. *)
-    let batch ch ~build nulls b m =
-      (match ch.sel with
-      | Some s -> Array.blit s b phys 0 m
-      | None ->
-        for j = 0 to m - 1 do
-          Array.unsafe_set phys j (b + j)
-        done);
-      Array.iteri (fun k key -> encode key ~build phys m codes ~nk ~k) keys;
-      if Array.length nulls = 0 then begin
-        for j = 0 to m - 1 do
-          Array.unsafe_set live j j
-        done;
-        m
-      end
-      else begin
-        let n = ref 0 in
-        for j = 0 to m - 1 do
-          if not (any_null nulls (Array.unsafe_get phys j) 0) then begin
-            Array.unsafe_set live !n j;
-            incr n
-          end
-        done;
-        !n
-      end
-    in
-    let rnulls = nullable rcols and lnulls = nullable lcols in
-    let tab =
-      let raws = all_of (function Raw_key (_, r) -> Some r | _ -> None) (Array.to_list keys) in
-      match
-        Option.bind raws (fun rs ->
-            Keytab.direct ~rows:n (Array.map (fun r -> int_range r rch.sel n rnulls) rs))
-      with
-      | Some t -> t
-      | None -> Keytab.hashed ~nk n
-    in
+    let keys = Array.mapi (fun k l -> key_of l rcols.(k) ~build_rows:n) lcols in
+    let rnulls = nullable rcols in
+    let tab = key_table keys ~drop:rnulls ~sel:rch.sel ~n ~hint:n in
     (* [head.(id)]: the newest build position with key [id];
        [next.(j)]: the next older one after position [j]; -1 ends *)
     let head = Array.make n (-1) and next = Array.make n (-1) in
-    let ids = Array.make size 0 in
-    let b = ref 0 in
-    while !b < n do
-      let m = min size (n - !b) in
-      let live_n = batch rch ~build:true rnulls !b m in
-      Keytab.lookup_batch tab codes live live_n ids ~insert:true;
-      for t = 0 to live_n - 1 do
-        let id = Array.unsafe_get ids t and pos = !b + Array.unsafe_get live t in
-        next.(pos) <- head.(id);
-        head.(id) <- pos
-      done;
-      b := !b + m
-    done;
-    let b = ref 0 in
-    while !b < lch.card do
-      let m = min size (lch.card - !b) in
-      let live_n = batch lch ~build:false lnulls !b m in
-      Keytab.lookup_batch tab codes live live_n ids ~insert:false;
-      for t = 0 to live_n - 1 do
-        let id = Array.unsafe_get ids t in
-        if id >= 0 then begin
-          let lp = Array.unsafe_get phys (Array.unsafe_get live t) and r = ref head.(id) in
-          while !r >= 0 do
-            emit lp (at rch.sel !r);
-            r := next.(!r)
-          done
-        end
-      done;
-      b := !b + m
-    done
+    key_loop keys ~build:true ~drop:rnulls (Some tab) ~sel:rch.sel ~n (fun b _ live l ids ->
+        for t = 0 to l - 1 do
+          let id = Array.unsafe_get ids t and pos = b + Array.unsafe_get live t in
+          next.(pos) <- head.(id);
+          head.(id) <- pos
+        done);
+    key_loop keys ~build:false ~drop:(nullable lcols) (Some tab) ~sel:lch.sel ~n:lch.card
+      (fun _ phys live l ids ->
+        for t = 0 to l - 1 do
+          let id = Array.unsafe_get ids t in
+          if id >= 0 then begin
+            let lp = Array.unsafe_get phys (Array.unsafe_get live t) and r = ref head.(id) in
+            while !r >= 0 do
+              emit lp (at rch.sel !r);
+              r := next.(!r)
+            done
+          end
+        done)
   end
 
 (* [cell_compare a b i j] orders row [i] of [a] against row [j] of [b]
@@ -1378,100 +1382,34 @@ type groups = {
   agg : int -> int -> Value.t;  (* [agg a g]: aggregate [a] of group [g], finished *)
 }
 
-(* What an unresolvable key column holds: it is never read. *)
-let unread = Col.of_value_array [||]
-
-(* Each key column is a [key] paired with itself, encoded a batch at a
-   time as a join's build side is; an unresolvable key is the one code
-   0. The key table is direct when every resolvable key is
-   [Ints]/[Dates] and the ranges of the key columns fit
-   ([Keytab.direct]), found in one pass over each key column. A NULL
-   key component (the bitmap of a typed column) codes as NULL's own
-   slot in the direct layout: one above the component's values, at
-   [lo + width - 1], which may wrap at [max_int] ([Keytab.offset]
-   subtracts modulo 2^63). In the hashed layout it codes as 0 and sets
-   its bit in a trailing null-mask code, one per 62 nullable key
-   columns. A boxed column's dictionary holds NULL like any other
-   value. *)
+(* Each key column is a [key] paired with itself and runs through the
+   key loop as a join's build side does, dropping no row. A column that
+   holds a NULL is a [Boxed_key], whose dictionary groups NULL with
+   NULL by [Value.equal], as [Interp]'s row keys do. An unresolvable
+   key reads NULL on every row, so it splits no group: it is left out
+   of the code tuple. A global aggregate runs the loop without a table:
+   every row is group 0. *)
 let group_rows ~(kcols : Col.t option array) ~(aggs : aggregator array) ~n ~ksel ~asel =
   let nk = Array.length kcols in
-  let kc = Array.map (Option.value ~default:unread) kcols in
-  let keys = Array.map (Option.map (fun c -> key_of c c ~build_rows:64)) kcols in
-  let nullable = List.filter (fun k -> Col.has_nulls kc.(k)) (List.init nk Fun.id) in
-  let direct =
-    if Array.for_all (function None | Some (Raw_key _) -> true | Some _ -> false) keys then
-      Keytab.direct ~rows:n
-        (Array.mapi
-           (fun k -> function
-             | Some (Raw_key (a, _)) ->
-               let c = kc.(k) in
-               let lo, w = int_range a ksel n (if Col.has_nulls c then [| c |] else [||]) in
-               (* NULL's slot *)
-               (lo, if Col.has_nulls c && w < max_int then w + 1 else w)
-             | _ -> (0, 1))
-           keys)
-    else None
+  let key c =
+    if Col.has_nulls c then Boxed_key (c, c, Vdict.create 64) else key_of c c ~build_rows:64
   in
-  let tab, ncodes, null_code =
-    match direct with
-    | Some t -> (t, nk, fun k -> t.Keytab.lo.(k) + t.Keytab.width.(k) - 1)
-    | None ->
-      let ncodes = nk + ((List.length nullable + 61) / 62) in
-      (Keytab.hashed ~nk:ncodes 64, ncodes, fun _ -> 0)
-  in
-  (* per nullable key: its column, NULL's code and its null-mask bit *)
-  let nulls = Array.of_list (List.mapi (fun q k -> (k, kc.(k), null_code k, q)) nullable) in
-  (* batches keep [codes] within [batch_rows] words; an unresolvable
-     key's codes stay 0 *)
-  let size = max 1 (batch_rows / max 1 ncodes) in
-  let codes = Array.make (size * ncodes) 0 in
-  let firsts = Ivec.create () in
-  let gids = Array.make size 0 and phys = Array.make size 0 and kphys = Array.make size 0 in
+  let keys = Array.of_list (List.filter_map (Option.map key) (Array.to_list kcols)) in
+  let tab = if nk = 0 then None else Some (key_table keys ~drop:[||] ~sel:ksel ~n ~hint:64) in
   (* a global aggregate is one group, even over an empty input *)
-  let ngroups () = if nk = 0 then 1 else Keytab.length tab in
+  let ngroups () = match tab with Some t -> Keytab.length t | None -> 1 in
   if nk = 0 then Array.iter (fun a -> a.grow 1) aggs;
-  let b = ref 0 in
-  while !b < n do
-    let m = min size (n - !b) in
-    for j = 0 to m - 1 do
-      Array.unsafe_set phys j (at asel (!b + j))
-    done;
-    if nk > 0 then begin
+  let firsts = Ivec.create () and phys = Array.make (max 1 (min batch_rows n)) 0 in
+  key_loop keys ~build:true ~drop:[||] tab ~sel:ksel ~n (fun b _ _ m gids ->
       for j = 0 to m - 1 do
-        Array.unsafe_set kphys j (at ksel (!b + j))
-      done;
-      Array.iteri
-        (fun k -> Option.iter (fun key -> encode key ~build:true kphys m codes ~nk:ncodes ~k))
-        keys;
-      for w = nk to ncodes - 1 do
-        for j = 0 to m - 1 do
-          codes.((j * ncodes) + w) <- 0
-        done
+        Array.unsafe_set phys j (at asel (b + j));
+        if Array.unsafe_get gids j = Ivec.length firsts then Ivec.push firsts (b + j)
       done;
       Array.iter
-        (fun (k, c, code, q) ->
-          for j = 0 to m - 1 do
-            if Col.is_null c (Array.unsafe_get kphys j) then begin
-              codes.((j * ncodes) + k) <- code;
-              if ncodes > nk then begin
-                let w = (j * ncodes) + nk + (q / 62) in
-                codes.(w) <- codes.(w) lor (1 lsl (q mod 62))
-              end
-            end
-          done)
-        nulls;
-      Keytab.lookup_batch tab codes all_positions m gids ~insert:true;
-      for j = 0 to m - 1 do
-        if Array.unsafe_get gids j = Ivec.length firsts then Ivec.push firsts (!b + j)
-      done
-    end;
-    Array.iter
-      (fun a ->
-        a.grow (ngroups ());
-        a.fold gids phys m)
-      aggs;
-    b := !b + m
-  done;
+        (fun a ->
+          a.grow (ngroups ());
+          a.fold gids phys m)
+        aggs);
   let firsts = Ivec.to_array firsts in
   {
     ngroups = ngroups ();

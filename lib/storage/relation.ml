@@ -65,9 +65,6 @@ type t = {
   card : int;
   mutable rows_v : Value.t array array option;  (* row-view cache *)
   mutable cols_v : Column.t array option;  (* column-major cache *)
-  mutable index_v : resolver option;
-      (* built on first lookup; operators that never resolve names
-         (e.g. the vectorized engine's intermediates) pay nothing. *)
   pager : pager option;
       (* [Some _] = disk-backed (segment store). Paged relations never
          cache a materialized view — every [rows]/[cols] access
@@ -88,8 +85,7 @@ let make ~schema ~rows =
     (fun r ->
       if Array.length r <> n then invalid_arg "Relation.make: row arity mismatch")
     rows;
-  { schema; width = n; card = Array.length rows; rows_v = Some rows; cols_v = None;
-    index_v = None; pager = None }
+  { schema; width = n; card = Array.length rows; rows_v = Some rows; cols_v = None; pager = None }
 
 let of_cols ~schema ~card cols =
   let n = List.length schema in
@@ -99,12 +95,11 @@ let of_cols ~schema ~card cols =
       if Column.length c <> card then
         invalid_arg "Relation.of_cols: column cardinality mismatch")
     cols;
-  { schema; width = n; card; rows_v = None; cols_v = Some cols; index_v = None;
-    pager = None }
+  { schema; width = n; card; rows_v = None; cols_v = Some cols; pager = None }
 
 let paged ~schema ~card ~load ~byte_size =
   { schema; width = List.length schema; card; rows_v = None; cols_v = None;
-    index_v = None; pager = Some { load; bytes = byte_size } }
+    pager = Some { load; bytes = byte_size } }
 
 let is_paged t = t.pager <> None
 
@@ -159,29 +154,10 @@ let read_cols t ~needed =
 
 let columnarize t = if t.pager = None then ignore (cols t)
 
-let index t =
-  match t.index_v with
-  | Some r -> r
-  | None ->
-    let r = resolver t.schema in
-    t.index_v <- Some r;
-    r
-
-(* Index of an attribute in the schema: exact match first, then a
-   unique match on the bare column name. *)
-let find_index t (a : Attr.t) : int option = resolve (index t) a
-
-let lookup_fn t : Attr.t -> Value.t array -> Value.t =
-  let r = index t in
-  fun a row ->
-    match resolve r a with
-    | Some ix when ix < Array.length row -> row.(ix)
-    | Some _ | None -> Value.Null
-
 (* Total serialized size in bytes (what a SHIP of this relation moves).
    Computed on whichever representation is materialized — both sum
    [Value.byte_width] over every cell, so they agree; a paged relation
-   asks its pager, which sums the segment footers. *)
+   asks its pager (a segment store's [meta] records it). *)
 let byte_size t =
   match t.cols_v, t.pager with
   | Some cols, _ -> Array.fold_left (fun acc c -> acc + Column.byte_size c) 0 cols
@@ -194,8 +170,9 @@ let byte_size t =
 (* Order rows by the given (attribute, descending) keys. Key positions
    are resolved once; unknown attributes read as NULL for every row. *)
 let order_by t (keys : (Attr.t * bool) list) =
+  let r = resolver t.schema in
   let kix =
-    List.map (fun (a, desc) -> ((match find_index t a with Some i -> i | None -> -1), desc)) keys
+    List.map (fun (a, desc) -> ((match resolve r a with Some i -> i | None -> -1), desc)) keys
   in
   let get ix (row : Value.t array) =
     if ix >= 0 && ix < Array.length row then row.(ix) else Value.Null

@@ -76,14 +76,6 @@ val columnarize : t -> unit
 
 val cardinality : t -> int
 
-val find_index : t -> Attr.t -> int option
-(** Column position: exact match first, then a unique match on the bare
-    column name. *)
-
-val lookup_fn : t -> Attr.t -> Value.t array -> Value.t
-(** A caching accessor suitable for [Pred.eval] / [Expr.eval]; unknown
-    attributes read as NULL. *)
-
 val order_by : t -> (Attr.t * bool) list -> t
 (** Stable sort by (attribute, descending?) keys; unknown attributes
     read as NULL and sort first. *)
@@ -93,7 +85,7 @@ val take : t -> int -> t
 
 val byte_size : t -> int
 (** Total serialized size — what a SHIP of this relation moves. For a
-    paged relation it comes from the pager (the segment footers) and
+    paged relation it comes from the pager (a segment store's [meta]) and
     pages nothing in. *)
 
 val pp : ?max_rows:int -> Format.formatter -> t -> unit

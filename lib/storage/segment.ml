@@ -1,15 +1,14 @@
 (* Disk-backed column segment store.
 
    A relation is persisted as one directory: a small text [meta] file
-   (schema, cardinality, per-column representation tags) plus one
-   [col<j>.seg] file per column holding a sequence of append-only
-   segments of up to [segment_rows] (64K) rows each. Fixed-width
-   columns (ints/floats/dates/bools) store one little-endian word per
-   row; strings are offset-indexed (an (n+1)-entry offset array into a
-   heap of concatenated payload bytes); the boxed [Values] fallback
-   uses a tagged per-value codec. Every segment carries its null
-   bitmap and a footer with row/null counts, min/max and the
-   serialized byte size.
+   (schema, cardinality, serialized byte size, per-column
+   representation tags) plus one [col<j>.seg] file per column holding
+   a sequence of append-only segments of up to [segment_rows] (64K)
+   rows each. Fixed-width columns (ints/floats/dates/bools) store one
+   little-endian word per row; strings are offset-indexed (an
+   (n+1)-entry offset array into a heap of concatenated payload
+   bytes); the boxed [Values] fallback uses a tagged per-value codec.
+   Every segment carries its null bitmap.
 
    Reads decode payloads straight into the typed arrays (only the boxed
    fallback goes value by value). Whole-relation reads take a
@@ -17,8 +16,8 @@
    and a corrupt segment closes the column file before [Failure]
    propagates. [relation] wraps a stored directory as a paged
    [Relation.t] whose every access re-reads from disk and whose
-   [byte_size] sums the footers, so a relation is resident or
-   disk-backed invisibly to both engines.
+   [byte_size] is the one recorded in [meta], so a relation is
+   resident or disk-backed invisibly to both engines.
 
    Round-trips are representation-exact: the per-column tag recorded in
    [meta] (and per segment) is the source column's variant, NULL slots
@@ -30,7 +29,7 @@ open Relalg
 
 let segment_rows = 65536
 let magic_byte = '\xC5'
-let meta_magic = "cgqp-segments 1"
+let meta_magic = "cgqp-segments 2"
 
 (* Page-in accounting (one "page read" = one segment of one column
    decoded from disk). *)
@@ -55,7 +54,7 @@ let mkdir_p dir =
 
 let col_file j = Printf.sprintf "col%d.seg" j
 
-(* --- value codec (Values payloads, footer min/max) --- *)
+(* --- value codec (Values payloads) --- *)
 
 let add_value buf (v : Value.t) =
   match v with
@@ -117,21 +116,6 @@ let r_bytes ic n =
 let r_u8 ic = input_byte ic
 let r_i64 ic = Int64.to_int (Bytes.get_int64_le (r_bytes ic 8) 0)
 
-let r_value ic =
-  (* footer min/max: small, read via a scratch decode of the remaining
-     tag + payload *)
-  let tag = input_char ic in
-  match tag with
-  | '\000' -> Value.Null
-  | '\001' -> Value.Int (Int64.to_int (Bytes.get_int64_le (r_bytes ic 8) 0))
-  | '\002' -> Value.Float (Int64.float_of_bits (Bytes.get_int64_le (r_bytes ic 8) 0))
-  | '\003' ->
-    let len = Int32.to_int (Bytes.get_int32_le (r_bytes ic 4) 0) in
-    Value.Str (Bytes.to_string (r_bytes ic len))
-  | '\004' -> Value.Date (Int64.to_int (Bytes.get_int64_le (r_bytes ic 8) 0))
-  | '\005' -> Value.Bool (r_u8 ic <> 0)
-  | c -> fail "Segment: bad value tag 0x%02x" (Char.code c)
-
 (* --- column representation tags --- *)
 
 let tag_of_data = function
@@ -145,7 +129,7 @@ let tag_of_data = function
 (* --- segment write --- *)
 
 (* One segment of [c] covering rows [lo, hi): header, null bitmap,
-   payload, footer. *)
+   payload. *)
 let write_segment oc (c : Column.t) lo hi =
   let n = hi - lo in
   let isnull i =
@@ -155,16 +139,16 @@ let write_segment oc (c : Column.t) lo hi =
   in
   (* null bitmap over the slice *)
   let bitmap = Bytes.make ((n + 7) / 8) '\000' in
-  let nulls = ref 0 in
+  let has_nulls = ref false in
   for i = lo to hi - 1 do
     if isnull i then begin
-      incr nulls;
+      has_nulls := true;
       let j = i - lo in
       Bytes.set bitmap (j lsr 3)
         (Char.chr (Char.code (Bytes.get bitmap (j lsr 3)) lor (1 lsl (j land 7))))
     end
   done;
-  let has_nulls = !nulls > 0 in
+  let has_nulls = !has_nulls in
   (* payload: NULL slots are normalized to the dummy the typed
      constructors use (0 / 0. / "" / false), so read-back slices are
      representation-identical *)
@@ -196,17 +180,6 @@ let write_segment oc (c : Column.t) lo hi =
     for i = lo to hi - 1 do
       add_value payload a.(i)
     done);
-  (* footer stats over the slice *)
-  let bytes = ref 0 in
-  let mn = ref Value.Null and mx = ref Value.Null in
-  for i = lo to hi - 1 do
-    let v = Column.get c i in
-    bytes := !bytes + Value.byte_width v;
-    if v <> Value.Null then begin
-      if !mn = Value.Null || Value.compare v !mn < 0 then mn := v;
-      if !mx = Value.Null || Value.compare v !mx > 0 then mx := v
-    end
-  done;
   (* header *)
   let hd = Buffer.create 32 in
   Buffer.add_char hd magic_byte;
@@ -216,13 +189,7 @@ let write_segment oc (c : Column.t) lo hi =
   Buffer.add_int64_le hd (Int64.of_int (Buffer.length payload));
   Buffer.output_buffer oc hd;
   if has_nulls then output_bytes oc bitmap;
-  Buffer.output_buffer oc payload;
-  let ft = Buffer.create 32 in
-  Buffer.add_int64_le ft (Int64.of_int !nulls);
-  Buffer.add_int64_le ft (Int64.of_int !bytes);
-  add_value ft !mn;
-  add_value ft !mx;
-  Buffer.output_buffer oc ft
+  Buffer.output_buffer oc payload
 
 let write_col path (c : Column.t) =
   let n = Column.length c in
@@ -241,8 +208,8 @@ let write ~dir rel =
   let cols = Relation.cols rel in
   let oc = open_out (Filename.concat dir "meta") in
   Fun.protect ~finally:(fun () -> close_out oc) @@ fun () ->
-  Printf.fprintf oc "%s\ncard %d\nsegment_rows %d\nwidth %d\n" meta_magic card
-    segment_rows (Array.length cols);
+  Printf.fprintf oc "%s\ncard %d\nbytes %d\nsegment_rows %d\nwidth %d\n" meta_magic card
+    (Relation.byte_size rel) segment_rows (Array.length cols);
   List.iteri
     (fun j (a : Attr.t) ->
       Printf.fprintf oc "col\t%d\t%s\t%s\n" (tag_of_data cols.(j).Column.data)
@@ -257,8 +224,7 @@ type handle = {
   schema : Attr.t list;
   card : int;
   tags : int array;  (* per-column representation tag *)
-  mutable bytes : int;
-      (* memoized footer byte-size total; -1 = not yet read *)
+  bytes : int;  (* the written relation's [Relation.byte_size] *)
 }
 
 let openh ~dir =
@@ -272,6 +238,7 @@ let openh ~dir =
     with Scanf.Scan_failure _ | Failure _ -> fail "Segment: bad meta line %S in %s" l dir
   in
   let card = scan "card %d" Fun.id in
+  let bytes = scan "bytes %d" Fun.id in
   let srows = scan "segment_rows %d" Fun.id in
   if srows <> segment_rows then
     fail "Segment: %s uses %d-row segments, this build expects %d" dir srows
@@ -288,7 +255,7 @@ let openh ~dir =
     schema = List.map snd cols;
     card;
     tags = Array.of_list (List.map fst cols);
-    bytes = -1;
+    bytes;
   }
 
 let schema h = h.schema
@@ -313,15 +280,6 @@ let read_header h ic =
   let has_nulls = r_u8 ic <> 0 in
   let plen = r_i64 ic in
   (tag, n, has_nulls, plen)
-
-(* Footer after the payload: null count, byte size, min, max. Returns
-   the byte size. *)
-let read_footer ic =
-  let _null_count = r_i64 ic in
-  let byte_size = r_i64 ic in
-  let _mn = r_value ic in
-  let _mx = r_value ic in
-  byte_size
 
 (* Payloads are read into one growable buffer per scan, so decoding
    allocates only the columns it returns. *)
@@ -414,7 +372,6 @@ let read_block h sc ic j ~data ~nulls ~rows ~off =
     really_input ic !nulls (off / 8) nb
   end;
   let payload = read_payload sc ic plen in
-  ignore (read_footer ic);
   count_page_read plen;
   decode_into h data off n payload plen
 
@@ -449,27 +406,9 @@ let read_all ?needed h =
   let sc = readbuf () in
   Array.init (width h) (fun j -> if needed.(j) then read_column h sc j else placeholder)
 
-(* Sum of the footers' byte sizes — equal to the written relation's
-   [Relation.byte_size] by the footer contract (docs/STORAGE.md). Reads
-   headers and footers only, seeking past every payload, so it counts
-   no page read; memoized per handle on first use. *)
-let byte_size h =
-  if h.bytes < 0 then begin
-    let total = ref 0 in
-    if num_segments h > 0 then
-      for j = 0 to width h - 1 do
-        let ic = open_in_bin (Filename.concat h.dir (col_file j)) in
-        Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-        guard h @@ fun () ->
-        for _ = 1 to num_segments h do
-          let _tag, n, has_nulls, plen = read_header h ic in
-          seek_in ic (pos_in ic + (if has_nulls then (n + 7) / 8 else 0) + plen);
-          total := !total + read_footer ic
-        done
-      done;
-    h.bytes <- !total
-  end;
-  h.bytes
+(* The written relation's [Relation.byte_size], recorded in [meta]:
+   no column file is opened. *)
+let byte_size h = h.bytes
 
 let relation h =
   Relation.paged ~schema:h.schema ~card:h.card

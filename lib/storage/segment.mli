@@ -1,14 +1,14 @@
 (** Disk-backed column segment store.
 
     Persists a relation as one directory: a text [meta] file (schema,
-    cardinality, per-column representation tags) plus one
+    cardinality, serialized byte size, per-column representation tags)
+    plus one
     [col<j>.seg] file per column holding append-only segments of up to
     {!segment_rows} rows. Fixed-width columns (ints / floats / dates /
     bools) store one little-endian word per row; strings are
     offset-indexed (offset array + payload heap); the boxed fallback
     uses a tagged per-value codec. Every segment carries its null
-    bitmap and a footer (row/null counts, min/max, serialized byte
-    size).
+    bitmap.
 
     Round-trips are representation-exact — a read-back column is
     variant-, value- and [byte_size]-identical to what was written —
@@ -53,10 +53,9 @@ val read_all : ?needed:bool array -> handle -> Column.t array
     [Failure] is raised. *)
 
 val byte_size : handle -> int
-(** The stored relation's serialized size, summed from the segment
-    footers — equal to the written relation's {!Relation.byte_size}.
-    Reads headers and footers only (no page read is counted) and is
-    memoized per handle on first use. *)
+(** The written relation's {!Relation.byte_size}, recorded in [meta]
+    by {!write}: no column file is opened and no page read is
+    counted. *)
 
 val relation : handle -> Relation.t
 (** The stored relation as a paged {!Relation.t}: every [rows]/[cols]/

@@ -89,7 +89,16 @@ type set_name = T | C | CR | CRA
 
 let set_name_to_string = function T -> "T" | C -> "C" | CR -> "CR" | CRA -> "CR+A"
 
+let set_name_of_string s =
+  match String.lowercase_ascii s with
+  | "t" -> Some T
+  | "c" -> Some C
+  | "cr" -> Some CR
+  | "cra" | "cr+a" -> Some CRA
+  | _ -> None
+
 let texts = function T -> set_t | C -> set_c | CR -> set_cr | CRA -> set_cra
+let texts_of_string s = Option.map texts (set_name_of_string s)
 
 let all_sets = [ T; C; CR; CRA ]
 

@@ -20,7 +20,15 @@ val set_cra : string list
 type set_name = T | C | CR | CRA
 
 val set_name_to_string : set_name -> string
+
+val set_name_of_string : string -> set_name option
+(** Case-insensitive: [T], [C], [CR], and [CRA] or [CR+A]. *)
+
 val texts : set_name -> string list
+
+val texts_of_string : string -> string list option
+(** The {!texts} of a set named as {!set_name_of_string} reads it. *)
+
 val all_sets : set_name list
 
 val catalog_of : Catalog.t -> set_name -> Policy.Pcatalog.t

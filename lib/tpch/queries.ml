@@ -98,6 +98,8 @@ let extended =
 
 let all_extended = all @ extended
 
+let resolve q = Option.value (List.assoc_opt (String.uppercase_ascii q) all_extended) ~default:q
+
 let by_name name =
   match List.assoc_opt (String.uppercase_ascii name) all_extended with
   | Some q -> q

@@ -32,6 +32,10 @@ val q19 : string
 val extended : (string * string) list
 val all_extended : (string * string) list
 
+val resolve : string -> string
+(** The SQL of a built-in name (case-insensitive, over {!all_extended}),
+    or the text itself. *)
+
 val by_name : string -> string
 (** Case-insensitive lookup over {!all_extended}; raises
     [Invalid_argument] for unknown names. *)

@@ -375,7 +375,7 @@ let test_order_by_and_limit () =
     | Error e -> Alcotest.failf "run failed: %s" (Cgqp.error_to_string e)
   in
   Alcotest.(check int) "limited" 5 (Storage.Relation.cardinality r.Cgqp.relation);
-  let look = Storage.Relation.lookup_fn r.Cgqp.relation in
+  let look = Storage.Relation.lookup_of_schema (Storage.Relation.schema r.Cgqp.relation) in
   let vals =
     Array.to_list (Storage.Relation.rows r.Cgqp.relation)
     |> List.map (fun row -> look (Attr.unqualified "acctbal") row)
@@ -402,7 +402,9 @@ let test_having () =
     (Storage.Relation.cardinality with_having.Cgqp.relation
     <= Storage.Relation.cardinality without.Cgqp.relation);
   (* every surviving group satisfies the predicate *)
-  let look = Storage.Relation.lookup_fn with_having.Cgqp.relation in
+  let look =
+    Storage.Relation.lookup_of_schema (Storage.Relation.schema with_having.Cgqp.relation)
+  in
   Array.iter
     (fun row ->
       match look (Attr.unqualified "total") row with

@@ -25,7 +25,7 @@ let table_cols = function
   | "t" -> [ "k"; "f"; "d"; "w"; "z" ]
   | "w" -> [ "k"; "g"; "pad" ]
   | "p" | "q" -> [ "k"; "i"; "d"; "f"; "s"; "v" ]
-  | "e" | "g" -> [ "x"; "n"; "a"; "b"; "c1"; "c2"; "c3"; "m"; "mq"; "d"; "h"; "l" ]
+  | "e" | "g" -> [ "x"; "n"; "a"; "b"; "c1"; "c2"; "c3"; "m"; "mq"; "d"; "h"; "l"; "dn"; "s" ]
   | t -> Alcotest.failf "unknown table %s" t
 
 (* A table past several 256-row batches and a 64-group key table, for the
@@ -201,7 +201,7 @@ let test_merge_join_nulls_and_residual () =
 let test_sort_operator () =
   let plan = node (P.Sort [ (attr "s" "c", true) ]) [ scan "s" ] in
   let r = run plan in
-  let look = Storage.Relation.lookup_fn r.relation in
+  let look = Storage.Relation.lookup_of_schema (Storage.Relation.schema r.relation) in
   let vals =
     Array.to_list (Storage.Relation.rows r.relation)
     |> List.map (fun row -> look (attr "s" "c") row)
@@ -231,7 +231,7 @@ let test_hash_agg () =
   in
   let r = run plan in
   Alcotest.(check int) "three groups" 3 (Storage.Relation.cardinality r.relation);
-  let look = Storage.Relation.lookup_fn r.relation in
+  let look = Storage.Relation.lookup_of_schema (Storage.Relation.schema r.relation) in
   let find_group k =
     match
       Array.find_opt
@@ -1759,7 +1759,12 @@ let test_atoms_on_every_variant () =
   let p = Option.get (Storage.Database.find db ~table:"p" ()) in
   List.iter2
     (fun name expect ->
-      let ix = Option.get (Storage.Relation.find_index p (attr "p" name)) in
+      let ix =
+        Option.get
+          (Storage.Relation.resolve
+             (Storage.Relation.resolver (Storage.Relation.schema p))
+             (attr "p" name))
+      in
       let c = (Storage.Relation.cols p).(ix) in
       let got =
         match c.Storage.Column.data with
@@ -1824,12 +1829,15 @@ let test_atoms_on_every_variant () =
 
    Hash joins and aggregations address their key table directly when
    every key is int-backed and the product of the key ranges' widths is
-   at most max(4,096, 4 * rows), and hash it otherwise. Tables [e]
-   (700 rows, the probe side) and [g] (1,000 rows, the build side, so
-   the bound is 4,096 for a join and for a grouping over [g]) hold one
-   column per edge:
+   at most max(4,096, 4 * rows), and hash it otherwise. A group key
+   holding a NULL takes the boxed dictionary, so it hashes; NULL
+   groups with NULL, and a NULL must not share a code with the NULL
+   dummy a typed column stores (0, or ""). Tables [e] (700 rows, the
+   probe side) and [g] (1,000 rows, the build side, so the bound is
+   4,096 for a join and for a grouping over [g]) hold one column per
+   edge:
    - [x]: [min_int], [max_int] and their neighbours, with NULLs: a width
-     that overflows an int, hashed;
+     that overflows an int as a join key, hashed;
    - [n]: negative keys, each repeated on the build side (emission
      order); the probe side adds [min_int] and [max_int], which miss
      the range;
@@ -1837,13 +1845,17 @@ let test_atoms_on_every_variant () =
      [b]: 0 .. 4,096, one past it, hashed;
    - [c1], [c2], [c3]: 0 .. 63, 0 .. 63 and 0 .. 64 on [g]: ([c1], [c2])
      has width 4,096, direct, and ([c1], [c3]) 4,160, hashed;
-   - [m]: 0 .. 4,094 with NULLs, at the bound as a group key (NULL takes
-     one slot), and [mq]: 0 .. 4,095 with NULLs, one past it;
+   - [m]: 0 .. 4,094 with NULLs, and [mq]: 0 .. 4,095 with NULLs: at
+     and one past the bound as join keys, and holding 0 beside their
+     NULLs as group keys;
    - [d]: Dates with [n]'s numbers, which never equal an Int;
    - [h] and [l]: the hundred values up to [max_int] and from
-     [min_int], direct, [h] with NULLs (NULL's slot wraps past
-     [max_int]).
-   The probe side's values run past the build side's ranges. *)
+     [min_int], direct, [h] with NULLs;
+   - [dn]: Dates from -20 to 19 with NULLs, and [s]: Strs with NULLs
+     and [""], nullable keys of the other typed variants.
+   The probe side's values run past the build side's ranges. Groupings
+   also take a key the plan cannot resolve beside one it can, and a
+   global aggregate runs over a filter that keeps no row. *)
 let edge_row ~rows i =
   let pick l = List.nth l (i mod List.length l) in
   let null_if b v = if b then Value.Null else v in
@@ -1864,6 +1876,9 @@ let edge_row ~rows i =
     Value.Date (-1000 - (i mod 250));
     null_if (i mod 11 = 2) (int (max_int - (i mod 100)));
     int (min_int + (i mod 100));
+    null_if (i mod 6 = 1) (Value.Date ((i mod 40) - 20));
+    null_if (i mod 5 = 2)
+      (Value.Str (if i mod 7 = 0 then "" else Printf.sprintf "s%d" (i mod 31)));
   |]
 
 let edge_db () =
@@ -1894,6 +1909,9 @@ let test_key_table_edges () =
   (* [x >= 0] keeps 0 .. [max_int]: a span of exactly [max_int] *)
   let upper child =
     node (P.Filter (Pred.Atom (Pred.Cmp (Pred.Ge, col "g" "x", Expr.Const (Value.Int 0)))))
+      [ child ]
+  and none child =
+    node (P.Filter (Pred.Atom (Pred.Cmp (Pred.Lt, col "g" "a", Expr.Const (Value.Int 0)))))
       [ child ]
   in
   let join ?(sorted = false) ?(build = scan "g") pairs =
@@ -1934,6 +1952,8 @@ let test_key_table_edges () =
       ("h = h", join [ ("h", "h") ], `Some);
       ("l = l", join [ ("l", "l") ], `Some);
       ("h, l", join [ ("h", "h"); ("l", "l") ], `Some);
+      ("dn = dn", join [ ("dn", "dn") ], `Some);
+      ("s = s", join [ ("s", "s") ], `Some);
     ]
   and groups =
     List.concat_map
@@ -1942,10 +1962,14 @@ let test_key_table_edges () =
           (fun keys -> (rel ^ " by " ^ String.concat ", " keys, agg rel keys))
           [
             [ "x" ]; [ "n" ]; [ "a" ]; [ "b" ]; [ "c1"; "c2" ]; [ "c1"; "c3" ]; [ "m" ];
-            [ "mq" ]; [ "d" ]; [ "h" ]; [ "l" ]; [ "m"; "h" ]; [ "d"; "n" ];
+            [ "mq" ]; [ "d" ]; [ "h" ]; [ "l" ]; [ "m"; "h" ]; [ "d"; "n" ]; [ "dn" ];
+            [ "s"; "c1" ]; [ "c1"; "nowhere" ]; [ "nowhere" ];
           ])
       [ "g"; "e" ]
-    @ [ ("g by x, x >= 0", agg ~input:(upper (scan "g")) "g" [ "x" ]) ]
+    @ [
+        ("g by x, x >= 0", agg ~input:(upper (scan "g")) "g" [ "x" ]);
+        ("g, no row, global", agg ~input:(none (scan "g")) "g" []);
+      ]
   in
   List.iter
     (fun budget ->
@@ -1959,15 +1983,38 @@ let test_key_table_edges () =
         joins;
       List.iter (fun (_, plan) -> ignore (card budget plan)) groups)
     [ Exec.Runtime.unlimited_budget; 0 ];
-  (* NULL is one group, and a NULL join key matches nothing *)
+  (* NULL is one group, apart from 0 and "", and a NULL join key
+     matches nothing *)
   let rows plan = Storage.Relation.rows (vector_checked ~db plan) in
   let null_groups keys =
     Array.fold_left (fun k r -> if Value.is_null r.(0) then k + 1 else k) 0 (rows (agg "g" keys))
   in
-  Alcotest.(check int) "one NULL group (direct)" 1 (null_groups [ "h" ]);
-  Alcotest.(check int) "one NULL group (hashed)" 1 (null_groups [ "x" ]);
+  List.iter
+    (fun k -> Alcotest.(check int) ("one NULL group by " ^ k) 1 (null_groups [ k ]))
+    [ "h"; "x"; "m"; "dn" ];
   Alcotest.(check int) "h groups: a hundred values and NULL" 101
     (Array.length (rows (agg "g" [ "h" ])));
+  Alcotest.(check int) "dn groups: forty dates and NULL" 41
+    (Array.length (rows (agg "g" [ "dn" ])));
+  Alcotest.(check bool) "s, c1: NULL and \"\" groups share a c1" true
+    (let by_c1 nullp =
+       List.sort_uniq compare
+         (List.filter_map
+            (fun r -> if nullp r.(0) then Some r.(1) else None)
+            (Array.to_list (rows (agg "g" [ "s"; "c1" ]))))
+     in
+     List.exists (fun c -> List.mem c (by_c1 (Value.equal (Value.Str "")))) (by_c1 Value.is_null));
+  (* an unresolvable key splits no group and reads NULL *)
+  let c1_groups = rows (agg "g" [ "c1"; "nowhere" ]) in
+  Alcotest.(check int) "c1 beside an unresolvable key: 64 groups" 64 (Array.length c1_groups);
+  Alcotest.(check bool) "the unresolvable key reads NULL" true
+    (Array.for_all (fun r -> Value.is_null r.(1)) c1_groups);
+  (* a global aggregate over no row is one row: count 0, sum NULL *)
+  (match rows (agg ~input:(none (scan "g")) "g" []) with
+  | [| [| cnt; sum |] |] ->
+    Alcotest.(check bool) "global over no row" true
+      (Value.equal cnt (Value.Int 0) && Value.is_null sum)
+  | r -> Alcotest.failf "global over no row: %d rows" (Array.length r));
   Alcotest.(check bool) "NULL keys do not join" true
     (Array.for_all (fun r -> not (Value.is_null r.(0))) (rows (join [ ("x", "x") ])))
 

@@ -59,7 +59,7 @@ let test_relation_basic () =
 
 let test_relation_lookup () =
   let r = rel [ (1, "x") ] in
-  let look = Storage.Relation.lookup_fn r in
+  let look = Storage.Relation.lookup_of_schema (Storage.Relation.schema r) in
   let row = (Storage.Relation.rows r).(0) in
   Alcotest.(check bool) "exact" true
     (Value.equal (look (Attr.make ~rel:"t" ~name:"a") row) (Value.Int 1));
@@ -212,19 +212,22 @@ let test_duplicate_attr_resolution () =
       ~rows:[| [| Value.Int 1; Value.Int 2; Value.Int 3 |] |]
   in
   Storage.Relation.columnarize r;
-  Alcotest.(check bool) "exact r.a" true (Storage.Relation.find_index r a_r = Some 0);
-  Alcotest.(check bool) "exact s.a" true (Storage.Relation.find_index r a_s = Some 1);
+  let position rel =
+    Storage.Relation.resolve (Storage.Relation.resolver (Storage.Relation.schema rel))
+  in
+  Alcotest.(check bool) "exact r.a" true (position r a_r = Some 0);
+  Alcotest.(check bool) "exact s.a" true (position r a_s = Some 1);
   Alcotest.(check bool) "ambiguous bare a" true
-    (Storage.Relation.find_index r (Attr.unqualified "a") = None);
+    (position r (Attr.unqualified "a") = None);
   Alcotest.(check bool) "unique bare b" true
-    (Storage.Relation.find_index r (Attr.unqualified "b") = Some 2);
+    (position r (Attr.unqualified "b") = Some 2);
   let dup =
     Storage.Relation.make ~schema:[ a_r; a_r ]
       ~rows:[| [| Value.Int 1; Value.Int 2 |] |]
   in
   Alcotest.(check bool) "duplicate exact last wins" true
-    (Storage.Relation.find_index dup a_r = Some 1);
-  let look = Storage.Relation.lookup_fn dup in
+    (position dup a_r = Some 1);
+  let look = Storage.Relation.lookup_of_schema (Storage.Relation.schema dup) in
   Alcotest.(check bool) "lookup uses the winning column" true
     (Value.equal (look a_r (Storage.Relation.rows dup).(0)) (Value.Int 2))
 
@@ -447,9 +450,9 @@ let test_segment_page_reads () =
   Alcotest.(check bool) "second access pages again" true
     (Storage.Segment.page_reads () > r1)
 
-let test_segment_byte_size_from_footers () =
-  (* a paged relation's byte_size comes from the segment footers: it
-     equals the resident value and decodes nothing *)
+let test_segment_byte_size_from_meta () =
+  (* a paged relation's byte_size is the one [write] recorded in meta:
+     it equals the resident value and decodes nothing *)
   let r = seg_rel (Storage.Segment.segment_rows + 1) in
   let dir = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
@@ -458,10 +461,22 @@ let test_segment_byte_size_from_footers () =
   Storage.Segment.reset_page_reads ();
   Alcotest.(check int) "equals resident" (Storage.Relation.byte_size r)
     (Storage.Relation.byte_size pr);
-  Alcotest.(check int) "memoized, same again" (Storage.Relation.byte_size r)
+  Alcotest.(check int) "same again" (Storage.Relation.byte_size r)
     (Storage.Relation.byte_size pr);
   Alcotest.(check int) "no page read" 0 (Storage.Segment.page_reads ());
-  Alcotest.(check int) "no payload byte decoded" 0 (Storage.Segment.page_read_bytes ())
+  Alcotest.(check int) "no payload byte decoded" 0 (Storage.Segment.page_read_bytes ());
+  (* a directory of the footer format, whose meta has no byte count,
+     is refused by its magic *)
+  let meta = Filename.concat dir "meta" in
+  let text = In_channel.with_open_text meta In_channel.input_all in
+  let nl = String.index text '\n' in
+  Out_channel.with_open_text meta (fun oc ->
+      output_string oc ("cgqp-segments 1" ^ String.sub text nl (String.length text - nl)));
+  match Storage.Segment.openh ~dir with
+  | _ -> Alcotest.fail "an older meta opened"
+  | exception Failure m ->
+    Alcotest.(check bool) "older meta: bad meta magic" true
+      (String.starts_with ~prefix:"Segment: bad meta magic" m)
 
 let test_segment_masked_read_all () =
   (* every mask over a boxed mixed-type column, an all-NULL typed column
@@ -669,8 +684,8 @@ let () =
           Alcotest.test_case "page-read accounting, no caching" `Quick
             test_segment_page_reads;
           Alcotest.test_case "Database.paged twin" `Quick test_database_paged;
-          Alcotest.test_case "byte_size from footers, no page read" `Quick
-            test_segment_byte_size_from_footers;
+          Alcotest.test_case "byte_size from meta, no page read" `Quick
+            test_segment_byte_size_from_meta;
           Alcotest.test_case "masked read_all" `Quick test_segment_masked_read_all;
           Alcotest.test_case "corrupt segment closes its files" `Quick
             test_segment_corrupt_closes;
