@@ -245,12 +245,13 @@ let load_faults ~cli_seed = function
         Ok (Some (Catalog.Network.Fault.make ~seed (Catalog.Network.Fault.events sched)))
       | None -> Ok (Some sched)))
 
+(* Tpch.Queries.resolve accepts every name of Tpch.Queries.all_extended. *)
+let query_doc =
+  "SQL text, or one of the built-in names (case-insensitive) Q1, Q2, Q3, Q5, Q6, Q7, \
+   Q8, Q9, Q10, Q11, Q12, Q19."
+
 let query_arg =
-  Arg.(
-    required
-    & pos 0 (some string) None
-    & info [] ~docv:"QUERY"
-        ~doc:"SQL text, or one of the built-in names Q2, Q3, Q5, Q8, Q9, Q10.")
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:query_doc)
 
 let load_policies session set file =
   let texts =
@@ -971,8 +972,7 @@ let default_term =
     Arg.(
       value
       & pos 0 (some string) None
-      & info [] ~docv:"QUERY"
-          ~doc:"SQL text, or one of the built-in names Q2, Q3, Q5, Q8, Q9, Q10.")
+      & info [] ~docv:"QUERY" ~doc:query_doc)
   in
   Term.(
     ret

@@ -176,6 +176,7 @@ let hash_agg schema keys (aggs : Expr.agg list) mode r =
 
 let kernels : R.t kernels =
   {
+    (* a stored table is columnar: its row view is built here, at each scan *)
     scan = (fun r schema ~project:_ () -> R.make ~schema ~rows:(R.rows r));
     filter =
       (fun schema pred ->

@@ -257,7 +257,8 @@ let load_catalog_file path : Catalog.t =
 
 (* [load_csv_dir ~cat dir] loads [dir]/<table>.csv for every table of
    the catalog into a database; partitioned tables are split round-robin
-   like the TPC-H loader. Missing files load as empty relations. *)
+   like the TPC-H loader ([Database.add_round_robin]). A missing file
+   loads as an empty relation with typed columns. *)
 let load_csv_dir ~(cat : Catalog.t) (dir : string) : Storage.Database.t =
   let db = Storage.Database.create () in
   List.iter
@@ -275,22 +276,9 @@ let load_csv_dir ~(cat : Catalog.t) (dir : string) : Storage.Database.t =
       let path = Filename.concat dir (name ^ ".csv") in
       let rel =
         if Sys.file_exists path then Storage.Csv.load_file ~schema ~types path
-        else Storage.Relation.empty ~schema
+        else Storage.Csv.parse ~schema ~types ""
       in
-      match entry.Catalog.placements with
-      | [ _ ] -> Storage.Database.add db ~table:name rel
-      | ps ->
-        let k = List.length ps in
-        List.iteri
-          (fun i _ ->
-            let rows =
-              Array.of_seq
-                (Seq.filter_map
-                   (fun (j, row) -> if j mod k = i then Some row else None)
-                   (Array.to_seqi (Storage.Relation.rows rel)))
-            in
-            Storage.Database.add db ~table:name ~partition:i
-              (Storage.Relation.make ~schema ~rows))
-          ps)
+      Storage.Database.add_round_robin db ~table:name
+        ~partitions:(List.length entry.Catalog.placements) rel)
     (Catalog.all_tables cat);
   db

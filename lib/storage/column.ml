@@ -1,7 +1,7 @@
 (* Column-major storage: one typed, unboxed array per column plus a
    packed null bitmap. This is the physical layout the vectorized
-   engine's kernels run over; the row-oriented engines see it only
-   through [Relation]'s row-view shim.
+   engine's kernels run over; the reference interpreter reads it
+   through the row view [Relation.rows] builds at each scan.
 
    Representation rules:
    - a column whose non-null values all share one [Value.ty] is stored

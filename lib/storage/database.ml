@@ -15,11 +15,25 @@ type t = { mutable store : Relation.t Key_map.t }
 let create () = { store = Key_map.empty }
 
 let add t ~table ?(partition = 0) rel =
-  (* Stored base tables are the vectorized engine's scan inputs:
-     columnarize once at load time so no query pays the conversion.
-     (No-op for paged relations, which page in per access.) *)
-  Relation.columnarize rel;
+  (* a stored resident table is columns only, so no scan converts *)
+  let rel =
+    if Relation.is_paged rel then rel
+    else Relation.(of_cols ~schema:(schema rel) ~card:(cardinality rel) (cols rel))
+  in
   t.store <- Key_map.add (String.lowercase_ascii table, partition) rel t.store
+
+(* Row [j] goes to partition [j mod partitions], gathered column by
+   column, so a typed column stays typed even in an empty partition. *)
+let add_round_robin t ~table ~partitions rel =
+  if partitions <= 1 then add t ~table rel
+  else
+    let cols = Relation.cols rel and n = Relation.cardinality rel in
+    for i = 0 to partitions - 1 do
+      let ixs = Array.init ((n - i + partitions - 1) / partitions) (fun r -> i + (r * partitions)) in
+      add t ~table ~partition:i
+        (Relation.of_cols ~schema:(Relation.schema rel) ~card:(Array.length ixs)
+           (Array.map (fun c -> Column.gather c ixs) cols))
+    done
 
 let find t ~table ?(partition = 0) () =
   Key_map.find_opt (String.lowercase_ascii table, partition) t.store

@@ -6,6 +6,16 @@ type t
 
 val create : unit -> t
 val add : t -> table:string -> ?partition:int -> Relation.t -> unit
+(** Store [table]'s partition (default 0). A row relation is stored as
+    its columns, so a scan of a resident table converts nothing; a
+    columnar or paged relation is stored as is. *)
+
+val add_round_robin : t -> table:string -> partitions:int -> Relation.t -> unit
+(** {!add} row [j] to partition [j mod partitions], in order, by
+    {!Column.gather}; one partition stores the relation whole. A column
+    keeps its variant: an empty partition of a typed column holds a
+    zero-length typed array, never [Values [||]]. *)
+
 val find : t -> table:string -> ?partition:int -> unit -> Relation.t option
 
 val find_exn : t -> table:string -> ?partition:int -> unit -> Relation.t

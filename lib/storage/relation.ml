@@ -1,15 +1,14 @@
 (* An in-memory materialized relation: a schema of qualified column
-   names over column-major storage (one [Column.t] per attribute, see
-   column.ml), with a row-view shim for row-at-a-time consumers (the
-   reference interpreter, [Geodsl], data generation).
+   names over exactly one representation — boxed rows ([make]), typed
+   columns ([of_cols], one [Column.t] per attribute, see column.ml) or
+   a pager over a segment store ([paged]).
 
-   A relation can be constructed from rows ([make]) or from columns
-   ([of_cols]); the other representation is materialized lazily on
-   first access and cached. Relations are immutable, so the caches are
-   safe to share; the reference interpreter ([Interp]) pays no
-   conversion cost on intermediates it builds and consumes as rows,
-   while the vectorized engine reads stored base tables column-major
-   (the conversion happens once per stored relation, not per query). *)
+   Nothing is cached: [rows] on a columnar relation and [cols] on a row
+   relation convert on every call. Stored base tables are columnar
+   ([Database.add] stores a row relation's columns), so the vectorized
+   engine's scans convert nothing, while the reference interpreter
+   ([Interp]) builds a row view of a base table at each scan and keeps
+   its own intermediates as rows. *)
 
 open Relalg
 
@@ -63,14 +62,16 @@ type t = {
   schema : Attr.t list;
   width : int;
   card : int;
-  mutable rows_v : Value.t array array option;  (* row-view cache *)
-  mutable cols_v : Column.t array option;  (* column-major cache *)
-  pager : pager option;
-      (* [Some _] = disk-backed (segment store). Paged relations never
-         cache a materialized view — every [rows]/[cols] access
-         re-reads, which is the out-of-core contract (resident working
-         set stays the operator's output, not the base table). *)
+  repr : repr;
 }
+
+and repr =
+  | Rows of Value.t array array
+  | Cols of Column.t array
+  | Paged of pager
+      (* disk-backed (segment store): every access re-reads, which is
+         the out-of-core contract (the resident working set stays the
+         operators' output, not the base table) *)
 
 and pager = {
   load : bool array -> Column.t array;
@@ -85,7 +86,7 @@ let make ~schema ~rows =
     (fun r ->
       if Array.length r <> n then invalid_arg "Relation.make: row arity mismatch")
     rows;
-  { schema; width = n; card = Array.length rows; rows_v = Some rows; cols_v = None; pager = None }
+  { schema; width = n; card = Array.length rows; repr = Rows rows }
 
 let of_cols ~schema ~card cols =
   let n = List.length schema in
@@ -95,77 +96,52 @@ let of_cols ~schema ~card cols =
       if Column.length c <> card then
         invalid_arg "Relation.of_cols: column cardinality mismatch")
     cols;
-  { schema; width = n; card; rows_v = None; cols_v = Some cols; pager = None }
+  { schema; width = n; card; repr = Cols cols }
 
 let paged ~schema ~card ~load ~byte_size =
-  { schema; width = List.length schema; card; rows_v = None; cols_v = None;
-    pager = Some { load; bytes = byte_size } }
+  { schema; width = List.length schema; card; repr = Paged { load; bytes = byte_size } }
 
-let is_paged t = t.pager <> None
+let is_paged t = match t.repr with Paged _ -> true | Rows _ | Cols _ -> false
 
-let empty ~schema = make ~schema ~rows:[||]
 let schema t = t.schema
 let cardinality t = t.card
 
-(* The row-view shim: row-major [Value.t array array], materialized
-   from the columns on first access and cached. Callers must not
-   mutate the result. *)
 let rows_of_cols t cols =
   Array.init t.card (fun i -> Array.init t.width (fun j -> Column.get cols.(j) i))
 
 let rows t =
-  match t.rows_v with
-  | Some rows -> rows
-  | None -> (
-    match t.pager with
-    | Some p -> rows_of_cols t (p.load (Array.make t.width true)) (* never cached *)
-    | None ->
-      let cols = match t.cols_v with Some c -> c | None -> assert false in
-      let rows = rows_of_cols t cols in
-      t.rows_v <- Some rows;
-      rows)
+  match t.repr with
+  | Rows rows -> rows
+  | Cols cols -> rows_of_cols t cols
+  | Paged p -> rows_of_cols t (p.load (Array.make t.width true))
 
-(* Column-major view, materialized from the rows on first access and
-   cached; stored base tables are columnarized up front by
-   [Database.add], so queries never pay this. Paged relations re-read
-   from disk on every access and cache nothing. *)
 let cols t =
-  match t.cols_v with
-  | Some cols -> cols
-  | None -> (
-    match t.pager with
-    | Some p -> p.load (Array.make t.width true)
-    | None ->
-      let rows = match t.rows_v with Some r -> r | None -> assert false in
-      let cols =
-        Array.init t.width (fun j ->
-            Column.of_values (Array.init t.card (fun i -> rows.(i).(j))))
-      in
-      t.cols_v <- Some cols;
-      cols)
+  match t.repr with
+  | Cols cols -> cols
+  | Rows rows ->
+    Array.init t.width (fun j -> Column.of_values (Array.init t.card (fun i -> rows.(i).(j))))
+  | Paged p -> p.load (Array.make t.width true)
 
 let read_cols t ~needed =
-  match t.pager with
-  | Some p ->
+  match t.repr with
+  | Paged p ->
     if Array.length needed <> t.width then
       invalid_arg "Relation.read_cols: mask width differs from the schema's";
     p.load needed
-  | None -> cols t
+  | Rows _ | Cols _ -> cols t
 
-let columnarize t = if t.pager = None then ignore (cols t)
-
-(* Total serialized size in bytes (what a SHIP of this relation moves).
-   Computed on whichever representation is materialized — both sum
-   [Value.byte_width] over every cell, so they agree; a paged relation
-   asks its pager (a segment store's [meta] records it). *)
+(* Total serialized size in bytes (what a SHIP of this relation moves):
+   the sum of [Value.byte_width] over every cell, whichever the
+   representation; a paged relation asks its pager (a segment store's
+   [meta] records it). *)
 let byte_size t =
-  match t.cols_v, t.pager with
-  | Some cols, _ -> Array.fold_left (fun acc c -> acc + Column.byte_size c) 0 cols
-  | None, Some p -> p.bytes ()
-  | None, None ->
+  match t.repr with
+  | Cols cols -> Array.fold_left (fun acc c -> acc + Column.byte_size c) 0 cols
+  | Paged p -> p.bytes ()
+  | Rows rows ->
     Array.fold_left
       (fun acc row -> Array.fold_left (fun acc v -> acc + Value.byte_width v) acc row)
-      0 (rows t)
+      0 rows
 
 (* Order rows by the given (attribute, descending) keys. Key positions
    are resolved once; unknown attributes read as NULL for every row. *)

@@ -1,8 +1,9 @@
-(** In-memory materialized relations: a schema of qualified column
-    names over column-major storage ({!Column.t} per attribute), with
-    a cached row-view shim for the row-at-a-time engines. A relation
-    can be built from either representation; the other is materialized
-    lazily on first access. *)
+(** Materialized relations: a schema of qualified column names over
+    exactly one representation — boxed rows ({!make}), typed columns
+    ({!of_cols}, one {!Column.t} per attribute) or a pager over a
+    segment store ({!paged}). A relation is immutable and caches
+    nothing: {!rows} of a columnar relation and {!cols} of a row
+    relation convert on every call. *)
 
 open Relalg
 
@@ -24,9 +25,8 @@ val lookup_of_schema : Attr.t list -> Attr.t -> Value.t array -> Value.t
 type t
 
 val make : schema:Attr.t list -> rows:Value.t array array -> t
-(** Build from rows (the row view is the stored representation; columns
-    materialize on first {!cols}). Raises [Invalid_argument] if some
-    row's arity differs from the schema. *)
+(** Build from rows, the relation's one representation. Raises
+    [Invalid_argument] if some row's arity differs from the schema. *)
 
 val of_cols : schema:Attr.t list -> card:int -> Column.t array -> t
 (** Build from columns. [card] is the row count (needed explicitly for
@@ -43,24 +43,25 @@ val paged :
     the columns whose [needed] bit is set (each of length [card]);
     every other column comes back as a zero-length placeholder.
     [byte_size ()] is the relation's {!byte_size}, obtained without
-    paging anything in. Paged relations never cache a materialized
-    view — every {!rows}/{!cols}/{!read_cols} access re-reads through
-    [load], so the resident working set is only what operators
-    materialize, not the base table. See {!Segment.relation}. *)
+    paging anything in. Every {!rows}/{!cols}/{!read_cols} access
+    re-reads through [load], so the resident working set is only what
+    operators materialize, not the base table. See {!Segment.relation}. *)
 
 val is_paged : t -> bool
 
-val empty : schema:Attr.t list -> t
 val schema : t -> Attr.t list
 
 val rows : t -> Value.t array array
-(** The row-view shim: materialized from the columns on first access
-    and cached. Treat the result as read-only. *)
+(** The row view. A row relation returns its own rows (treat them as
+    read-only); a columnar or paged relation builds fresh rows on every
+    call. *)
 
 val cols : t -> Column.t array
-(** Column-major view: materialized from the rows on first access and
-    cached. Stored base tables are columnarized up front by
-    {!Database.add}. *)
+(** The column view. A columnar relation returns its own columns, the
+    same array on every call; a row relation converts on every call
+    (sniffing each column's type, {!Column.of_values}); a paged
+    relation pages every column in. Stored base tables are columnar
+    ({!Database.add}), so a scan of one converts nothing. *)
 
 val read_cols : t -> needed:bool array -> Column.t array
 (** Column-major view restricted to a mask, one bit per schema
@@ -69,10 +70,6 @@ val read_cols : t -> needed:bool array -> Column.t array
     relation returns {!cols} (the mask costs nothing to honour there).
     Raises [Invalid_argument] on a paged relation if the mask's length
     is not the schema's width. *)
-
-val columnarize : t -> unit
-(** Force the column-major view to be materialized now. No-op on paged
-    relations, which deliberately never cache. *)
 
 val cardinality : t -> int
 

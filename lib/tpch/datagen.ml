@@ -40,15 +40,30 @@ let date_lo = day "1992-01-01"
 let date_hi = day "1998-08-02"
 
 type tables = {
-  region : Value.t array array;
-  nation : Value.t array array;
-  supplier : Value.t array array;
-  part : Value.t array array;
-  partsupp : Value.t array array;
-  customer : Value.t array array;
-  orders : Value.t array array;
-  lineitem : Value.t array array;
+  region : Storage.Column.t array;
+  nation : Storage.Column.t array;
+  supplier : Storage.Column.t array;
+  part : Storage.Column.t array;
+  partsupp : Storage.Column.t array;
+  customer : Storage.Column.t array;
+  orders : Storage.Column.t array;
+  lineitem : Storage.Column.t array;
 }
+
+(* One typed builder per column of the table's schema: each generated
+   row lands in them at once and is dropped. *)
+let builders name ~hint =
+  let def = List.find (fun d -> d.Catalog.Table_def.name = name) (Schema.tables ~sf:1.) in
+  Array.of_list (List.map (fun c -> Storage.Column.Builder.create ~hint c.Catalog.Table_def.ty) def.columns)
+
+let add_row bs row = Array.iteri (fun j v -> Storage.Column.Builder.add bs.(j) v) row
+
+let table name n row =
+  let bs = builders name ~hint:n in
+  for i = 0 to n - 1 do
+    add_row bs (row i)
+  done;
+  Array.map Storage.Column.Builder.finish bs
 
 let generate ?seed ~sf () : tables =
   let g = Prng.create ~seed:(Storage.Seed.resolve ?cli:seed ()) in
@@ -56,16 +71,14 @@ let generate ?seed ~sf () : tables =
   let n_cust = Schema.rows_at sf "customer" in
   let n_part = Schema.rows_at sf "part" in
   let n_ord = Schema.rows_at sf "orders" in
-  let region =
-    Array.of_list
-      (List.mapi (fun i r -> [| vi i; vs r; vs "r" |]) regions)
-  in
+  let region = table "region" (List.length regions) (fun i -> [| vi i; vs (List.nth regions i); vs "r" |]) in
   let nation =
-    Array.of_list
-      (List.mapi (fun i (n, r) -> [| vi i; vs n; vi r; vs "n" |]) nations)
+    table "nation" (List.length nations) (fun i ->
+        let n, r = List.nth nations i in
+        [| vi i; vs n; vi r; vs "n" |])
   in
   let supplier =
-    Array.init n_supp (fun i ->
+    table "supplier" n_supp (fun i ->
         [|
           vi (i + 1);
           vs (Printf.sprintf "Supplier#%09d" (i + 1));
@@ -78,7 +91,7 @@ let generate ?seed ~sf () : tables =
   in
   let part_price i = 90_000. +. (float_of_int ((i / 10) mod 20001)) +. (100. *. float_of_int (i mod 1000)) in
   let part =
-    Array.init n_part (fun i ->
+    table "part" n_part (fun i ->
         let key = i + 1 in
         [|
           vi key;
@@ -93,7 +106,7 @@ let generate ?seed ~sf () : tables =
         |])
   in
   let partsupp =
-    Array.init (n_part * 4) (fun i ->
+    table "partsupp" (n_part * 4) (fun i ->
         let pk = (i / 4) + 1 in
         let sk = 1 + ((pk + (i mod 4 * ((n_supp / 4) + 1))) mod n_supp) in
         [|
@@ -105,7 +118,7 @@ let generate ?seed ~sf () : tables =
         |])
   in
   let customer =
-    Array.init n_cust (fun i ->
+    table "customer" n_cust (fun i ->
         [|
           vi (i + 1);
           vs (Printf.sprintf "Customer#%09d" (i + 1));
@@ -117,9 +130,8 @@ let generate ?seed ~sf () : tables =
           vs "c";
         |])
   in
-  let orders = Array.make n_ord [||] in
-  let lineitems = ref [] in
-  let n_lines = ref 0 in
+  let orders = builders "orders" ~hint:n_ord in
+  let lineitem = builders "lineitem" ~hint:(n_ord * 9 / 2) in
   for i = 0 to n_ord - 1 do
     let okey = i + 1 in
     let ckey = 1 + Prng.int g n_cust in
@@ -137,8 +149,7 @@ let generate ?seed ~sf () : tables =
       let cdate = odate + 30 + Prng.int g 61 in
       let rdate = sdate + 1 + Prng.int g 30 in
       total := !total +. (price *. (1. -. disc) *. (1. +. tax));
-      incr n_lines;
-      lineitems :=
+      add_row lineitem
         [|
           vi okey; vi pkey; vi skey; vi ln; vi qty; vf price; vf disc; vf tax;
           vs (if rdate <= day "1995-06-17" then Prng.pick g [ "R"; "A" ] else "N");
@@ -146,9 +157,8 @@ let generate ?seed ~sf () : tables =
           vd sdate; vd cdate; vd rdate;
           vs (Prng.pick g instructs); vs (Prng.pick g modes); vs "l";
         |]
-        :: !lineitems
     done;
-    orders.(i) <-
+    add_row orders
       [|
         vi okey; vi ckey;
         vs (if odate > day "1995-06-17" then "O" else "F");
@@ -165,36 +175,23 @@ let generate ?seed ~sf () : tables =
     part;
     partsupp;
     customer;
-    orders;
-    lineitem = Array.of_list (List.rev !lineitems);
+    orders = Array.map Storage.Column.Builder.finish orders;
+    lineitem = Array.map Storage.Column.Builder.finish lineitem;
   }
 
-(* Load generated rows into a database, honouring the catalog's
+(* Load the generated columns into a database, honouring the catalog's
    partitioning: a table with k placements is split round-robin into k
    partitions. *)
 let load ~(cat : Catalog.t) (t : tables) : Storage.Database.t =
   let db = Storage.Database.create () in
-  let add name rows =
+  let add name cols =
     let def = Catalog.table_def cat name in
     let schema =
       List.map (fun c -> Attr.make ~rel:name ~name:c) (Catalog.Table_def.col_names def)
     in
-    match Catalog.placements cat name with
-    | [ _ ] ->
-      Storage.Database.add db ~table:name (Storage.Relation.make ~schema ~rows)
-    | ps ->
-      let k = List.length ps in
-      List.iteri
-        (fun i _ ->
-          let part_rows =
-            Array.of_seq
-              (Seq.filter_map
-                 (fun (j, row) -> if j mod k = i then Some row else None)
-                 (Array.to_seqi rows))
-          in
-          Storage.Database.add db ~table:name ~partition:i
-            (Storage.Relation.make ~schema ~rows:part_rows))
-        ps
+    Storage.Database.add_round_robin db ~table:name
+      ~partitions:(List.length (Catalog.placements cat name))
+      (Storage.Relation.of_cols ~schema ~card:(Storage.Column.length cols.(0)) cols)
   in
   add "region" t.region;
   add "nation" t.nation;

@@ -3,8 +3,6 @@
     enough that query selectivities behave like the original, while
     staying small and fully seeded. *)
 
-open Relalg
-
 (** dbgen value domains, exposed for the workload generators. *)
 
 val regions : string list
@@ -18,22 +16,24 @@ val type_syl2 : string list
 val type_syl3 : string list
 
 type tables = {
-  region : Value.t array array;
-  nation : Value.t array array;
-  supplier : Value.t array array;
-  part : Value.t array array;
-  partsupp : Value.t array array;
-  customer : Value.t array array;
-  orders : Value.t array array;
-  lineitem : Value.t array array;
+  region : Storage.Column.t array;
+  nation : Storage.Column.t array;
+  supplier : Storage.Column.t array;
+  part : Storage.Column.t array;
+  partsupp : Storage.Column.t array;
+  customer : Storage.Column.t array;
+  orders : Storage.Column.t array;
+  lineitem : Storage.Column.t array;
 }
+(** Each table's typed columns in schema order; a column's length is the
+    row count. *)
 
 val generate : ?seed:int -> sf:float -> unit -> tables
-(** Rows for all eight tables at scale factor [sf], deterministic in
-    [seed] (default {!Storage.Seed.resolve}: the [CGQP_SEED]
-    environment variable, else 42). Referential integrity holds across
-    the tables. *)
+(** All eight tables at scale factor [sf], deterministic in [seed]
+    (default {!Storage.Seed.resolve}: the [CGQP_SEED] environment
+    variable, else 42); each row goes straight into column builders.
+    Referential integrity holds across the tables. *)
 
 val load : cat:Catalog.t -> tables -> Storage.Database.t
-(** Load the rows into a database, splitting partitioned tables
+(** Load the tables into a database, splitting partitioned tables
     round-robin according to the catalog's placements. *)

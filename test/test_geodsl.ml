@@ -153,6 +153,63 @@ let test_end_to_end_deployment () =
     (Cgqp.is_legal session
        "SELECT p.name, v.cost FROM patients p, visits v WHERE p.pid = v.pid")
 
+(* [load_csv_dir] splits a partitioned table round-robin (row j to
+   partition j mod k, in order) and loads a missing file as an empty
+   relation. Every column keeps its declared type: an empty partition or
+   a missing table has zero-length typed columns, never boxed
+   [Values [||]]. *)
+let test_load_csv_dir () =
+  let cat =
+    Geodsl.parse_catalog
+      "location a\nlocation b\nlocation c\n\
+       table t at db on a, b, c rows 7 (x int key, s string)\n\
+       table one at db on a, b, c rows 1 (x int key, s string)\n\
+       table gone at db on a (y date)\n\
+       table gone2 at db on a, b (y float)\n"
+  in
+  let dir = Filename.temp_file "cgqp-csvdir-" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let write name text =
+    let oc = open_out (Filename.concat dir (name ^ ".csv")) in
+    output_string oc text;
+    close_out oc
+  in
+  write "t" "x,s\n0,a\n1,b\n2,c\n3,d\n4,e\n5,f\n6,g\n";
+  write "one" "x,s\n9,z\n";
+  let db =
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir)
+      (fun () -> Geodsl.load_csv_dir ~cat dir)
+  in
+  let part table p = Storage.Database.find_exn db ~table ~partition:p () in
+  let xs r =
+    Array.to_list (Array.map (fun row -> Value.to_string row.(0)) (Storage.Relation.rows r))
+  in
+  Alcotest.(check (list string)) "t[0]" [ "0"; "3"; "6" ] (xs (part "t" 0));
+  Alcotest.(check (list string)) "t[1]" [ "1"; "4" ] (xs (part "t" 1));
+  Alcotest.(check (list string)) "t[2]" [ "2"; "5" ] (xs (part "t" 2));
+  Alcotest.(check (list string)) "one[0]" [ "9" ] (xs (part "one" 0));
+  let typed_empty label r expect =
+    Alcotest.(check int) (label ^ " has no row") 0 (Storage.Relation.cardinality r);
+    Alcotest.(check (list string)) (label ^ " typed columns") expect
+      (Array.to_list
+         (Array.map
+            (fun (c : Storage.Column.t) ->
+              match c.Storage.Column.data with
+              | Ints _ -> "int" | Floats _ -> "float" | Strs _ -> "string"
+              | Dates _ -> "date" | Bools _ -> "bool" | Values _ -> "values")
+            (Storage.Relation.cols r)))
+  in
+  typed_empty "one[1]" (part "one" 1) [ "int"; "string" ];
+  typed_empty "one[2]" (part "one" 2) [ "int"; "string" ];
+  typed_empty "missing gone" (part "gone" 0) [ "date" ];
+  typed_empty "missing gone2[0]" (part "gone2" 0) [ "float" ];
+  typed_empty "missing gone2[1]" (part "gone2" 1) [ "float" ];
+  Alcotest.(check int) "stored tables" 9 (List.length (Storage.Database.tables db))
+
 let () =
   Alcotest.run "geodsl"
     [
@@ -170,5 +227,6 @@ let () =
           Alcotest.test_case "partitioned" `Quick test_schema_partitioned;
           Alcotest.test_case "errors" `Quick test_schema_errors;
           Alcotest.test_case "deployment e2e" `Quick test_end_to_end_deployment;
+          Alcotest.test_case "load_csv_dir split and missing files" `Quick test_load_csv_dir;
         ] );
     ]

@@ -211,7 +211,11 @@ let test_duplicate_attr_resolution () =
     Storage.Relation.make ~schema:[ a_r; a_s; b ]
       ~rows:[| [| Value.Int 1; Value.Int 2; Value.Int 3 |] |]
   in
-  Storage.Relation.columnarize r;
+  (* resolve over the columnar form a database stores *)
+  let r =
+    Storage.Relation.of_cols ~schema:(Storage.Relation.schema r) ~card:1
+      (Storage.Relation.cols r)
+  in
   let position rel =
     Storage.Relation.resolve (Storage.Relation.resolver (Storage.Relation.schema rel))
   in
@@ -638,6 +642,56 @@ let prop_pick_in_list =
       let g = Prng.create ~seed in
       List.mem (Prng.pick g xs) xs)
 
+(* A relation holds one representation and caches nothing: on rows
+   ([make]), columns ([of_cols]) and a pager ([Segment.relation]), [rows]
+   and [cols] read the same values; [cols] of a row relation converts
+   afresh on every call and leaves the rows it was made from in place;
+   and [Database.add] stores a row relation as its columns, so every
+   scan of the stored table reads the same column array. *)
+let test_one_representation () =
+  let r = seg_rel 100 in
+  let rows = Storage.Relation.rows r in
+  let from_rows = Storage.Relation.make ~schema:seg_schema ~rows in
+  let dir = fresh_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  Storage.Segment.write ~dir r;
+  let from_pager = Storage.Segment.relation (Storage.Segment.openh ~dir) in
+  let same_rows a b = Array.for_all2 (Array.for_all2 Value.equal) a b in
+  List.iter
+    (fun (label, rel) ->
+      let cols = Storage.Relation.cols rel in
+      let col_rows =
+        Array.init (Storage.Relation.cardinality rel) (fun i ->
+            Array.map (fun c -> Col.get c i) cols)
+      in
+      Alcotest.(check bool) (label ^ ": rows and cols agree") true
+        (same_rows (Storage.Relation.rows rel) col_rows);
+      Alcotest.(check bool) (label ^ ": same values as the columns") true
+        (same_rows rows col_rows);
+      Alcotest.(check int) (label ^ ": byte size") (Storage.Relation.byte_size r)
+        (Storage.Relation.byte_size rel))
+    [ ("rows", from_rows); ("columns", r); ("pager", from_pager) ];
+  let c1 = Storage.Relation.cols from_rows in
+  let c2 = Storage.Relation.cols from_rows in
+  Alcotest.(check bool) "cols of rows converts each call" true (c1 != c2);
+  Alcotest.(check bool) "cols of rows keeps the rows" true
+    (Storage.Relation.rows from_rows == rows);
+  Alcotest.(check bool) "rows of columns builds each call" true
+    (Storage.Relation.rows r != Storage.Relation.rows r);
+  let db = Storage.Database.create () in
+  Storage.Database.add db ~table:"s" from_rows;
+  let stored = Storage.Database.find_exn db ~table:"s" () in
+  Alcotest.(check bool) "stored table's cols are one array" true
+    (Storage.Relation.cols stored == Storage.Relation.cols stored);
+  Array.iteri
+    (fun j c ->
+      if not (same_col (Storage.Relation.cols r).(j) c) then
+        Alcotest.failf "stored column %d differs from the typed original" j)
+    (Storage.Relation.cols stored);
+  Alcotest.(check bool) "a stored paged relation stays paged" true
+    (Storage.Database.add db ~table:"p" from_pager;
+     Storage.Relation.is_paged (Storage.Database.find_exn db ~table:"p" ()))
+
 let () =
   Alcotest.run "storage"
     [
@@ -657,6 +711,8 @@ let () =
           Alcotest.test_case "database" `Quick test_database;
           Alcotest.test_case "order_by/take" `Quick test_order_by_and_take;
           Alcotest.test_case "split" `Quick test_split_independence;
+          Alcotest.test_case "one representation, nothing cached" `Quick
+            test_one_representation;
         ] );
       ( "columnar",
         [
