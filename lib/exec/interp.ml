@@ -1,9 +1,11 @@
 (* Reference interpreter for physical plans: the semantic baseline the
    vectorized executor ([Vector]) is differentially tested against.
-   Its kernels work row by row over boxed [Storage.Relation.t]s; the
-   plan walk, SHIP accounting, retry/backoff, profiles, the memory
-   account and observability are [Runtime]'s, shared with [Vector], so
-   both engines produce byte-identical results and stats. Its hash
+   Its kernels work row by row over plain boxed row arrays: a scan
+   builds a stored relation's row view, and the root's rows become the
+   result relation through [Relation.make]. The plan walk, SHIP
+   accounting, retry/backoff, profiles, the memory account and
+   observability are [Runtime]'s, shared with [Vector], so both engines
+   produce byte-identical results and stats. Its hash
    join and aggregation kernels key boxed rows through one [Row_tbl],
    run over the whole input in memory and per partition under the
    Grace spill driver ([Spill]). *)
@@ -17,14 +19,19 @@ include Runtime
 
 module R = Storage.Relation
 
+type rows = Value.t array array
+
+(* Serialized size: the [Value.byte_width] sum a SHIP charges. *)
+let rows_bytes : rows -> int =
+  Array.fold_left (Array.fold_left (fun n v -> n + Value.byte_width v)) 0
+
 (* A join's output rows, with [residual] tested on each candidate. *)
 let join_out ls rs residual =
-  let schema = ls @ rs in
   let keep =
     match residual with
     | Pred.True -> fun _ -> true
     | residual ->
-      let look = R.lookup_of_schema schema in
+      let look = R.lookup_of_schema (ls @ rs) in
       fun row -> Pred.eval (fun a -> look a row) residual
   in
   let out = ref [] in
@@ -32,7 +39,7 @@ let join_out ls rs residual =
     let row = Array.append lrow rrow in
     if keep row then out := row :: !out
   in
-  (emit, fun () -> R.make ~schema ~rows:(Array.of_list (List.rev !out)))
+  (emit, fun () -> Array.of_list (List.rev !out))
 
 (* --- boxed row keys: the hash kernels' key data, in memory and spilled --- *)
 
@@ -47,7 +54,7 @@ module Row_tbl = Hashtbl.Make (Row_key)
 
 let key_of look keys row = Array.of_list (List.map (fun a -> look a row) keys)
 
-(* A relation's [keys] as a spill side: one boxed key tuple per row. *)
+(* Rows' [keys] as a spill side: one boxed key tuple per row. *)
 let key_side look keys rows : Row_key.t array Spill.side =
   {
     rows = Array.length rows;
@@ -57,7 +64,7 @@ let key_side look keys rows : Row_key.t array Spill.side =
            (fun a j -> match look a rows.(j) with Value.Null -> -1 | v -> Value.hash v)
            keys);
     gather = Array.map (fun j -> key_of look keys rows.(j));
-    key_bytes = Array.fold_left (Array.fold_left (fun n v -> n + Value.byte_width v)) 0;
+    key_bytes = rows_bytes;
   }
 
 (* Build a table on the build block's keys and probe it with the probe
@@ -72,8 +79,7 @@ let join_pairs (probe : Row_key.t array Spill.block) (build : Row_key.t array Sp
     (fun i k -> if not (has_null k) then List.iter (emit i) (Row_tbl.find_all tbl k))
     probe.keys
 
-let hash_join ls rs keys residual mode lrel rrel =
-  let lrows = R.rows lrel and rrows = R.rows rrel in
+let hash_join ls rs keys residual mode (lrows : rows) (rrows : rows) =
   let probe = key_side (R.lookup_of_schema ls) (List.map fst keys) lrows
   and build = key_side (R.lookup_of_schema rs) (List.map snd keys) rrows in
   let emit, result = join_out ls rs residual in
@@ -84,10 +90,9 @@ let hash_join ls rs keys residual mode lrel rrel =
   result ()
 
 (* Inputs arrive sorted ascending on their key columns. *)
-let merge_join ls rs keys residual lrel rrel =
+let merge_join ls rs keys residual (lrows : rows) (rrows : rows) =
   let llook = R.lookup_of_schema ls and rlook = R.lookup_of_schema rs in
   let lkeys = List.map fst keys and rkeys = List.map snd keys in
-  let lrows = R.rows lrel and rrows = R.rows rrel in
   let keyl row = List.map (fun a -> llook a row) lkeys in
   let keyr row = List.map (fun a -> rlook a row) rkeys in
   let emit, result = join_out ls rs residual in
@@ -122,9 +127,9 @@ let merge_join ls rs keys residual lrel rrel =
   done;
   result ()
 
-let nl_join ls rs pred lrel rrel =
+let nl_join ls rs pred (lrows : rows) (rrows : rows) =
   let emit, result = join_out ls rs pred in
-  Array.iter (fun lrow -> Array.iter (fun rrow -> emit lrow rrow) (R.rows rrel)) (R.rows lrel);
+  Array.iter (fun lrow -> Array.iter (fun rrow -> emit lrow rrow) rrows) lrows;
   result ()
 
 (* Group a block's rows by key in first-seen order, feeding each
@@ -148,7 +153,7 @@ let group_rows ~na ~feed_row rows ({ pos; keys } : Row_key.t array Spill.block) 
     keys;
   (Array.of_list (List.rev !groups), Ivec.to_array firsts)
 
-let hash_agg schema keys (aggs : Expr.agg list) mode r =
+let hash_agg schema keys (aggs : Expr.agg list) mode (rows : rows) =
   let look = R.lookup_of_schema schema in
   let na = List.length aggs in
   let feed_row accs row =
@@ -159,7 +164,6 @@ let hash_agg schema keys (aggs : Expr.agg list) mode r =
   let finish_group (k, accs) =
     Array.append k (Array.of_list (List.mapi (fun i (a : Expr.agg) -> finish a.fn accs.(i)) aggs))
   in
-  let rows = R.rows r in
   let kernel = group_rows ~na ~feed_row rows and input = key_side look keys rows in
   let groups =
     match mode with
@@ -172,41 +176,54 @@ let hash_agg schema keys (aggs : Expr.agg list) mode r =
     if keys = [] && Array.length groups = 0 then [| ([||], Array.init na (fun _ -> fresh_acc ())) |]
     else groups
   in
-  R.make ~schema:(agg_schema keys aggs) ~rows:(Array.map finish_group groups)
+  Array.map finish_group groups
 
-let kernels : R.t kernels =
+(* A stable sort by (attribute, descending?) keys, positions resolved
+   once: an unknown attribute reads NULL on every row, so it never
+   orders. *)
+let sort schema keys =
+  let rv = R.resolver schema in
+  let kix =
+    List.filter_map (fun (a, desc) -> Option.map (fun ix -> (ix, desc)) (R.resolve rv a)) keys
+  in
+  let cmp (r1 : Value.t array) r2 =
+    let rec go = function
+      | [] -> 0
+      | (ix, desc) :: rest ->
+        let c = Value.compare r1.(ix) r2.(ix) in
+        if c <> 0 then if desc then -c else c else go rest
+    in
+    go kix
+  in
+  fun (rows : rows) ->
+    let rows = Array.copy rows in
+    Array.stable_sort cmp rows;
+    rows
+
+let kernels : rows kernels =
   {
     (* a stored table is columnar: its row view is built here, at each scan *)
-    scan = (fun r schema ~project:_ () -> R.make ~schema ~rows:(R.rows r));
+    scan = (fun r _ ~project:_ () -> R.rows r);
     filter =
       (fun schema pred ->
         let look = R.lookup_of_schema schema in
-        fun r ->
-          R.make ~schema
-            ~rows:
-              (Array.of_seq
-                 (Seq.filter
-                    (fun row -> Pred.eval (fun a -> look a row) pred)
-                    (Array.to_seq (R.rows r)))));
+        fun rows ->
+          Array.of_seq
+            (Seq.filter (fun row -> Pred.eval (fun a -> look a row) pred) (Array.to_seq rows)));
     project =
       (fun schema items ->
         let look = R.lookup_of_schema schema in
         let exprs = Array.of_list (List.map fst items) in
-        fun r ->
-          R.make ~schema:(List.map snd items)
-            ~rows:
-              (Array.map
-                 (fun row -> Array.map (fun e -> Expr.eval (fun a -> look a row) e) exprs)
-                 (R.rows r)));
+        Array.map (fun row -> Array.map (fun e -> Expr.eval (fun a -> look a row) e) exprs));
     hash_join;
     merge_join;
     nl_join;
     hash_agg;
-    sort = (fun _ keys r -> R.order_by r keys);
-    union = (fun schema rels -> R.make ~schema ~rows:(Array.concat (List.map R.rows rels)));
-    card = R.cardinality;
-    byte_size = R.byte_size;
-    to_relation = (fun _ r -> r);
+    sort;
+    union = (fun _ parts -> Array.concat parts);
+    card = Array.length;
+    byte_size = rows_bytes;
+    to_relation = (fun schema rows -> R.make ~schema ~rows);
   }
 
 let run ?faults ?retry ?budget ~network ~db ~table_cols plan =

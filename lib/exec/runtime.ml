@@ -401,8 +401,8 @@ let record_node ~stats ~(profile : node_profile list ref) ~rpath ~label
    it keeps the contract's child order, runs the replica gate and every
    SHIP, records each operator, keeps the memory account (including the
    spill decision) and computes finish times. An engine supplies only
-   its kernels, over its own output type ['o]: [Interp] threads boxed
-   relations, [Vector] column chunks. Each kernel is applied to its
+   its kernels, over its own output type ['o]: [Interp] threads plain
+   boxed row arrays, [Vector] column chunks. Each kernel is applied to its
    compile-time arguments once, here, and the closure it returns runs
    per execution. *)
 
@@ -516,7 +516,8 @@ let compile (k : 'o kernels) ~(db : Storage.Database.t) ~(table_cols : string ->
         fun env ->
           check_replica ~faults:env.faults ~table ~partition ~site:loc;
           let out = scan () in
-          (* a paged relation's size comes from its segment footers *)
+          (* a paged relation's size comes from its segment store's
+             [meta], without paging anything in *)
           finish env ~release:[] ~bytes:(Storage.Relation.byte_size r) out 0. )
     | Pplan.Filter pred, [ c ] -> unary c (fun cs -> pure (k.filter cs pred))
     | Pplan.Project items, [ c ] ->

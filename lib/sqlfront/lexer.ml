@@ -94,8 +94,9 @@ let tokenize (s : string) : token list =
           lex (Float_lit f :: acc) !j
         end
         else
-          let v = int_of_string (String.sub s i (!j - i)) in
-          lex (Int_lit v :: acc) !j
+          match int_of_string_opt (String.sub s i (!j - i)) with
+          | Some v -> lex (Int_lit v :: acc) !j
+          | None -> raise (Error (Printf.sprintf "integer literal out of range at offset %d" i))
       end
       else if c = '\'' then begin
         let buf = Buffer.create 16 in

@@ -34,4 +34,5 @@ val token_to_string : token -> string
 
 val tokenize : string -> token list
 (** The token list always ends with {!Eof}. Raises {!Error} on
-    unexpected characters or unterminated strings. *)
+    unexpected characters, unterminated strings and integer literals
+    out of [int] range. *)

@@ -1,7 +1,8 @@
 (* Column-major storage: one typed, unboxed array per column plus a
-   packed null bitmap. This is the physical layout the vectorized
-   engine's kernels run over; the reference interpreter reads it
-   through the row view [Relation.rows] builds at each scan.
+   packed null bitmap. This is every resident relation's one in-memory
+   form and the layout the vectorized engine's kernels run over; the
+   reference interpreter reads it through the row view [Relation.rows]
+   builds at each scan.
 
    Representation rules:
    - a column whose non-null values all share one [Value.ty] is stored
@@ -12,8 +13,11 @@
      boxed [Value.t array], where NULLs are stored directly and the
      bitmap stays empty.
 
-   Columns are immutable after construction; [byte_size] is memoized
-   because the per-operator profile charges it on every execution. *)
+   A typed column is built from values in one place, [Builder] (which
+   [of_values_typed] and [of_values] feed), so its NULL rule is written
+   once. Columns are immutable after construction; [byte_size] is
+   memoized because the per-operator profile charges it on every
+   execution. *)
 
 open Relalg
 
@@ -99,56 +103,10 @@ let uniform_ty (vals : Value.t array) : Value.ty option =
     in
     rest (i0 + 1)
 
-(* Build the typed representation for a known-uniform column. *)
-let of_values_typed (ty : Value.ty) (vals : Value.t array) : t =
-  let n = Array.length vals in
-  let nulls = bitmap_create n in
-  let seen_null = ref false in
-  let mark i =
-    seen_null := true;
-    bitmap_set nulls i
-  in
-  let data =
-    match ty with
-    | Value.Tint ->
-      let a = Array.make n 0 in
-      Array.iteri (fun i v -> match v with Value.Int x -> a.(i) <- x | _ -> mark i) vals;
-      Ints a
-    | Value.Tfloat ->
-      let a = Array.make n 0. in
-      Array.iteri
-        (fun i v -> match v with Value.Float x -> a.(i) <- x | _ -> mark i)
-        vals;
-      Floats a
-    | Value.Tstr ->
-      let a = Array.make n "" in
-      Array.iteri (fun i v -> match v with Value.Str s -> a.(i) <- s | _ -> mark i) vals;
-      Strs a
-    | Value.Tdate ->
-      let a = Array.make n 0 in
-      Array.iteri (fun i v -> match v with Value.Date d -> a.(i) <- d | _ -> mark i) vals;
-      Dates a
-    | Value.Tbool ->
-      let b = Bytes.make n '\000' in
-      Array.iteri
-        (fun i v ->
-          match v with
-          | Value.Bool x -> if x then Bytes.set b i '\001'
-          | _ -> mark i)
-        vals;
-      Bools b
-  in
-  { data; nulls = (if !seen_null then nulls else no_nulls); bytes = -1 }
-
 (* Wrap a decoded payload without copying (the segment reader's typed
    decode): [data] already holds the NULL dummies and [nulls] is the
    stored bitmap, so the result is what [of_values_typed] would build. *)
 let of_decoded (data : data) (nulls : Bytes.t) : t = { data; nulls; bytes = -1 }
-
-let of_values (vals : Value.t array) : t =
-  match uniform_ty vals with
-  | Some ty -> of_values_typed ty vals
-  | None -> of_value_array (Array.copy vals)
 
 let to_values t = Array.init (length t) (fun i -> get t i)
 
@@ -332,16 +290,16 @@ let concat (cols : t list) : t =
       { data; nulls; bytes = -1 }
     end
 
-(* --- incremental typed construction (streaming loaders) --- *)
+(* --- typed construction --- *)
 
 type t_outer = t
 
 module Builder = struct
-  (* Growable typed buffers with the same NULL discipline as
-     [of_values_typed]: a value of the declared type lands in the slot,
+  (* Growable typed buffers, the one place a typed column is built
+     from values: a value of the declared type lands in the slot,
      anything else (including [Null]) stores a dummy and marks the
-     bitmap. [finish] trims to length and produces the same column
-     [of_values_typed ty (boxed values)] would. *)
+     bitmap. [finish] hands a full buffer over as is and trims any
+     other to length. *)
 
   type payload =
     | Bints of int array
@@ -368,7 +326,7 @@ module Builder = struct
     | Value.Tbool -> Bbools (Bytes.make cap '\000')
 
   let create ?(hint = 1024) ty =
-    let cap = max 16 hint in
+    let cap = max 1 hint in
     { ty; n = 0; cap; payload = make_payload ty cap; nulls = bitmap_create cap; seen_null = false }
 
   let length b = b.n
@@ -417,21 +375,31 @@ module Builder = struct
 
   let finish b : t_outer =
     let n = b.n in
+    let full = n = b.cap in
     let data =
       match b.payload with
-      | Bints a -> Ints (Array.sub a 0 n)
-      | Bfloats a -> Floats (Array.sub a 0 n)
-      | Bstrs a -> Strs (Array.sub a 0 n)
-      | Bdates a -> Dates (Array.sub a 0 n)
-      | Bbools by -> Bools (Bytes.sub by 0 n)
+      | Bints a -> Ints (if full then a else Array.sub a 0 n)
+      | Bfloats a -> Floats (if full then a else Array.sub a 0 n)
+      | Bstrs a -> Strs (if full then a else Array.sub a 0 n)
+      | Bdates a -> Dates (if full then a else Array.sub a 0 n)
+      | Bbools by -> Bools (if full then by else Bytes.sub by 0 n)
     in
     let nulls =
       if not b.seen_null then no_nulls
-      else begin
-        let out = bitmap_create n in
-        Bytes.blit b.nulls 0 out 0 (Bytes.length out);
-        out
-      end
+      else if full then b.nulls
+      else Bytes.sub b.nulls 0 ((n + 7) / 8)
     in
     { data; nulls; bytes = -1 }
 end
+
+(* Typed build for a known-uniform column: a builder of exactly its
+   length, so [finish] copies nothing. *)
+let of_values_typed (ty : Value.ty) (vals : Value.t array) : t =
+  let b = Builder.create ~hint:(Array.length vals) ty in
+  Array.iter (Builder.add b) vals;
+  Builder.finish b
+
+let of_values (vals : Value.t array) : t =
+  match uniform_ty vals with
+  | Some ty -> of_values_typed ty vals
+  | None -> of_value_array (Array.copy vals)

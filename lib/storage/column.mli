@@ -51,7 +51,8 @@ val of_value_array : Value.t array -> t
 
 val of_values_typed : Value.ty -> Value.t array -> t
 (** Typed build for a column declared as [ty] (e.g. from a CSV schema):
-    values of another type are stored as NULL. *)
+    values of another type are stored as NULL. A {!Builder} of exactly
+    the input's length, fed every value. *)
 
 val of_decoded : data -> Bytes.t -> t
 (** [of_decoded data nulls] wraps a decoded payload and its null
@@ -83,10 +84,11 @@ val concat : t list -> t
 (** Row-wise concatenation (UNION ALL); same-variant inputs stay
     typed. *)
 
-(** Incremental typed column construction for streaming loaders (the
-    CSV reader feeds parsed values row-by-row without materializing the
-    whole file as boxed rows first). Same NULL discipline as
-    {!of_values_typed}: a value of another type is stored as NULL. *)
+(** Incremental typed column construction, the one typed build from
+    values: streaming loaders (the CSV reader, the TPC-H generator)
+    feed it row by row without materializing boxed rows first, and
+    {!of_values_typed} is a builder too. A value of another type than
+    the declared one is stored as NULL. *)
 module Builder : sig
   type column := t
 
@@ -94,7 +96,7 @@ module Builder : sig
 
   val create : ?hint:int -> Value.ty -> t
   (** Fresh builder for a column of type [ty]; [hint] pre-sizes the
-      buffer (default 1024). *)
+      buffer to exactly that many rows (at least 1; default 1024). *)
 
   val add : t -> Value.t -> unit
   (** Append one value; amortized O(1). *)
@@ -103,6 +105,7 @@ module Builder : sig
 
   val finish : t -> column
   (** Seal into an immutable column — identical to what
-      [of_values_typed ty] over the same boxed values would build. The
-      builder must not be reused afterwards. *)
+      [of_values_typed ty] over the same boxed values would build. A
+      buffer filled exactly to its capacity is handed over without a
+      copy, so the builder must not be reused afterwards. *)
 end

@@ -15,11 +15,6 @@ type t = { mutable store : Relation.t Key_map.t }
 let create () = { store = Key_map.empty }
 
 let add t ~table ?(partition = 0) rel =
-  (* a stored resident table is columns only, so no scan converts *)
-  let rel =
-    if Relation.is_paged rel then rel
-    else Relation.(of_cols ~schema:(schema rel) ~card:(cardinality rel) (cols rel))
-  in
   t.store <- Key_map.add (String.lowercase_ascii table, partition) rel t.store
 
 (* Row [j] goes to partition [j mod partitions], gathered column by

@@ -6,9 +6,8 @@ type t
 
 val create : unit -> t
 val add : t -> table:string -> ?partition:int -> Relation.t -> unit
-(** Store [table]'s partition (default 0). A row relation is stored as
-    its columns, so a scan of a resident table converts nothing; a
-    columnar or paged relation is stored as is. *)
+(** Store [table]'s partition (default 0) as is: a resident relation
+    is already typed columns, so a scan of it converts nothing. *)
 
 val add_round_robin : t -> table:string -> partitions:int -> Relation.t -> unit
 (** {!add} row [j] to partition [j mod partitions], in order, by

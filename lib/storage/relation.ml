@@ -1,14 +1,14 @@
 (* An in-memory materialized relation: a schema of qualified column
-   names over exactly one representation — boxed rows ([make]), typed
-   columns ([of_cols], one [Column.t] per attribute, see column.ml) or
-   a pager over a segment store ([paged]).
+   names over exactly one representation — typed columns ([make],
+   [of_cols]: one [Column.t] per attribute, see column.ml) or a pager
+   over a segment store ([paged]).
 
-   Nothing is cached: [rows] on a columnar relation and [cols] on a row
-   relation convert on every call. Stored base tables are columnar
-   ([Database.add] stores a row relation's columns), so the vectorized
-   engine's scans convert nothing, while the reference interpreter
-   ([Interp]) builds a row view of a base table at each scan and keeps
-   its own intermediates as rows. *)
+   Nothing is cached: [rows] builds a fresh row view on every call and
+   [cols] of a paged relation pages every column in. [make] keeps no
+   row: it sniffs each column of its rows once into a typed column.
+   The vectorized engine runs over the columns; the
+   reference interpreter ([Interp]) builds a row view at each scan and
+   keeps its intermediates as plain row arrays of its own. *)
 
 open Relalg
 
@@ -66,7 +66,6 @@ type t = {
 }
 
 and repr =
-  | Rows of Value.t array array
   | Cols of Column.t array
   | Paged of pager
       (* disk-backed (segment store): every access re-reads, which is
@@ -86,7 +85,8 @@ let make ~schema ~rows =
     (fun r ->
       if Array.length r <> n then invalid_arg "Relation.make: row arity mismatch")
     rows;
-  { schema; width = n; card = Array.length rows; repr = Rows rows }
+  let cols = Array.init n (fun j -> Column.of_values (Array.map (fun r -> r.(j)) rows)) in
+  { schema; width = n; card = Array.length rows; repr = Cols cols }
 
 let of_cols ~schema ~card cols =
   let n = List.length schema in
@@ -101,26 +101,19 @@ let of_cols ~schema ~card cols =
 let paged ~schema ~card ~load ~byte_size =
   { schema; width = List.length schema; card; repr = Paged { load; bytes = byte_size } }
 
-let is_paged t = match t.repr with Paged _ -> true | Rows _ | Cols _ -> false
+let is_paged t = match t.repr with Paged _ -> true | Cols _ -> false
 
 let schema t = t.schema
 let cardinality t = t.card
 
-let rows_of_cols t cols =
-  Array.init t.card (fun i -> Array.init t.width (fun j -> Column.get cols.(j) i))
-
-let rows t =
-  match t.repr with
-  | Rows rows -> rows
-  | Cols cols -> rows_of_cols t cols
-  | Paged p -> rows_of_cols t (p.load (Array.make t.width true))
-
 let cols t =
   match t.repr with
   | Cols cols -> cols
-  | Rows rows ->
-    Array.init t.width (fun j -> Column.of_values (Array.init t.card (fun i -> rows.(i).(j))))
   | Paged p -> p.load (Array.make t.width true)
+
+let rows t =
+  let cols = cols t in
+  Array.init t.card (fun i -> Array.init t.width (fun j -> Column.get cols.(j) i))
 
 let read_cols t ~needed =
   match t.repr with
@@ -128,48 +121,23 @@ let read_cols t ~needed =
     if Array.length needed <> t.width then
       invalid_arg "Relation.read_cols: mask width differs from the schema's";
     p.load needed
-  | Rows _ | Cols _ -> cols t
+  | Cols cols -> cols
 
 (* Total serialized size in bytes (what a SHIP of this relation moves):
-   the sum of [Value.byte_width] over every cell, whichever the
-   representation; a paged relation asks its pager (a segment store's
-   [meta] records it). *)
+   the sum of [Value.byte_width] over every cell; a paged relation asks
+   its pager (a segment store's [meta] records it). *)
 let byte_size t =
   match t.repr with
   | Cols cols -> Array.fold_left (fun acc c -> acc + Column.byte_size c) 0 cols
   | Paged p -> p.bytes ()
-  | Rows rows ->
-    Array.fold_left
-      (fun acc row -> Array.fold_left (fun acc v -> acc + Value.byte_width v) acc row)
-      0 rows
 
-(* Order rows by the given (attribute, descending) keys. Key positions
-   are resolved once; unknown attributes read as NULL for every row. *)
-let order_by t (keys : (Attr.t * bool) list) =
-  let r = resolver t.schema in
-  let kix =
-    List.map (fun (a, desc) -> ((match resolve r a with Some i -> i | None -> -1), desc)) keys
-  in
-  let get ix (row : Value.t array) =
-    if ix >= 0 && ix < Array.length row then row.(ix) else Value.Null
-  in
-  let cmp r1 r2 =
-    let rec go = function
-      | [] -> 0
-      | (ix, desc) :: rest ->
-        let c = Value.compare (get ix r1) (get ix r2) in
-        if c <> 0 then if desc then -c else c else go rest
-    in
-    go kix
-  in
-  let rows = Array.copy (rows t) in
-  Array.stable_sort cmp rows;
-  make ~schema:t.schema ~rows
-
-(* First [n] rows. *)
+(* First [n] rows, each column gathered on its own, so a typed column
+   stays typed. *)
 let take t n =
-  if cardinality t <= n then t
-  else make ~schema:t.schema ~rows:(Array.sub (rows t) 0 n)
+  if t.card <= n then t
+  else
+    let ixs = Array.init n Fun.id in
+    { t with card = n; repr = Cols (Array.map (fun c -> Column.gather c ixs) (cols t)) }
 
 let pp ?(max_rows = 20) ppf t =
   Fmt.pf ppf "%a@." Fmt.(list ~sep:(any " | ") Attr.pp) t.schema;

@@ -1,9 +1,8 @@
 (** Materialized relations: a schema of qualified column names over
-    exactly one representation — boxed rows ({!make}), typed columns
-    ({!of_cols}, one {!Column.t} per attribute) or a pager over a
-    segment store ({!paged}). A relation is immutable and caches
-    nothing: {!rows} of a columnar relation and {!cols} of a row
-    relation convert on every call. *)
+    exactly one representation — typed columns ({!make}, {!of_cols}:
+    one {!Column.t} per attribute) or a pager over a segment store
+    ({!paged}). A relation is immutable and caches nothing: {!rows}
+    builds a fresh row view on every call. *)
 
 open Relalg
 
@@ -25,7 +24,8 @@ val lookup_of_schema : Attr.t list -> Attr.t -> Value.t array -> Value.t
 type t
 
 val make : schema:Attr.t list -> rows:Value.t array array -> t
-(** Build from rows, the relation's one representation. Raises
+(** Build from rows: each column is sniffed once into a typed column
+    ({!Column.of_values}), and the rows are not retained. Raises
     [Invalid_argument] if some row's arity differs from the schema. *)
 
 val of_cols : schema:Attr.t list -> card:int -> Column.t array -> t
@@ -52,16 +52,13 @@ val is_paged : t -> bool
 val schema : t -> Attr.t list
 
 val rows : t -> Value.t array array
-(** The row view. A row relation returns its own rows (treat them as
-    read-only); a columnar or paged relation builds fresh rows on every
-    call. *)
+(** The row view, built fresh on every call (a paged relation pages
+    every column in). *)
 
 val cols : t -> Column.t array
-(** The column view. A columnar relation returns its own columns, the
-    same array on every call; a row relation converts on every call
-    (sniffing each column's type, {!Column.of_values}); a paged
-    relation pages every column in. Stored base tables are columnar
-    ({!Database.add}), so a scan of one converts nothing. *)
+(** The column view. A resident relation returns its own columns, the
+    same array on every call, so a scan of one converts nothing; a
+    paged relation pages every column in. *)
 
 val read_cols : t -> needed:bool array -> Column.t array
 (** Column-major view restricted to a mask, one bit per schema
@@ -73,12 +70,10 @@ val read_cols : t -> needed:bool array -> Column.t array
 
 val cardinality : t -> int
 
-val order_by : t -> (Attr.t * bool) list -> t
-(** Stable sort by (attribute, descending?) keys; unknown attributes
-    read as NULL and sort first. *)
-
 val take : t -> int -> t
-(** First [n] rows. *)
+(** First [n] rows, gathered column by column ({!Column.gather}), so
+    every column keeps its variant; the relation itself when it has at
+    most [n] rows. *)
 
 val byte_size : t -> int
 (** Total serialized size — what a SHIP of this relation moves. For a

@@ -210,7 +210,38 @@ let test_sort_operator () =
     | a :: (b :: _ as rest) -> Value.compare a b >= 0 && desc rest
     | _ -> true
   in
-  Alcotest.(check bool) "descending" true (desc vals)
+  Alcotest.(check bool) "descending" true (desc vals);
+  (* on both engines: equal keys keep their input order, and an
+     unknown attribute reads NULL on every row, so it never orders *)
+  let db =
+    db_with
+      [
+        ( "r",
+          [ "a"; "b" ],
+          List.map
+            (fun (a, b) -> [| Value.Int a; Value.Str b |])
+            [ (3, "c"); (1, "a"); (2, "b"); (1, "z") ] );
+      ]
+  in
+  List.iter
+    (fun engine ->
+      let sorted keys =
+        let plan = node (P.Sort keys) [ scan "r" ] in
+        let r = Exec.Engine.run ~engine ~network ~db ~table_cols plan in
+        List.map (fun row -> (row.(0), row.(1))) (Array.to_list (Storage.Relation.rows r.relation))
+      in
+      let name = Exec.Engine.to_string engine in
+      let expect what want got =
+        if got <> List.map (fun (a, b) -> (Value.Int a, Value.Str b)) want then
+          Alcotest.failf "%s: %s" name what
+      in
+      expect "stable ascending"
+        [ (1, "a"); (1, "z"); (2, "b"); (3, "c") ]
+        (sorted [ (attr "r" "a", false) ]);
+      expect "unknown attribute never orders"
+        [ (3, "c"); (2, "b"); (1, "a"); (1, "z") ]
+        (sorted [ (attr "r" "zzz", false); (attr "r" "a", true) ]))
+    [ Exec.Engine.Reference; Exec.Engine.Vector ]
 
 let test_hash_agg () =
   let plan =
@@ -1727,8 +1758,9 @@ let same_rows a b =
        (fun r s -> Array.length r = Array.length s && Array.for_all2 same_value r s)
        a b
 
-(* Run [plan] on both engines, require identical rows, SHIP records,
-   profiles and makespans, and return Vector's result. *)
+(* Run [plan] on both engines, require identical result rows and byte
+   sizes, SHIP records, profiles and makespans, and return Vector's
+   result. *)
 let vector_checked ?(budget = Exec.Runtime.unlimited_budget) ~db plan =
   let i = Exec.Interp.run ~budget ~network ~db ~table_cols plan
   and v = Exec.Vector.run ~budget ~network ~db ~table_cols plan in
@@ -1736,6 +1768,7 @@ let vector_checked ?(budget = Exec.Runtime.unlimited_budget) ~db plan =
   if
     not
       (same_rows (Storage.Relation.rows i.relation) (Storage.Relation.rows v.relation)
+      && Storage.Relation.byte_size i.relation = Storage.Relation.byte_size v.relation
       && rest i = rest v)
   then Alcotest.failf "reference and vector disagree on plan:@.%a" (P.pp ?indent:None) plan;
   v.relation

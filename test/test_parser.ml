@@ -113,7 +113,19 @@ let test_parse_errors () =
   expect_fail "SELECT a";
   expect_fail "SELECT a FROM t WHERE";
   expect_fail "SELECT a FROM t GROUP BY";
-  expect_fail "SELECT a FROM t extra garbage )"
+  expect_fail "SELECT a FROM t extra garbage )";
+  (* an integer literal past [max_int] is a syntax error, not a Failure *)
+  let out_of_range parse text ~offset =
+    match parse text with
+    | exception P.Error m ->
+      Alcotest.(check string) text
+        (Printf.sprintf "integer literal out of range at offset %d" offset)
+        m
+    | _ -> Alcotest.failf "expected parse error for %S" text
+  in
+  out_of_range P.query "SELECT a FROM t WHERE t.a = 99999999999999999999" ~offset:28;
+  out_of_range P.query "SELECT a FROM t LIMIT 99999999999999999999" ~offset:22;
+  out_of_range P.policy "ship a from t to * where t.a > 99999999999999999999" ~offset:31
 
 let test_parse_policy_basic () =
   let p = P.policy "ship custkey, name from Customer C to Asia, Europe" in
